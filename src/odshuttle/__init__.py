@@ -2,16 +2,14 @@
 
 from .costing import (
     TravelSearchNode,
-    assignment_plan_cost,
     create_root_node,
-    evaluate_assignment_plan,
     extend_node,
     get_possible_next_stops,
     optimal_sequence,
 )
 from .demand import DemandProfile, generate_demand
 from .enumeration import PlanSet, enumerate_plans
-from .network import Region, TravelNetwork, TripType, all_pairs_times, classify_trip, select_gateway
+from .network import Region, TravelNetwork, TripType, classify_trip
 from .reporting import SummaryStats, compare, summarize
 from .simulator import (
     FixedRoute,
@@ -31,7 +29,6 @@ from .types import (
     Stop,
     StopId,
     TripRequest,
-    validate_instance,
 )
 
 __version__ = "0.1.0"
@@ -54,8 +51,6 @@ __all__ = [
     "TripRecord",
     "TripRequest",
     "TripType",
-    "all_pairs_times",
-    "assignment_plan_cost",
     "brute_force_dispatch",
     "check_solution",
     "classify_trip",
@@ -63,7 +58,6 @@ __all__ = [
     "cost_reduction",
     "create_root_node",
     "enumerate_plans",
-    "evaluate_assignment_plan",
     "extend_node",
     "generate_demand",
     "get_possible_next_stops",
@@ -71,9 +65,7 @@ __all__ = [
     "optimal_sequence",
     "run_baseline",
     "run_scenario",
-    "select_gateway",
     "solve_dispatch",
     "summarize",
     "sweep_fleet_sizes",
-    "validate_instance",
 ]

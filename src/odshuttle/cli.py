@@ -58,32 +58,14 @@ def cmd_baseline(args):
     print(f"completed {s.completed}, unserved {s.abandoned}; "
           f"mean waiting {s.mean_waiting:.1f} s, mean trip {s.mean_trip:.1f} s")
     if args.compare_with:
-        ondemand_records = _read_trips(Path(args.compare_with))
+        trips_path = Path(args.compare_with)
+        ondemand_records = fileio.parse_trips_csv(trips_path.read_text(), str(trips_path))
         ondemand_summary = summarize(ondemand_records, bin_seconds=config.bin_seconds)
         cmp = compare(result.summary, ondemand_summary)
         _write(out / "comparison.csv", comparison_csv(cmp))
         _write(out / "comparison.txt", comparison_text(cmp))
         print(comparison_text(cmp), end="")
     return 0
-
-
-def _read_trips(path: Path):
-    import csv
-
-    from .simulator import TripRecord
-
-    records = []
-    with path.open() as handle:
-        for row in csv.DictReader(handle):
-            records.append(TripRecord(
-                id=row["id"],
-                request_time=int(row["request_time"]),
-                trip_type=row["trip_type"],
-                pickup_time=int(row["pickup_time"]) if row["pickup_time"] else None,
-                dropoff_time=int(row["dropoff_time"]) if row["dropoff_time"] else None,
-                status=row["status"],
-            ))
-    return records
 
 
 def cmd_sweep(args):

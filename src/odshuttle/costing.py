@@ -147,33 +147,6 @@ def optimal_sequence(
     return _search(root, network, per_passenger)
 
 
-def evaluate_assignment_plan(v: ShuttleState, new_requests, network: TravelNetwork,
-                             per_passenger: bool = False) -> int | None:
-    """Total waiting of the best sequence, or None when infeasible."""
-    found = optimal_sequence(v, new_requests, network, per_passenger)
-    return None if found is None else found[0]
-
-
-def assignment_plan_cost(v: ShuttleState, new_requests, network: TravelNetwork,
-                         per_passenger: bool = False) -> int | None:
-    """Marginal waiting cost of adding ``new_requests`` to shuttle ``v``.
-
-    The cost of an assignment is the waiting of the best sequence with
-    the new requests minus the best without them, so committed requests
-    never double-bill across plans.  Adding nothing costs exactly 0.
-    """
-    new = frozenset(new_requests)
-    if not new:
-        return 0
-    with_new = evaluate_assignment_plan(v, new, network, per_passenger)
-    if with_new is None:
-        return None
-    base = evaluate_assignment_plan(v, frozenset(), network, per_passenger)
-    if base is None:
-        return None
-    return with_new - base
-
-
 # -- search engine ---------------------------------------------------------
 #
 # The dataclass node above is the contract surface; the inner loop runs on

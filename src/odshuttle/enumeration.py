@@ -1,7 +1,9 @@
 """Assignment-plan set construction.
 
 Builds every (vehicle, request-subset) plan with subset size up to the
-ride-sharing cap, priced by :func:`odshuttle.costing.assignment_plan_cost`.
+ride-sharing cap, priced by its marginal waiting: the cost of the
+vehicle's :func:`odshuttle.costing.optimal_sequence` with the subset
+minus the cost without it, so committed requests never double-bill.
 Every vehicle always carries its empty plan (cost 0), so the dispatch
 program's one-plan-per-vehicle constraint stays satisfiable.  Plans with
 no capacity-respecting sequence are dropped rather than kept at infinite

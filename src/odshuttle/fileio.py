@@ -1,18 +1,24 @@
 """Structured text formats: parse and write everything the CLI touches.
 
-All inputs share one line-oriented syntax: ``#`` starts a comment,
-blank lines are skipped, ``[name]`` opens a section, and every other
-line is whitespace-separated tokens whose first token is a keyword.
+All line-oriented inputs share one syntax, read by one reader
+(:func:`_lines`): ``#`` starts a comment, blank lines are skipped,
+``[name]`` opens a section, and every other line is whitespace-separated
+tokens whose first token is a keyword.  A grammar table lists, per
+section, each keyword's argument types, the fewest arguments it takes
+and whether its last argument repeats.  An unknown section or keyword,
+a wrong argument count or a bad number fails at load time as a
+``ParseError`` naming the file and line.
 
 Scenario config sections::
 
     [scenario]   horizon / dispatch_interval / fleet_size / shuttle_capacity
                  max_requests_per_plan / miss_penalty / max_defer / seed
-                 max_requests_per_tick / max_outstanding / bin_seconds
+                 max_requests_per_tick / bin_seconds <int> ;
+                 max_outstanding <int|none> ; waiting_per_passenger <bool> ;
                  fleet_start <stop> ... (shuttles cycle through the list)
     [network]    mode euclidean|manhattan|graph ; speed <m/s> ;
                  stop <id> <x> <y> ; link <from> <to> <seconds>
-    [region]     member <id> ... ; gateway <id> [downstream_seconds]
+    [region]     member <id> ... ; gateway <id>
     [demand]     file <path> (pre-generated demand CSV, relative to the
                  config) or a profile: rate <start> <end> <per_hour>,
                  mix <intra> <outbound> <inbound>,
@@ -21,12 +27,19 @@ Scenario config sections::
     [baseline]   walk_speed <m/s> ;
                  route <name> <one_way_min> <headway_min> <two_way|circular> <stop> ...
 
-Dispatch instances (for ``solve``) use ``[params]``, ``[network]``,
-``[fleet]`` (``shuttle <id> <heading_stop> <arrival_s> <capacity>`` plus
+Dispatch instances (for ``solve``) use ``[params]``
+(``max_requests_per_plan``, ``miss_penalty``), ``[network]``, ``[fleet]``
+(``shuttle <id> <heading_stop> <arrival_s> <capacity>`` plus
 ``committed_pickup``/``committed_dropoff <shuttle> <request>``) and
 ``[requests]`` (``request <id> <t> <pickup> <dropoff> <passengers>``,
 optional ``penalty <id> <cost>``).  Requests claimed by a
 ``committed_*`` line belong to that shuttle and leave the open set.
+Route files (for ``fleetcalc``) hold ``route`` lines outside any section.
+
+References are checked at load time too: every stop a request, shuttle,
+region line or demand row names must be in the network, a weighted stop
+must be a region member or gateway, and every shuttle or request a
+``committed_*`` or ``penalty`` line names must be defined.
 
 Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type.
 """
@@ -35,7 +48,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 from .demand import DemandProfile
 from .errors import ParseError
@@ -44,100 +59,183 @@ from .simulator import FixedRoute, ScenarioConfig, TripRecord
 from .solver import DispatchProblem, DEFAULT_MISS_PENALTY
 from .types import DispatchSolution, ShuttleState, Stop, TripRequest
 
+# -- the grammar ------------------------------------------------------------------
 
-def _sections(text: str, path="<string>"):
-    """Yield (section, line_no, tokens) for every content line."""
+
+def _real(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+def _flag(token: str) -> bool:
+    lowered = token.lower()
+    if lowered not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(token)
+    return lowered in ("1", "true", "yes")
+
+
+def _int_or_none(token: str) -> int | None:
+    return None if token == "none" else int(token)
+
+
+_EXPECTED = {int: "an integer", _real: "a finite number", _flag: "true or false",
+             _int_or_none: "an integer or none"}
+
+
+class _Args(NamedTuple):
+    """One keyword's arguments: a type per argument, the fewest accepted, and
+    whether the last type repeats for any further arguments."""
+
+    types: tuple
+    least: int
+    repeat: bool
+
+
+def _args(*types, least: int | None = None, repeat: bool = False) -> _Args:
+    return _Args(types, len(types) if least is None else least, repeat)
+
+
+_NETWORK = {
+    "mode": _args(str),
+    "speed": _args(_real),
+    "stop": _args(str, _real, _real),
+    "link": _args(str, str, _real),
+}
+
+_ROUTE = {"route": _args(str, _real, _real, str, str, least=4, repeat=True)}
+
+_SCENARIO = {
+    "scenario": {
+        **{key: _args(int) for key in (
+            "horizon", "dispatch_interval", "fleet_size", "shuttle_capacity",
+            "max_requests_per_plan", "miss_penalty", "max_defer", "seed",
+            "max_requests_per_tick", "bin_seconds")},
+        "max_outstanding": _args(_int_or_none),
+        "waiting_per_passenger": _args(_flag),
+        "fleet_start": _args(str, repeat=True),
+    },
+    "network": _NETWORK,
+    "region": {"member": _args(str, repeat=True), "gateway": _args(str)},
+    "demand": {
+        "file": _args(str),
+        "rate": _args(int, int, _real),
+        "mix": _args(_real, _real, _real),
+        "member_weight": _args(str, _real),
+        "gateway_weight": _args(str, _real),
+        "seed": _args(int),
+    },
+    "baseline": {"walk_speed": _args(_real), **_ROUTE},
+}
+
+_INSTANCE = {
+    "params": {"max_requests_per_plan": _args(int), "miss_penalty": _args(int)},
+    "network": _NETWORK,
+    "fleet": {
+        "shuttle": _args(str, str, int, int),
+        "committed_pickup": _args(str, str),
+        "committed_dropoff": _args(str, str),
+    },
+    "requests": {"request": _args(str, int, str, str, int), "penalty": _args(str, int)},
+}
+
+# Route files have no sections: their lines sit in the unnamed section "".
+_ROUTES = {"": _ROUTE}
+
+
+class _Row(NamedTuple):
+    line: int
+    args: tuple
+
+
+def _lines(text: str, path: str, grammar: dict) -> tuple[dict, int]:
+    """Check every line of ``text`` against ``grammar`` and convert its arguments.
+
+    Returns ``(rows, end)``: ``rows[section][keyword]`` lists the
+    keyword's :class:`_Row` entries in file order (empty when absent),
+    and ``end`` is the number of the file's last line.
+    """
+    rows = {section: {key: [] for key in keywords} for section, keywords in grammar.items()}
     section = ""
+    line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
+            if section not in grammar:
+                raise ParseError(path, line_no, f"unknown section [{section}]")
             continue
-        yield section, line_no, line.split()
+        if section not in grammar:
+            raise ParseError(path, line_no, f"line outside any known section: {line}")
+        key, *tokens = line.split()
+        spec = grammar[section].get(key)
+        if spec is None:
+            raise ParseError(path, line_no, f"unknown {section or 'top-level'} keyword {key!r}")
+        if len(tokens) < spec.least or (not spec.repeat and len(tokens) > len(spec.types)):
+            count = f"at least {spec.least}" if spec.repeat else str(spec.least)
+            noun = "argument" if spec.least == 1 else "arguments"
+            raise ParseError(path, line_no, f"{key} takes {count} {noun}, got {len(tokens)}")
+        types = spec.types + spec.types[-1:] * (len(tokens) - len(spec.types))
+        args = []
+        for kind, token in zip(types, tokens):
+            try:
+                args.append(kind(token))
+            except ValueError:
+                raise ParseError(path, line_no,
+                                 f"{key}: expected {_EXPECTED[kind]}, got {token!r}") from None
+        rows[section][key].append(_Row(line_no, tuple(args)))
+    return rows, max(line_no, 1)
 
 
-def _num(token, line_no, path, kind=float):
-    try:
-        return kind(token)
-    except ValueError:
-        raise ParseError(path, line_no, f"expected a number, got {token!r}") from None
+def _last(rows: list[_Row], default=None):
+    """The single argument of a scalar keyword; a later line overrides an earlier one."""
+    return rows[-1].args[0] if rows else default
 
 
-# -- network / region ----------------------------------------------------------
+def _all(rows: list[_Row]) -> list:
+    """The arguments of every line of a list keyword, in file order."""
+    return [arg for row in rows for arg in row.args]
 
 
-def _build_network(mode, speed, stops, links, path, line_no):
+# -- shared section builders --------------------------------------------------------
+
+
+def _network(rows: dict, path: str, end: int) -> TravelNetwork:
+    """Build a ``[network]`` section; scenario configs and instances share it."""
+    mode = _last(rows["mode"])
     if mode is None:
-        raise ParseError(path, line_no, "network section never declared a mode")
-    if not stops:
-        raise ParseError(path, line_no, "network has no stops")
+        raise ParseError(path, end, "network section never declared a mode")
+    if not rows["stop"]:
+        raise ParseError(path, end, "network has no stops")
     try:
-        return TravelNetwork(stops, mode, speed=speed, links=links)
+        return TravelNetwork([Stop(*row.args) for row in rows["stop"]], mode,
+                             speed=_last(rows["speed"]),
+                             links=[row.args for row in rows["link"]])
     except (ValueError, KeyError) as err:
-        raise ParseError(path, line_no, f"bad network: {err}") from None
+        raise ParseError(path, end, f"bad network: {err}") from None
 
 
-def parse_network_text(text: str, path="<network>") -> TravelNetwork:
-    mode, speed = None, None
-    stops, links = [], []
-    last = 1
-    for _, line_no, tokens in _sections(text, path):
-        last = line_no
-        key = tokens[0]
-        if key == "mode":
-            mode = tokens[1]
-        elif key == "speed":
-            speed = _num(tokens[1], line_no, path)
-        elif key == "stop":
-            if len(tokens) != 4:
-                raise ParseError(path, line_no, "stop lines are: stop <id> <x> <y>")
-            stops.append(Stop(tokens[1], _num(tokens[2], line_no, path),
-                              _num(tokens[3], line_no, path)))
-        elif key == "link":
-            if len(tokens) != 4:
-                raise ParseError(path, line_no, "link lines are: link <from> <to> <seconds>")
-            links.append((tokens[1], tokens[2], _num(tokens[3], line_no, path)))
-        else:
-            raise ParseError(path, line_no, f"unknown network keyword {key!r}")
-    return _build_network(mode, speed, stops, links, path, last)
+def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:
+    """Build ``route`` lines; scenario ``[baseline]`` and route files share it."""
+    routes = []
+    for row in rows:
+        name, one_way, headway, shape, *stops = row.args
+        try:
+            routes.append(FixedRoute(name=name, one_way_minutes=one_way,
+                                     headway_minutes=headway, shape=shape,
+                                     served_stops=tuple(stops)))
+        except ValueError as err:
+            raise ParseError(path, row.line, str(err)) from None
+    return routes
 
 
-def write_network_text(network: TravelNetwork) -> str:
-    out = [f"mode {network.mode}"]
-    if network.speed is not None:
-        out.append(f"speed {network.speed}")
-    for sid in network.stop_ids():
-        s = network.stops[sid]
-        out.append(f"stop {s.id} {s.x} {s.y}")
-    for a, b, seconds in sorted(network.links):
-        out.append(f"link {a} {b} {seconds}")
-    return "\n".join(out) + "\n"
-
-
-def parse_region_text(text: str, path="<region>") -> tuple[Region, dict[str, int]]:
-    members, gateways = [], []
-    downstream: dict[str, int] = {}
-    for _, line_no, tokens in _sections(text, path):
-        key = tokens[0]
-        if key == "member":
-            members.extend(tokens[1:])
-        elif key == "gateway":
-            if len(tokens) < 2:
-                raise ParseError(path, line_no, "gateway lines are: gateway <id> [seconds]")
-            gateways.append(tokens[1])
-            downstream[tokens[1]] = int(_num(tokens[2], line_no, path)) if len(tokens) > 2 else 0
-        else:
-            raise ParseError(path, line_no, f"unknown region keyword {key!r}")
-    return Region(member_stops=members, gateway_stations=gateways), downstream
-
-
-def write_region_text(region: Region, downstream: dict[str, int] | None = None) -> str:
-    downstream = downstream or {}
-    out = [f"member {m}" for m in sorted(region.member_stops)]
-    out += [f"gateway {g} {downstream.get(g, 0)}" for g in sorted(region.gateway_stations)]
-    return "\n".join(out) + "\n"
+def _check_stops(network: TravelNetwork, path: str, line_no: int, *stops) -> None:
+    for stop in stops:
+        if not network.has_stop(stop):
+            raise ParseError(path, line_no, f"unknown stop {stop!r}")
 
 
 # -- demand ---------------------------------------------------------------------
@@ -145,10 +243,12 @@ def write_region_text(region: Region, downstream: dict[str, int] | None = None) 
 DEMAND_HEADER = ["id", "request_time", "pickup", "dropoff", "passengers", "trip_type"]
 
 
-def parse_demand_csv(text: str, path="<demand>") -> tuple[list[TripRequest], dict[str, str]]:
+def parse_demand_csv(text: str, network: TravelNetwork,
+                     path="<demand>") -> tuple[list[TripRequest], dict[str, str]]:
+    """Requests and declared trip types of a demand CSV whose stops lie in ``network``."""
     reader = csv.DictReader(io.StringIO(text))
-    requests, types = [], {}
-    for i, row in enumerate(reader, start=2):
+    requests, types, seen = [], {}, set()
+    for row in reader:
         try:
             req = TripRequest(
                 id=row["id"],
@@ -158,7 +258,11 @@ def parse_demand_csv(text: str, path="<demand>") -> tuple[list[TripRequest], dic
                 passengers=int(row.get("passengers") or 1),
             )
         except (KeyError, TypeError, ValueError) as err:
-            raise ParseError(path, i, f"bad demand row: {err}") from None
+            raise ParseError(path, reader.line_num, f"bad demand row: {err}") from None
+        _check_stops(network, path, reader.line_num, req.pickup, req.dropoff)
+        if req.id in seen:
+            raise ParseError(path, reader.line_num, f"duplicate request id {req.id}")
+        seen.add(req.id)
         requests.append(req)
         if row.get("trip_type"):
             types[req.id] = row["trip_type"]
@@ -178,137 +282,74 @@ def write_demand_csv(requests, types: dict[str, str] | None = None) -> str:
 
 # -- scenario config --------------------------------------------------------------
 
-_SCENARIO_INTS = {
-    "horizon", "dispatch_interval", "fleet_size", "shuttle_capacity",
-    "max_requests_per_plan", "miss_penalty", "max_defer", "seed",
-    "max_requests_per_tick", "bin_seconds",
-}
-
 
 def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = None) -> ScenarioConfig:
-    base_dir = Path(base_dir) if base_dir else Path(".")
-    scalars: dict = {}
-    fleet_start: list[str] = []
-    net_mode, net_speed = None, None
-    net_stops, net_links = [], []
-    members, gateways, downstream = [], [], {}
-    rates, mix = [], None
-    member_w: dict[str, float] = {}
-    gateway_w: dict[str, float] = {}
-    demand_seed = 0
-    demand_file = None
-    walk_speed = 1.3
-    routes: list[FixedRoute] = []
-    last = 1
+    rows, end = _lines(text, path, _SCENARIO)
+    scenario, region_rows, demand = rows["scenario"], rows["region"], rows["demand"]
+    network = _network(rows["network"], path, end)
 
-    for section, line_no, tokens in _sections(text, path):
-        last = line_no
-        key = tokens[0]
-        if section == "scenario":
-            if key in _SCENARIO_INTS:
-                scalars[key] = int(_num(tokens[1], line_no, path))
-            elif key == "max_outstanding":
-                scalars[key] = None if tokens[1] == "none" else int(_num(tokens[1], line_no, path))
-            elif key == "waiting_per_passenger":
-                scalars[key] = tokens[1].lower() in ("1", "true", "yes")
-            elif key == "fleet_start":
-                fleet_start.extend(tokens[1:])
-            else:
-                raise ParseError(path, line_no, f"unknown scenario keyword {key!r}")
-        elif section == "network":
-            if key == "mode":
-                net_mode = tokens[1]
-            elif key == "speed":
-                net_speed = _num(tokens[1], line_no, path)
-            elif key == "stop":
-                net_stops.append(Stop(tokens[1], _num(tokens[2], line_no, path),
-                                      _num(tokens[3], line_no, path)))
-            elif key == "link":
-                net_links.append((tokens[1], tokens[2], _num(tokens[3], line_no, path)))
-            else:
-                raise ParseError(path, line_no, f"unknown network keyword {key!r}")
-        elif section == "region":
-            if key == "member":
-                members.extend(tokens[1:])
-            elif key == "gateway":
-                gateways.append(tokens[1])
-                downstream[tokens[1]] = int(_num(tokens[2], line_no, path)) if len(tokens) > 2 else 0
-            else:
-                raise ParseError(path, line_no, f"unknown region keyword {key!r}")
-        elif section == "demand":
-            if key == "file":
-                demand_file = tokens[1]
-            elif key == "rate":
-                rates.append((int(_num(tokens[1], line_no, path)),
-                              int(_num(tokens[2], line_no, path)),
-                              _num(tokens[3], line_no, path)))
-            elif key == "mix":
-                mix = (_num(tokens[1], line_no, path), _num(tokens[2], line_no, path),
-                       _num(tokens[3], line_no, path))
-            elif key == "member_weight":
-                member_w[tokens[1]] = _num(tokens[2], line_no, path)
-            elif key == "gateway_weight":
-                gateway_w[tokens[1]] = _num(tokens[2], line_no, path)
-            elif key == "seed":
-                demand_seed = int(_num(tokens[1], line_no, path))
-            else:
-                raise ParseError(path, line_no, f"unknown demand keyword {key!r}")
-        elif section == "baseline":
-            if key == "walk_speed":
-                walk_speed = _num(tokens[1], line_no, path)
-            elif key == "route":
-                if len(tokens) < 5:
-                    raise ParseError(path, line_no,
-                                     "route lines are: route <name> <one_way_min> <headway_min> <shape> [stops...]")
-                try:
-                    routes.append(FixedRoute(
-                        name=tokens[1],
-                        one_way_minutes=_num(tokens[2], line_no, path),
-                        headway_minutes=_num(tokens[3], line_no, path),
-                        shape=tokens[4],
-                        served_stops=tuple(tokens[5:]),
-                    ))
-                except ValueError as err:
-                    raise ParseError(path, line_no, str(err)) from None
-            else:
-                raise ParseError(path, line_no, f"unknown baseline keyword {key!r}")
-        else:
-            raise ParseError(path, line_no, f"line outside any known section: {' '.join(tokens)}")
+    scalars = {key: _last(found) for key, found in scenario.items()
+               if found and key != "fleet_start"}
+    if "horizon" not in scalars or "fleet_size" not in scalars:
+        raise ParseError(path, end, "scenario section needs at least horizon and fleet_size")
 
-    network = _build_network(net_mode, net_speed, net_stops, net_links, path, last)
     region = None
-    if members or gateways:
-        region = Region(member_stops=members, gateway_stations=gateways)
+    if region_rows["member"] or region_rows["gateway"]:
+        for row in region_rows["member"] + region_rows["gateway"]:
+            _check_stops(network, path, row.line, *row.args)
+        try:
+            region = Region(
+                member_stops=_all(region_rows["member"]),
+                gateway_stations=_all(region_rows["gateway"]),
+            )
+        except ValueError as err:
+            raise ParseError(path, end, f"bad region: {err}") from None
+    for kind in ("member", "gateway"):
+        allowed = _all(region_rows[kind])
+        for row in demand[f"{kind}_weight"]:
+            stop, _ = row.args
+            if stop not in allowed:
+                raise ParseError(path, row.line,
+                                 f"{kind}_weight names {stop!r}, which is not a region {kind}")
 
     demand_requests = None
     demand_types: dict[str, str] = {}
     profile = None
-    if demand_file is not None:
-        target = base_dir / demand_file
-        reqs, demand_types = parse_demand_csv(target.read_text(), path=str(target))
+    if demand["file"]:
+        line_no = demand["file"][-1].line
+        target = Path(base_dir or ".") / _last(demand["file"])
+        try:
+            demand_text = target.read_text()
+        except OSError as err:
+            raise ParseError(path, line_no, f"cannot read demand file: {err}") from None
+        reqs, demand_types = parse_demand_csv(demand_text, network, path=str(target))
         demand_requests = tuple(reqs)
-    elif rates:
-        profile = DemandProfile(rates=tuple(rates), mix=mix or (1.0, 0.0, 0.0),
-                                member_weights=member_w, gateway_weights=gateway_w,
-                                seed=demand_seed)
+    elif demand["rate"]:
+        try:
+            profile = DemandProfile(
+                rates=tuple(row.args for row in demand["rate"]),
+                mix=demand["mix"][-1].args if demand["mix"] else (1.0, 0.0, 0.0),
+                member_weights=dict(row.args for row in demand["member_weight"]),
+                gateway_weights=dict(row.args for row in demand["gateway_weight"]),
+                seed=_last(demand["seed"], 0),
+            )
+        except ValueError as err:
+            raise ParseError(path, end, f"bad demand profile: {err}") from None
 
-    if "horizon" not in scalars or "fleet_size" not in scalars:
-        raise ParseError(path, last, "scenario section needs at least horizon and fleet_size")
     try:
         return ScenarioConfig(
             network=network,
             region=region,
-            downstream_times=downstream,
             demand_profile=profile,
             demand_requests=demand_requests,
             demand_types=demand_types,
-            fleet_start=tuple(fleet_start),
-            walk_speed=walk_speed,
-            routes=tuple(routes),
+            fleet_start=tuple(_all(scenario["fleet_start"])),
+            walk_speed=_last(rows["baseline"]["walk_speed"], 1.3),
+            routes=tuple(_routes(rows["baseline"]["route"], path)),
             **scalars,
         )
     except ValueError as err:
-        raise ParseError(path, last, f"bad scenario: {err}") from None
+        raise ParseError(path, end, f"bad scenario: {err}") from None
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -321,114 +362,76 @@ def load_scenario(path) -> ScenarioConfig:
 
 def parse_instance_text(text: str, path="<instance>"):
     """Returns (requests, shuttles, network, params) for the one-shot solver."""
-    net_mode, net_speed = None, None
-    net_stops, net_links = [], []
-    params = {"max_requests_per_plan": 3, "miss_penalty": DEFAULT_MISS_PENALTY}
-    shuttle_rows: list[tuple] = []
-    committed: list[tuple[str, str, str]] = []  # (kind, shuttle, request)
-    request_rows: dict[str, TripRequest] = {}
-    penalties: dict[str, int] = {}
-    last = 1
+    rows, end = _lines(text, path, _INSTANCE)
+    network = _network(rows["network"], path, end)
+    fleet = rows["fleet"]
+    params = {
+        "max_requests_per_plan": _last(rows["params"]["max_requests_per_plan"], 3),
+        "miss_penalty": _last(rows["params"]["miss_penalty"], DEFAULT_MISS_PENALTY),
+    }
 
-    for section, line_no, tokens in _sections(text, path):
-        last = line_no
-        key = tokens[0]
-        if section == "params":
-            params[key] = int(_num(tokens[1], line_no, path))
-        elif section == "network":
-            if key == "mode":
-                net_mode = tokens[1]
-            elif key == "speed":
-                net_speed = _num(tokens[1], line_no, path)
-            elif key == "stop":
-                net_stops.append(Stop(tokens[1], _num(tokens[2], line_no, path),
-                                      _num(tokens[3], line_no, path)))
-            elif key == "link":
-                net_links.append((tokens[1], tokens[2], _num(tokens[3], line_no, path)))
-            else:
-                raise ParseError(path, line_no, f"unknown network keyword {key!r}")
-        elif section == "fleet":
-            if key == "shuttle":
-                if len(tokens) != 5:
-                    raise ParseError(path, line_no,
-                                     "shuttle lines are: shuttle <id> <heading_stop> <arrival_s> <capacity>")
-                shuttle_rows.append((tokens[1], tokens[2],
-                                     int(_num(tokens[3], line_no, path)),
-                                     int(_num(tokens[4], line_no, path))))
-            elif key in ("committed_pickup", "committed_dropoff"):
-                committed.append((key, tokens[1], tokens[2]))
-            else:
-                raise ParseError(path, line_no, f"unknown fleet keyword {key!r}")
-        elif section == "requests":
-            if key == "request":
-                if len(tokens) != 6:
-                    raise ParseError(path, line_no,
-                                     "request lines are: request <id> <t> <pickup> <dropoff> <passengers>")
-                try:
-                    req = TripRequest(id=tokens[1],
-                                      request_time=int(_num(tokens[2], line_no, path)),
-                                      pickup=tokens[3], dropoff=tokens[4],
-                                      passengers=int(_num(tokens[5], line_no, path)))
-                except ValueError as err:
-                    raise ParseError(path, line_no, str(err)) from None
-                if req.id in request_rows:
-                    raise ParseError(path, line_no, f"duplicate request id {req.id}")
-                request_rows[req.id] = req
-            elif key == "penalty":
-                penalties[tokens[1]] = int(_num(tokens[2], line_no, path))
-            else:
-                raise ParseError(path, line_no, f"unknown requests keyword {key!r}")
-        else:
-            raise ParseError(path, line_no, f"line outside any known section: {' '.join(tokens)}")
+    requests: dict[str, TripRequest] = {}
+    for row in rows["requests"]["request"]:
+        rid, request_time, pickup, dropoff, passengers = row.args
+        if rid in requests:
+            raise ParseError(path, row.line, f"duplicate request id {rid}")
+        _check_stops(network, path, row.line, pickup, dropoff)
+        try:
+            requests[rid] = TripRequest(id=rid, request_time=request_time, pickup=pickup,
+                                        dropoff=dropoff, passengers=passengers)
+        except ValueError as err:
+            raise ParseError(path, row.line, str(err)) from None
+    penalties = {}
+    for row in rows["requests"]["penalty"]:
+        rid, cost = row.args
+        if rid not in requests:
+            raise ParseError(path, row.line, f"penalty for undefined request {rid}")
+        penalties[rid] = cost
 
-    network = _build_network(net_mode, net_speed, net_stops, net_links, path, last)
+    shuttle_rows: dict[str, _Row] = {}
+    for row in fleet["shuttle"]:
+        sid, heading, _, _ = row.args
+        if sid in shuttle_rows:
+            raise ParseError(path, row.line, f"duplicate shuttle id {sid}")
+        _check_stops(network, path, row.line, heading)
+        shuttle_rows[sid] = row
+
+    committed = {"committed_pickup": {}, "committed_dropoff": {}}
     claimed: set[str] = set()
-    pickups: dict[str, set] = {}
-    dropoffs: dict[str, set] = {}
-    for kind, shuttle_id, request_id in committed:
-        if request_id not in request_rows:
-            raise ParseError(path, last, f"committed request {request_id} never defined")
-        claimed.add(request_id)
-        bucket = pickups if kind == "committed_pickup" else dropoffs
-        bucket.setdefault(shuttle_id, set()).add(request_rows[request_id])
+    for kind, buckets in committed.items():
+        for row in fleet[kind]:
+            sid, rid = row.args
+            if sid not in shuttle_rows:
+                raise ParseError(path, row.line, f"{kind} names undefined shuttle {sid}")
+            if rid not in requests:
+                raise ParseError(path, row.line, f"committed request {rid} never defined")
+            if rid in claimed:
+                raise ParseError(path, row.line, f"request {rid} is committed twice")
+            claimed.add(rid)
+            buckets.setdefault(sid, set()).add(requests[rid])
+
     shuttles = []
-    for sid, heading, arrival, capacity in shuttle_rows:
+    for sid, row in shuttle_rows.items():
+        _, heading, arrival, capacity = row.args
         try:
             shuttles.append(ShuttleState(
                 id=sid, heading_stop=heading, arrival_time=arrival, capacity=capacity,
-                pending_pickups=pickups.get(sid, set()),
-                pending_dropoffs=dropoffs.get(sid, set()),
+                pending_pickups=committed["committed_pickup"].get(sid, set()),
+                pending_dropoffs=committed["committed_dropoff"].get(sid, set()),
             ))
         except ValueError as err:
-            raise ParseError(path, last, str(err)) from None
-    open_requests = [r for rid, r in sorted(request_rows.items()) if rid not in claimed]
+            raise ParseError(path, row.line, str(err)) from None
+    open_requests = [r for rid, r in sorted(requests.items()) if rid not in claimed]
     params["penalties"] = penalties
     return open_requests, shuttles, network, params
 
 
-def write_instance_text(requests, shuttles, network, max_requests_per_plan=3,
-                        miss_penalty=DEFAULT_MISS_PENALTY, penalties=None) -> str:
-    out = ["[params]",
-           f"max_requests_per_plan {max_requests_per_plan}",
-           f"miss_penalty {miss_penalty}",
-           "", "[network]", write_network_text(network).rstrip(),
-           "", "[fleet]"]
-    for v in sorted(shuttles, key=lambda v: v.id):
-        out.append(f"shuttle {v.id} {v.heading_stop} {v.arrival_time} {v.capacity}")
-    for v in sorted(shuttles, key=lambda v: v.id):
-        for r in sorted(v.pending_pickups, key=lambda r: r.id):
-            out.append(f"committed_pickup {v.id} {r.id}")
-        for r in sorted(v.pending_dropoffs, key=lambda r: r.id):
-            out.append(f"committed_dropoff {v.id} {r.id}")
-    out += ["", "[requests]"]
-    everything = list(requests)
-    for v in shuttles:
-        everything.extend(v.pending_pickups | v.pending_dropoffs)
-    for r in sorted(everything, key=lambda r: r.id):
-        out.append(f"request {r.id} {r.request_time} {r.pickup} {r.dropoff} {r.passengers}")
-    for rid, cost in sorted((penalties or {}).items()):
-        out.append(f"penalty {rid} {cost}")
-    return "\n".join(out) + "\n"
+def parse_routes_text(text: str, path="<routes>") -> list[FixedRoute]:
+    rows, _ = _lines(text, path, _ROUTES)
+    routes = _routes(rows[""]["route"], path)
+    if not routes:
+        raise ParseError(path, 1, "no route lines found")
+    return routes
 
 
 # -- outputs -------------------------------------------------------------------
@@ -451,6 +454,25 @@ def write_trips_csv(records: list[TripRecord]) -> str:
             r.status, r.trip_type,
         ])
     return out.getvalue()
+
+
+def parse_trips_csv(text: str, path="<trips>") -> list[TripRecord]:
+    """Read back the records of a ``trips.csv`` written by :func:`write_trips_csv`."""
+    reader = csv.DictReader(io.StringIO(text))
+    records = []
+    for row in reader:
+        try:
+            records.append(TripRecord(
+                id=row["id"],
+                request_time=int(row["request_time"]),
+                trip_type=row["trip_type"],
+                pickup_time=int(row["pickup_time"]) if row["pickup_time"] else None,
+                dropoff_time=int(row["dropoff_time"]) if row["dropoff_time"] else None,
+                status=row["status"],
+            ))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ParseError(path, reader.line_num, f"bad trips row: {err}") from None
+    return records
 
 
 def write_summary_csv(summary) -> str:
@@ -493,26 +515,3 @@ def write_plans_text(plan_set) -> str:
         seq = ",".join(plan.sequence) or "-"
         out.append(f"{i} {plan.vehicle} {plan.cost} {ids} {seq}")
     return "\n".join(out) + "\n"
-
-
-def parse_routes_text(text: str, path="<routes>") -> list[FixedRoute]:
-    routes = []
-    for _, line_no, tokens in _sections(text, path):
-        if tokens[0] != "route":
-            raise ParseError(path, line_no, f"unknown routes keyword {tokens[0]!r}")
-        if len(tokens) < 5:
-            raise ParseError(path, line_no,
-                             "route lines are: route <name> <one_way_min> <headway_min> <shape> [stops...]")
-        try:
-            routes.append(FixedRoute(
-                name=tokens[1],
-                one_way_minutes=_num(tokens[2], line_no, path),
-                headway_minutes=_num(tokens[3], line_no, path),
-                shape=tokens[4],
-                served_stops=tuple(tokens[5:]),
-            ))
-        except ValueError as err:
-            raise ParseError(path, line_no, str(err)) from None
-    if not routes:
-        raise ParseError(path, 1, "no route lines found")
-    return routes

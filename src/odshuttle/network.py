@@ -138,29 +138,6 @@ class TravelNetwork:
         self._sssp_cache[source] = dist
         return dist
 
-    def all_pairs_times(self) -> dict[StopId, dict[StopId, int]]:
-        """All-pairs travel times, consistent with :meth:`travel_time`.
-
-        Raises ``UnreachableStopError`` if the graph is not strongly
-        connected.
-        """
-        matrix: dict[StopId, dict[StopId, int]] = {}
-        ids = self.stop_ids()
-        for a in ids:
-            if self.mode == GRAPH:
-                dist = self._single_source(a)
-                missing = [b for b in ids if b not in dist]
-                if missing:
-                    raise UnreachableStopError(f"no path from {a} to {missing[0]}")
-                matrix[a] = {b: dist[b] for b in ids}
-            else:
-                matrix[a] = {b: self.travel_time(a, b) for b in ids}
-        return matrix
-
-
-def all_pairs_times(network: TravelNetwork) -> dict[StopId, dict[StopId, int]]:
-    return network.all_pairs_times()
-
 
 @dataclass(frozen=True)
 class Region:
@@ -199,27 +176,3 @@ def classify_trip(request: TripRequest, region: Region) -> TripType:
     if p_gw and d_in:
         return TripType.INBOUND_CONNECTOR
     raise ValueError(f"request {request.id}: gateway-to-gateway trips are not shuttle-serviceable")
-
-
-def select_gateway(
-    origin: StopId,
-    region: Region,
-    network: TravelNetwork,
-    downstream_times: dict[StopId, int],
-) -> StopId:
-    """Pick the gateway minimizing shuttle leg + remaining-journey time.
-
-    ``downstream_times`` gives the post-transfer remaining-journey
-    seconds at each gateway.  Ties break toward the smallest stop id.
-    """
-    if not region.gateway_stations:
-        raise ValueError("region has no gateway stations")
-    best: StopId | None = None
-    best_total: int | None = None
-    for g in sorted(region.gateway_stations):
-        if g not in downstream_times:
-            raise ValueError(f"no downstream time for gateway {g}")
-        total = network.travel_time(origin, g) + downstream_times[g]
-        if best_total is None or total < best_total:
-            best, best_total = g, total
-    return best

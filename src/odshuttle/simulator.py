@@ -148,7 +148,6 @@ class ScenarioConfig:
     max_outstanding: int | None = 8
     waiting_per_passenger: bool = False
     region: Region | None = None
-    downstream_times: dict[StopId, int] = field(default_factory=dict)
     demand_profile: DemandProfile | None = None
     demand_requests: tuple[TripRequest, ...] | None = None
     demand_types: dict[str, str] = field(default_factory=dict)

@@ -2,9 +2,9 @@
 
 All types are immutable value objects: construction validates local
 invariants and raises ``ValueError`` instead of repairing bad input.
-Cross-object checks (dangling stop ids, duplicate request ids) live in
-:func:`validate_instance` because they need a travel network to resolve
-against.
+Cross-object checks (dangling stop ids, duplicate ids) need a travel
+network to resolve against, so the file readers in :mod:`odshuttle.fileio`
+make them at load time.
 
 Times are integer seconds since scenario start; durations are integer
 seconds rounded up wherever they come out of a distance computation.
@@ -141,43 +141,3 @@ class DispatchSolution:
         for plan in self.selected.values():
             ids.update(r.id for r in plan.requests)
         return ids
-
-
-def validate_instance(requests, shuttles, network) -> list[str]:
-    """Cross-check a dispatch instance; returns a list of problems (empty = ok).
-
-    Re-checks local invariants too, so instances assembled outside the
-    constructors (e.g. hand-parsed files) get the same scrutiny.
-    """
-    errors: list[str] = []
-    seen_ids: set[str] = set()
-    for r in sorted(requests, key=lambda r: r.id):
-        if r.id in seen_ids:
-            errors.append(f"duplicate request id {r.id}")
-        seen_ids.add(r.id)
-        if r.pickup == r.dropoff:
-            errors.append(f"request {r.id}: pickup equals dropoff")
-        if r.request_time < 0:
-            errors.append(f"request {r.id}: negative request_time")
-        if r.passengers < 1:
-            errors.append(f"request {r.id}: passengers < 1")
-        for stop in (r.pickup, r.dropoff):
-            if not network.has_stop(stop):
-                errors.append(f"request {r.id}: unknown stop {stop}")
-
-    seen_shuttles: set[str] = set()
-    for v in sorted(shuttles, key=lambda v: v.id):
-        if v.id in seen_shuttles:
-            errors.append(f"duplicate shuttle id {v.id}")
-        seen_shuttles.add(v.id)
-        if not network.has_stop(v.heading_stop):
-            errors.append(f"shuttle {v.id}: unknown stop {v.heading_stop}")
-        if v.onboard > v.capacity:
-            errors.append(f"shuttle {v.id}: onboard {v.onboard} exceeds capacity {v.capacity}")
-        if v.pending_pickups & v.pending_dropoffs:
-            errors.append(f"shuttle {v.id}: pickup/dropoff sets overlap")
-        for r in sorted(v.pending_pickups | v.pending_dropoffs, key=lambda r: r.id):
-            for stop in (r.pickup, r.dropoff):
-                if not network.has_stop(stop):
-                    errors.append(f"shuttle {v.id}: request {r.id} uses unknown stop {stop}")
-    return errors

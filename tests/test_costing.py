@@ -3,13 +3,12 @@ import random
 import pytest
 
 from odshuttle.costing import (
-    assignment_plan_cost,
     create_root_node,
-    evaluate_assignment_plan,
     extend_node,
     get_possible_next_stops,
     optimal_sequence,
 )
+from odshuttle.enumeration import enumerate_plans
 from odshuttle.errors import CapacityExceededError
 from odshuttle.network import TravelNetwork
 from odshuttle.types import ShuttleState, Stop, TripRequest
@@ -26,50 +25,49 @@ def req(rid, pickup, dropoff, t=0, pax=1):
     return TripRequest(id=rid, pickup=pickup, dropoff=dropoff, request_time=t, passengers=pax)
 
 
-# -- assignment_plan_cost ------------------------------------------------------
+# -- plan costs ----------------------------------------------------------------
 
 
 def test_empty_assignment_costs_zero(line_network):
-    assert assignment_plan_cost(idle(), frozenset(), line_network) == 0
+    assert optimal_sequence(idle(), frozenset(), line_network) == (0, ())
 
 
 def test_empty_assignment_costs_zero_with_commitments(line_network):
     v = idle(pending_pickups={req("p1", "B", "C")})
-    assert assignment_plan_cost(v, frozenset(), line_network) == 0
+    plans = enumerate_plans([v], [], 1, line_network)
+    assert [(p.cost, p.sequence) for p in plans.plans] == [(0, ("B", "C"))]
 
 
 def test_single_request_cost_is_pickup_wait(line_network):
     # A->B is 40 s; request placed at t=0, so waiting is 40.
-    assert assignment_plan_cost(idle(), {req("r1", "B", "C")}, line_network) == 40
+    assert optimal_sequence(idle(), {req("r1", "B", "C")}, line_network) == (40, ("B", "C"))
 
 
 def test_two_requests_sharing_pickup_stop(line_network):
     rs = {req("r1", "B", "C"), req("r2", "B", "D")}
     # Both board at t=40: waiting 40 + 40.
-    assert assignment_plan_cost(idle(), rs, line_network) == 80
+    assert optimal_sequence(idle(), rs, line_network)[0] == 80
 
 
 def test_marginal_cost_subtracts_committed_waiting(line_network):
     committed = req("p1", "B", "C", t=0)
     new = req("r1", "B", "D", t=0)
     v = idle(pending_pickups={committed})
-    base = evaluate_assignment_plan(v, frozenset(), line_network)
-    with_new = evaluate_assignment_plan(v, {new}, line_network)
-    assert assignment_plan_cost(v, {new}, line_network) == with_new - base
-
-
-# -- evaluate_assignment_plan --------------------------------------------------
+    base = optimal_sequence(v, frozenset(), line_network)[0]
+    with_new = optimal_sequence(v, {new}, line_network)[0]
+    assert (base, with_new) == (40, 80)
+    plans = enumerate_plans([v], [new], 1, line_network)
+    assert [p.cost for p in plans.plans] == [0, with_new - base]
 
 
 def test_idle_empty_plan_evaluates_to_zero(line_network):
-    assert evaluate_assignment_plan(idle(), frozenset(), line_network) == 0
+    assert optimal_sequence(idle(), frozenset(), line_network)[0] == 0
 
 
 def test_forced_single_sequence(line_network):
     # Shuttle reaches B at 25, then B->C is 40 s: pickup at 65, placed at 10.
     v = ShuttleState(id="v1", heading_stop="B", arrival_time=25, capacity=4,
                      pending_pickups={req("p1", "C", "D", t=10)})
-    assert evaluate_assignment_plan(v, frozenset(), line_network) == 55
     assert optimal_sequence(v, frozenset(), line_network) == (55, ("C", "D"))
 
 
@@ -85,14 +83,16 @@ def test_three_requests_match_interleaving_minimum():
 
 def test_infeasible_when_capacity_cannot_hold_shared_pickup(line_network):
     rs = {req("r1", "B", "C"), req("r2", "B", "D")}
-    assert evaluate_assignment_plan(idle(capacity=1), rs, line_network) is None
-    assert assignment_plan_cost(idle(capacity=1), rs, line_network) is None
+    assert optimal_sequence(idle(capacity=1), rs, line_network) is None
+    # The infeasible pair is dropped from the plan set, not priced.
+    plans = enumerate_plans([idle(capacity=1)], sorted(rs, key=lambda r: r.id), 2, line_network)
+    assert [p.request_ids for p in plans.plans] == [(), ("r1",), ("r2",)]
 
 
 def test_feasible_with_distinct_pickups_at_capacity_one(line_network):
     # pick r1, drop r1, pick r2, drop r2 keeps one seat enough.
     rs = {req("r1", "B", "C"), req("r2", "C", "D")}
-    assert evaluate_assignment_plan(idle(capacity=1), rs, line_network) is not None
+    assert optimal_sequence(idle(capacity=1), rs, line_network) is not None
 
 
 # -- node operations -----------------------------------------------------------
@@ -230,10 +230,10 @@ def test_matches_exhaustive_oracle_on_random_instances():
 def test_per_passenger_weighting_scales_by_party_size(line_network):
     solo = req("r1", "B", "C", pax=1)
     party = req("r1", "B", "C", pax=3)
-    assert assignment_plan_cost(idle(), {solo}, line_network, per_passenger=True) == 40
-    assert assignment_plan_cost(idle(), {party}, line_network, per_passenger=True) == 120
+    assert optimal_sequence(idle(), {solo}, line_network, per_passenger=True)[0] == 40
+    assert optimal_sequence(idle(), {party}, line_network, per_passenger=True)[0] == 120
     # Default costing stays per-request regardless of party size.
-    assert assignment_plan_cost(idle(), {party}, line_network) == 40
+    assert optimal_sequence(idle(), {party}, line_network)[0] == 40
 
 
 def test_per_passenger_matches_oracle():
@@ -249,8 +249,10 @@ def test_marginal_cost_never_negative():
     rng = random.Random(314)
     for _ in range(200):
         shuttle, new, network = random_costing_instance(rng)
-        cost = assignment_plan_cost(shuttle, new, network)
-        assert cost is None or cost >= 0
+        with_new = optimal_sequence(shuttle, new, network)
+        base = optimal_sequence(shuttle, frozenset(), network)
+        if with_new is not None and base is not None:
+            assert with_new[0] >= base[0]
 
 
 def test_result_independent_of_input_ordering(line_network):

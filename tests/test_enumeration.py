@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from odshuttle.costing import assignment_plan_cost
+from odshuttle.costing import optimal_sequence
 from odshuttle.enumeration import enumerate_plans, plan_count_bound
 from odshuttle.errors import InstanceTooLargeError
 from odshuttle.types import ShuttleState, TripRequest
@@ -80,7 +80,10 @@ def test_costs_match_fresh_costing_calls():
     plans = enumerate_plans(shuttles, requests, 2, net)
     by_id = {v.id: v for v in shuttles}
     for p in plans.plans:
-        assert p.cost == assignment_plan_cost(by_id[p.vehicle], p.requests, net)
+        v = by_id[p.vehicle]
+        with_new = optimal_sequence(v, p.requests, net)
+        base = optimal_sequence(v, frozenset(), net)
+        assert (p.cost, p.sequence) == (with_new[0] - base[0], with_new[1])
 
 
 def test_canonical_plan_ordering(line_network):

@@ -4,9 +4,10 @@ from odshuttle import fileio
 from odshuttle.errors import ParseError
 from odshuttle.network import Region, TravelNetwork
 from odshuttle.simulator import TripRecord
-from odshuttle.types import ShuttleState, Stop, TripRequest
+from odshuttle.types import Stop, TripRequest
 
-NETWORK_TEXT = """\
+GRAPH_INSTANCE_TEXT = """\
+[network]
 # toy network
 mode graph
 stop A 0 0
@@ -40,7 +41,7 @@ stop G1 1500 0
 
 [region]
 member A B C
-gateway G1 300
+gateway G1
 
 [demand]
 rate 0 900 40.0
@@ -52,34 +53,68 @@ walk_speed 1.3
 route r1 20 10 two_way A B C
 """
 
+INSTANCE_TEXT = """\
+[params]
+max_requests_per_plan 2
+miss_penalty 900
 
-def test_network_round_trip():
-    net = fileio.parse_network_text(NETWORK_TEXT)
+[network]
+mode euclidean
+speed 10
+stop A 0 0
+stop B 400 0
+stop C 800 0
+
+[fleet]
+shuttle s001 A 0 4
+shuttle s002 B 15 2
+committed_pickup s002 r905
+
+[requests]
+request r001 0 A B 1
+request r002 9 B C 2
+request r905 0 C A 1
+penalty r002 50
+"""
+
+DEMAND_NETWORK = TravelNetwork.euclidean([Stop("A", 0, 0), Stop("B", 100, 0), Stop("G1", 200, 0)], 10)
+
+
+def _parse_with_line(parse, text, line):
+    """Parse ``text`` plus ``line`` appended; return the ParseError and the line's number."""
+    full = text + line + "\n"
+    with pytest.raises(ParseError) as err:
+        parse(full, path="bad.txt")
+    return str(err.value), full.count("\n")
+
+
+def test_graph_network_link_times():
+    _, _, net, _ = fileio.parse_instance_text(GRAPH_INSTANCE_TEXT)
+    assert net.stop_ids() == ["A", "B", "C"]
+    assert net.links == (("A", "B", 10), ("B", "A", 10), ("B", "C", 20), ("C", "B", 20))
     assert net.travel_time("A", "C") == 30
-    again = fileio.parse_network_text(fileio.write_network_text(net))
-    assert again.stop_ids() == net.stop_ids()
-    assert again.links == net.links
-    assert again.travel_time("A", "C") == 30
 
 
 def test_network_requires_mode():
     with pytest.raises(ParseError):
-        fileio.parse_network_text("stop A 0 0\n")
+        fileio.parse_instance_text("[network]\nstop A 0 0\n")
 
 
 def test_network_bad_number_names_line():
     with pytest.raises(ParseError) as err:
-        fileio.parse_network_text("mode euclidean\nspeed ten\nstop A 0 0\n")
-    assert ":2:" in str(err.value)
+        fileio.parse_instance_text("[network]\nmode euclidean\nspeed ten\nstop A 0 0\n")
+    assert ":3:" in str(err.value)
 
 
 def test_region_round_trip():
     region = Region(member_stops={"A", "B"}, gateway_stations={"G1", "G2"})
-    downstream = {"G1": 120, "G2": 0}
-    text = fileio.write_region_text(region, downstream)
-    parsed, parsed_downstream = fileio.parse_region_text(text)
-    assert parsed == region
-    assert parsed_downstream == downstream
+    lines = ["[scenario]", "horizon 600", "fleet_size 1",
+             "[network]", "mode euclidean", "speed 10",
+             "stop A 0 0", "stop B 100 0", "stop G1 200 0", "stop G2 300 0",
+             "[region]", "member " + " ".join(sorted(region.member_stops))]
+    lines += [f"gateway {g}" for g in sorted(region.gateway_stations)]
+    config = fileio.parse_scenario_text("\n".join(lines) + "\n")
+    assert config.region == region
 
 
 def test_demand_round_trip():
@@ -89,15 +124,18 @@ def test_demand_round_trip():
     ]
     types = {"r001": "intra", "r002": "outbound"}
     text = fileio.write_demand_csv(requests, types)
-    parsed, parsed_types = fileio.parse_demand_csv(text)
+    parsed, parsed_types = fileio.parse_demand_csv(text, DEMAND_NETWORK)
     assert parsed == requests
     assert parsed_types == types
 
 
 def test_demand_rejects_bad_rows():
-    bad = "id,request_time,pickup,dropoff,passengers,trip_type\nr1,x,A,B,1,\n"
-    with pytest.raises(ParseError):
-        fileio.parse_demand_csv(bad)
+    # A bad number, a stop missing from the network, a repeated id.
+    for row in ["r1,x,A,B,1,", "r1,5,A,Z,1,", "r0,5,B,A,1,"]:
+        bad = f"id,request_time,pickup,dropoff,passengers,trip_type\nr0,0,A,B,1,\n{row}\n"
+        with pytest.raises(ParseError) as err:
+            fileio.parse_demand_csv(bad, DEMAND_NETWORK, path="demand.csv")
+        assert "demand.csv:3:" in str(err.value)
 
 
 def test_scenario_parse_full():
@@ -106,10 +144,11 @@ def test_scenario_parse_full():
     assert config.fleet_size == 2
     assert config.miss_penalty == 1000
     assert config.network.travel_time("A", "B") == 50
-    assert config.region.member_stops == {"A", "B", "C"}
-    assert config.downstream_times == {"G1": 300}
+    assert config.region == Region(member_stops={"A", "B", "C"}, gateway_stations={"G1"})
     assert config.demand_profile.rates == ((0, 900, 40.0),)
+    assert config.demand_profile.mix == (0.8, 0.2, 0.0)
     assert config.routes[0].name == "r1"
+    assert config.routes[0].served_stops == ("A", "B", "C")
     assert config.fleet_start == ("A",)
     # Profile seed 0 inherits the scenario seed at generation time.
     requests = config.resolve_requests()
@@ -130,6 +169,20 @@ def test_scenario_demand_file_relative(tmp_path):
     assert config.demand_types == {"r1": "intra"}
 
 
+def test_scenario_demand_file_unknown_stop_names_row(tmp_path):
+    (tmp_path / "demand.csv").write_text(
+        "id,request_time,pickup,dropoff,passengers,trip_type\n"
+        "r1,3,A,B,1,intra\nr2,4,A,m99,1,intra\n"
+    )
+    text = SCENARIO_TEXT.replace(
+        "rate 0 900 40.0\nmix 0.8 0.2 0.0\nseed 0", "file demand.csv"
+    )
+    (tmp_path / "scenario.cfg").write_text(text)
+    with pytest.raises(ParseError) as err:
+        fileio.load_scenario(tmp_path / "scenario.cfg")
+    assert f"{tmp_path / 'demand.csv'}:3: unknown stop 'm99'" in str(err.value)
+
+
 def test_scenario_unknown_keyword_rejected():
     with pytest.raises(ParseError):
         fileio.parse_scenario_text(SCENARIO_TEXT + "\n[scenario]\nbogus 1\n")
@@ -140,28 +193,19 @@ def test_scenario_requires_horizon_and_fleet():
         fileio.parse_scenario_text("[scenario]\nseed 1\n[network]\nmode euclidean\nspeed 1\nstop A 0 0\n")
 
 
-def test_instance_round_trip():
-    committed = TripRequest(id="r905", pickup="C", dropoff="A", request_time=0)
-    shuttles = [
-        ShuttleState(id="s001", heading_stop="A", arrival_time=0, capacity=4),
-        ShuttleState(id="s002", heading_stop="B", arrival_time=15, capacity=2,
-                     pending_pickups={committed}),
-    ]
-    requests = [
+def test_instance_literal_parse():
+    requests, shuttles, network, params = fileio.parse_instance_text(INSTANCE_TEXT)
+    assert requests == [
         TripRequest(id="r001", pickup="A", dropoff="B", request_time=0),
         TripRequest(id="r002", pickup="B", dropoff="C", request_time=9, passengers=2),
     ]
-    network = TravelNetwork.euclidean([Stop("A", 0, 0), Stop("B", 400, 0), Stop("C", 800, 0)], 10)
-    text = fileio.write_instance_text(requests, shuttles, network,
-                                      max_requests_per_plan=2, miss_penalty=900,
-                                      penalties={"r002": 50})
-    parsed_requests, parsed_shuttles, parsed_network, params = fileio.parse_instance_text(text)
-    assert parsed_requests == requests
-    assert sorted(v.id for v in parsed_shuttles) == ["s001", "s002"]
-    by_id = {v.id: v for v in parsed_shuttles}
+    by_id = {v.id: v for v in shuttles}
+    assert sorted(by_id) == ["s001", "s002"]
+    committed = TripRequest(id="r905", pickup="C", dropoff="A", request_time=0)
     assert by_id["s002"].pending_pickups == {committed}
     assert by_id["s002"].capacity == 2
-    assert parsed_network.stop_ids() == ["A", "B", "C"]
+    assert by_id["s002"].arrival_time == 15
+    assert network.stop_ids() == ["A", "B", "C"]
     assert params["max_requests_per_plan"] == 2
     assert params["miss_penalty"] == 900
     assert params["penalties"] == {"r002": 50}
@@ -184,6 +228,29 @@ request r1 0 A B 1
         fileio.parse_instance_text(text)
 
 
+@pytest.mark.parametrize("line, message", [
+    pytest.param("[requests]\nrequest r001 5 B A 1", "duplicate request id r001",
+                 id="duplicate-request"),
+    pytest.param("[requests]\nrequest r009 5 A Z 1", "unknown stop 'Z'",
+                 id="request-unknown-stop"),
+    pytest.param("[fleet]\nshuttle s003 Z 0 4", "unknown stop 'Z'", id="shuttle-unknown-stop"),
+    pytest.param("[fleet]\nshuttle s001 B 0 4", "duplicate shuttle id s001",
+                 id="duplicate-shuttle"),
+    pytest.param("[fleet]\ncommitted_pickup s9 r002", "undefined shuttle s9",
+                 id="pickup-undefined-shuttle"),
+    pytest.param("[fleet]\ncommitted_dropoff s9 r002", "undefined shuttle s9",
+                 id="dropoff-undefined-shuttle"),
+    pytest.param("[fleet]\ncommitted_dropoff s001 r905", "committed twice",
+                 id="committed-twice"),
+    pytest.param("[requests]\npenalty r404 10", "undefined request r404",
+                 id="penalty-undefined-request"),
+])
+def test_instance_rejects_bad_reference(line, message):
+    text, line_no = _parse_with_line(fileio.parse_instance_text, INSTANCE_TEXT, line)
+    assert f"bad.txt:{line_no}: " in text
+    assert message in text
+
+
 def test_trips_csv_shape():
     records = [
         TripRecord(id="r1", request_time=5, trip_type="intra", pickup_time=30,
@@ -195,6 +262,10 @@ def test_trips_csv_shape():
     assert lines[0] == "id,request_time,pickup_time,dropoff_time,waiting,trip_time,status,trip_type"
     assert lines[1] == "r1,5,30,90,25,85,completed,intra"
     assert lines[2] == "r2,8,,,,,pending,outbound"
+    assert fileio.parse_trips_csv(text) == records
+    with pytest.raises(ParseError) as err:
+        fileio.parse_trips_csv(text + "r3,soon,,,,,pending,intra\n", path="trips.csv")
+    assert "trips.csv:4:" in str(err.value)
 
 
 def test_routes_file():
@@ -207,3 +278,56 @@ def test_routes_file():
         fileio.parse_routes_text("route a 30 35 sideways\n")
     with pytest.raises(ParseError):
         fileio.parse_routes_text("# nothing\n")
+
+
+# -- malformed lines, generated from the grammar tables --------------------------
+
+FORMATS = {
+    "scenario": (fileio.parse_scenario_text, fileio._SCENARIO),
+    "instance": (fileio.parse_instance_text, fileio._INSTANCE),
+    "routes": (fileio.parse_routes_text, fileio._ROUTES),
+}
+
+# A well-formed token for each argument type of the grammar.
+SAMPLE = {str: "A", int: "1", fileio._real: "1.5", fileio._flag: "yes",
+          fileio._int_or_none: "none"}
+
+
+def _arity_cases():
+    for fmt, (_, grammar) in FORMATS.items():
+        for section, keywords in grammar.items():
+            for key, spec in keywords.items():
+                name = f"{fmt}-{section or 'top'}-{key}"
+                yield pytest.param(fmt, section, key, spec.least - 1, id=f"{name}-short")
+                if not spec.repeat:
+                    yield pytest.param(fmt, section, key, len(spec.types) + 1, id=f"{name}-extra")
+
+
+@pytest.mark.parametrize("fmt, section, key, count", list(_arity_cases()))
+def test_wrong_arity_is_a_parse_error(fmt, section, key, count):
+    parse, grammar = FORMATS[fmt]
+    spec = grammar[section][key]
+    types = spec.types + spec.types[-1:] * count
+    line = " ".join([key] + [SAMPLE[kind] for kind in types[:count]])
+    header = f"[{section}]\n" if section else ""
+    message, line_no = _parse_with_line(parse, "# one malformed line\n" + header, line)
+    assert f"bad.txt:{line_no}: {key} takes" in message
+
+
+@pytest.mark.parametrize("line", [
+    "[scenario]\nwaiting_per_passenger maybe",
+    "[scenario]\nhorizon soon",
+    "[scenario]\nmax_outstanding many",
+    "[network]\nstop m99 1 2 3",
+    "[network]\nspeed inf",
+    "[region]\ngateway g01 540",
+    "[demand]\nrate 0 10.5 3",
+    "[bogus]",
+    "[baseline]\nroute r2 20 10 sideways A B",
+    "[region]\nmember D",
+    "[demand]\nmember_weight G1 2.0",
+    "[demand]\ngateway_weight A 2.0",
+], ids=lambda line: line.replace("\n", " "))
+def test_scenario_malformed_line_names_file_and_line(line):
+    message, line_no = _parse_with_line(fileio.parse_scenario_text, SCENARIO_TEXT, line)
+    assert f"bad.txt:{line_no}: " in message

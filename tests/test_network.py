@@ -3,7 +3,7 @@ import random
 import pytest
 
 from odshuttle.errors import UnknownStopError, UnreachableStopError
-from odshuttle.network import Region, TravelNetwork, TripType, classify_trip, select_gateway
+from odshuttle.network import Region, TravelNetwork, TripType, classify_trip
 from odshuttle.types import Stop, TripRequest
 
 from oracles import shortest_path_by_enumeration
@@ -62,16 +62,20 @@ def _random_strongly_connected_graph(rng, n):
     return stops, ids, links
 
 
+def _all_pairs(net, ids):
+    return {(a, b): net.travel_time(a, b) for a in ids for b in ids}
+
+
 def test_all_pairs_matches_per_pair_enumeration():
     rng = random.Random(7)
     for _ in range(25):
         stops, ids, links = _random_strongly_connected_graph(rng, 4)
         net = TravelNetwork.graph(stops, links)
-        matrix = net.all_pairs_times()
+        times = _all_pairs(net, ids)
         for a in ids:
-            assert matrix[a][a] == 0
+            assert times[a, a] == 0
             for b in ids:
-                assert matrix[a][b] == shortest_path_by_enumeration(ids, links, a, b)
+                assert times[a, b] == shortest_path_by_enumeration(ids, links, a, b)
 
 
 def test_all_pairs_triangle_inequality():
@@ -79,26 +83,26 @@ def test_all_pairs_triangle_inequality():
     for _ in range(20):
         stops, ids, links = _random_strongly_connected_graph(rng, 5)
         net = TravelNetwork.graph(stops, links)
-        m = net.all_pairs_times()
+        m = _all_pairs(net, ids)
         for a in ids:
             for b in ids:
                 for c in ids:
-                    assert m[a][c] <= m[a][b] + m[b][c]
+                    assert m[a, c] <= m[a, b] + m[b, c]
 
 
 def test_all_pairs_symmetric_in_metric_mode(line_network):
-    m = line_network.all_pairs_times()
-    for a in m:
-        for b in m:
-            assert m[a][b] == m[b][a]
-            assert m[a][b] == line_network.travel_time(a, b)
+    ids = line_network.stop_ids()
+    m = _all_pairs(line_network, ids)
+    for a in ids:
+        for b in ids:
+            assert m[a, b] == m[b, a]
 
 
 def test_all_pairs_disconnected_graph_raises():
     stops = [Stop("A", 0, 0), Stop("B", 1, 0)]
     net = TravelNetwork.graph(stops, [("A", "B", 5)])
     with pytest.raises(UnreachableStopError):
-        net.all_pairs_times()
+        _all_pairs(net, net.stop_ids())
 
 
 # -- region / classification -------------------------------------------------
@@ -150,60 +154,6 @@ def test_classify_total_and_deterministic():
 def test_region_rejects_overlap():
     with pytest.raises(ValueError):
         Region(member_stops={"A"}, gateway_stations={"A"})
-
-
-# -- gateway selection --------------------------------------------------------
-
-
-@pytest.fixture
-def gateway_setup():
-    stops = [Stop("A", 0, 0), Stop("G1", 1000, 0), Stop("G2", 2000, 0)]
-    net = TravelNetwork.euclidean(stops, speed=10)  # A->G1 100 s, A->G2 200 s
-    region = Region(member_stops={"A"}, gateway_stations={"G1", "G2"})
-    return net, region
-
-
-def test_select_gateway_singleton():
-    stops = [Stop("A", 0, 0), Stop("G1", 500, 0)]
-    net = TravelNetwork.euclidean(stops, speed=10)
-    region = Region(member_stops={"A"}, gateway_stations={"G1"})
-    assert select_gateway("A", region, net, {"G1": 999}) == "G1"
-
-
-def test_select_gateway_minimizes_total(gateway_setup):
-    net, region = gateway_setup
-    # Legs 100/200 s, downstream 500/300 s: 200+300 wins.
-    assert select_gateway("A", region, net, {"G1": 500, "G2": 300}) == "G2"
-
-
-def test_select_gateway_tie_breaks_by_id(gateway_setup):
-    net, region = gateway_setup
-    assert select_gateway("A", region, net, {"G1": 300, "G2": 200}) == "G1"
-
-
-def test_select_gateway_invariant_under_constant_shift(gateway_setup):
-    net, region = gateway_setup
-    rng = random.Random(5)
-    for _ in range(50):
-        downstream = {"G1": rng.randint(0, 1000), "G2": rng.randint(0, 1000)}
-        base = select_gateway("A", region, net, downstream)
-        shift = rng.randint(1, 500)
-        shifted = {g: t + shift for g, t in downstream.items()}
-        assert select_gateway("A", region, net, shifted) == base
-
-
-def test_select_gateway_empty_set():
-    stops = [Stop("A", 0, 0)]
-    net = TravelNetwork.euclidean(stops, speed=10)
-    region = Region(member_stops={"A"}, gateway_stations=set())
-    with pytest.raises(ValueError):
-        select_gateway("A", region, net, {})
-
-
-def test_select_gateway_missing_downstream_entry(gateway_setup):
-    net, region = gateway_setup
-    with pytest.raises(ValueError):
-        select_gateway("A", region, net, {"G1": 100})
 
 
 def test_network_rejects_duplicate_stop_ids():

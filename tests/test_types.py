@@ -1,7 +1,6 @@
 import pytest
 
-from odshuttle.network import TravelNetwork
-from odshuttle.types import ShuttleState, Stop, TripRequest, validate_instance
+from odshuttle.types import ShuttleState, Stop, TripRequest
 
 
 def test_request_rejects_equal_endpoints():
@@ -43,47 +42,3 @@ def test_shuttle_rejects_overlapping_pending_sets():
     with pytest.raises(ValueError):
         ShuttleState(id="v1", heading_stop="A", arrival_time=0,
                      pending_pickups={r}, pending_dropoffs={r})
-
-
-@pytest.fixture
-def two_stop_network():
-    return TravelNetwork.euclidean([Stop("A", 0, 0), Stop("B", 100, 0)], speed=10)
-
-
-def test_validate_instance_empty_ok(two_stop_network):
-    assert validate_instance([], [], two_stop_network) == []
-
-
-def test_validate_instance_flags_dangling_stop(two_stop_network):
-    r = TripRequest(id="r1", pickup="A", dropoff="Z", request_time=0)
-    errors = validate_instance([r], [], two_stop_network)
-    assert any("unknown stop Z" in e for e in errors)
-
-
-def test_validate_instance_flags_duplicate_request_ids(two_stop_network):
-    r1 = TripRequest(id="r1", pickup="A", dropoff="B", request_time=0)
-    r2 = TripRequest(id="r1", pickup="B", dropoff="A", request_time=5)
-    errors = validate_instance([r1, r2], [], two_stop_network)
-    assert any("duplicate request id" in e for e in errors)
-
-
-def test_validate_instance_flags_bypassed_invariants(two_stop_network):
-    # Simulates corrupted/deserialized state that skipped the constructors.
-    r = TripRequest(id="r1", pickup="A", dropoff="B", request_time=0)
-    object.__setattr__(r, "dropoff", "A")
-    errors = validate_instance([r], [], two_stop_network)
-    assert any("pickup equals dropoff" in e for e in errors)
-
-    riders = frozenset(
-        TripRequest(id=f"x{i}", pickup="A", dropoff="B", request_time=0) for i in range(5)
-    )
-    v = ShuttleState(id="v1", heading_stop="A", arrival_time=0, capacity=4)
-    object.__setattr__(v, "pending_dropoffs", riders)
-    errors = validate_instance([], [v], two_stop_network)
-    assert any("onboard 5 exceeds capacity 4" in e for e in errors)
-
-
-def test_validate_ok_instance(two_stop_network):
-    r = TripRequest(id="r1", pickup="A", dropoff="B", request_time=0)
-    v = ShuttleState(id="v1", heading_stop="B", arrival_time=10, capacity=4)
-    assert validate_instance([r], [v], two_stop_network) == []
