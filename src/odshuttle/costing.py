@@ -3,9 +3,22 @@
 Given a shuttle's committed work and a set of newly assigned requests,
 this module finds the stop sequence minimizing total passenger waiting
 (seconds between a request being placed and its pickup) via depth-first
-branch and bound.  Search state is a :class:`TravelSearchNode`; a branch
-is cut as soon as its accumulated waiting exceeds the incumbent, which
-is safe because waiting never decreases along a path.
+branch and bound.  Search state is a :class:`TravelSearchNode`.
+
+A branch is cut when its waiting so far plus a lower bound on the
+waiting still to come exceeds the incumbent.  The bound charges each
+outstanding pickup j, from a node that leaves stop s at time t,
+``max(0, t + tt(s, pickup_j) - 1 - request_time_j)`` (times party size
+when weighting per passenger).  The bound never overestimates, so the
+search stays exact: any chain of legs from s to pickup_j takes at least
+``tt(s, pickup_j) - 1`` seconds, and idling for a future-dated request
+only adds time.  Graph times are
+shortest paths, so there the chain takes at least ``tt`` itself; the
+second of slack is for euclidean and manhattan times, whose rounding up
+of float distances can make a detour one second shorter than the direct
+leg (never more, for times far below 2**50 s).  The cut is strict
+(``>``), so every sequence that ties the optimum is still reached and the
+tie-break below holds.
 
 Two behaviors beyond the basic search:
 
@@ -24,9 +37,10 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import CapacityExceededError
+from .errors import CapacityExceededError, UnknownStopError, UnreachableStopError
 from .network import TravelNetwork
 from .types import ShuttleState, StopId, TripRequest
 
@@ -150,103 +164,127 @@ def optimal_sequence(
 # -- search engine ---------------------------------------------------------
 #
 # The dataclass node above is the contract surface; the inner loop runs on
-# packed tuples with request sets as bitmasks, which keeps per-node cost low
-# enough for the simulator's per-tick fan-out.  Transitions mirror
-# extend_node exactly.
+# packed tuples with stops as network indices, request sets as bitmasks
+# and travel times read straight from the network's rows, which keeps
+# per-node cost low enough for the simulator's per-tick fan-out.
+# Transitions mirror extend_node exactly.
 
 
 def _search(root: TravelSearchNode, network: TravelNetwork, per_passenger: bool = False):
-    reqs = sorted(root.awaiting_pickup | root.awaiting_dropoff, key=lambda r: r.id)
-    n = len(reqs)
-    if n == 0:
+    pickups, dropoffs = root.awaiting_pickup, root.awaiting_dropoff
+    if not pickups and not dropoffs:
         return 0, ()
-    index = {r: i for i, r in enumerate(reqs)}
-    pax = [r.passengers for r in reqs]
-    rt = [r.request_time for r in reqs]
-
-    pick_bits_at: dict[StopId, int] = {}
-    drop_bits_at: dict[StopId, int] = {}
-    for r in root.awaiting_pickup:
-        pick_bits_at[r.pickup] = pick_bits_at.get(r.pickup, 0) | (1 << index[r])
-    for r in reqs:
-        drop_bits_at[r.dropoff] = drop_bits_at.get(r.dropoff, 0) | (1 << index[r])
-    drop_stop = [r.dropoff for r in reqs]
-
-    root_pick = 0
-    for r in root.awaiting_pickup:
-        root_pick |= 1 << index[r]
-    root_drop = 0
-    for r in root.awaiting_dropoff:
-        root_drop |= 1 << index[r]
-
-    travel = network.travel_time
+    index = network.index
+    ids = network.ids
+    # Per request bit j: pickup stop, request time, party size and waiting
+    # weight.  Pickups take the low bits; riders aboard only need pax.
+    pick_stop: list[int] = []
+    due: list[int] = []
+    pax: list[int] = []
+    weight: list[int] = []
+    at: dict[int, list[int]] = {}  # stop -> [pick bits, drop bits] due there
+    try:
+        start = index[root.stop]
+        bit = 1
+        for r in pickups:
+            p = index[r.pickup]
+            pick_stop.append(p)
+            due.append(r.request_time)
+            pax.append(r.passengers)
+            weight.append(r.passengers if per_passenger else 1)
+            at.setdefault(p, [0, 0])[0] |= bit
+            at.setdefault(index[r.dropoff], [0, 0])[1] |= bit
+            bit <<= 1
+        root_pick = bit - 1
+        for r in dropoffs:
+            pax.append(r.passengers)
+            at.setdefault(index[r.dropoff], [0, 0])[1] |= bit
+            bit <<= 1
+        root_drop = bit - 1 - root_pick
+    except KeyError as err:
+        raise UnknownStopError(err.args[0]) from None
+    # Involved stops ascending, so drop-off tails come out sorted.
+    stops = [(s, bits[0], bits[1], network.row(s)) for s, bits in sorted(at.items())]
     capacity = root.capacity
-    best_w: int | None = None
-    best_seq: tuple[StopId, ...] | None = None
+    best_w = math.inf
+    best_seq: tuple[int, ...] | None = None
 
-    # (stop, time, pick_mask, drop_mask, waiting, onboard, path)
-    stack = [(root.stop, root.time, root_pick, root_drop, 0, root.onboard, ())]
+    if not root_pick:
+        best_w, best_seq = 0, tuple(s for s, _, drop_s, _ in stops if root_drop & drop_s)
+        stack = []
+    else:
+        # (bound, stop, row, time, pick_mask, drop_mask, waiting, onboard, path)
+        stack = [(0, start, network.row(start), root.time, root_pick, root_drop, 0,
+                  root.onboard, ())]
     while stack:
-        stop, now, pick_mask, drop_mask, waiting, onboard, path = stack.pop()
-        if best_w is not None and waiting > best_w:
+        bound, stop, row, now, pick_mask, drop_mask, waiting, onboard, path = stack.pop()
+        if bound > best_w:
             continue
-        if pick_mask == 0:
-            # Only drop-offs remain: order is cost-free, close the branch.
-            tail = sorted({drop_stop[i] for i in _bit_indices(drop_mask)})
-            seq = path + tuple(tail)
-            if best_w is None or waiting < best_w or (waiting == best_w and seq < best_seq):
-                best_w, best_seq = waiting, seq
-            continue
-
-        candidates = set()
-        bits = pick_mask
-        while bits:
-            low = bits & -bits
-            candidates.add(reqs[low.bit_length() - 1].pickup)
-            bits ^= low
-        bits = drop_mask
-        while bits:
-            low = bits & -bits
-            candidates.add(drop_stop[low.bit_length() - 1])
-            bits ^= low
-
         children = []
-        for s in candidates:
-            picked = pick_mask & pick_bits_at.get(s, 0)
-            dropped = drop_mask & drop_bits_at.get(s, 0)
-            if not picked and not dropped:
+        for s, pick_s, drop_s, row_s in stops:
+            picked = pick_mask & pick_s
+            dropped = drop_mask & drop_s
+            if not (picked or dropped):
                 continue
-            new_onboard = onboard
-            for i in _bit_indices(dropped):
-                new_onboard -= pax[i]
-            for i in _bit_indices(picked):
-                new_onboard += pax[i]
-            if new_onboard > capacity:
+            load = onboard
+            bits = dropped
+            while bits:
+                low = bits & -bits
+                load -= pax[low.bit_length() - 1]
+                bits ^= low
+            bits = picked
+            while bits:
+                low = bits & -bits
+                load += pax[low.bit_length() - 1]
+                bits ^= low
+            if load > capacity:
                 continue
-            arrival = now + travel(stop, s)
+            leg = row[s]
+            if leg is None:
+                raise UnreachableStopError(f"no path from {ids[stop]} to {ids[s]}")
+            arrival = now + leg
             w = waiting
             depart = arrival
-            for i in _bit_indices(picked):
-                w += max(0, arrival - rt[i]) * (pax[i] if per_passenger else 1)
-                if rt[i] > depart:
-                    depart = rt[i]
-            if best_w is not None and w > best_w:
+            bits = picked
+            while bits:
+                low = bits & -bits
+                j = low.bit_length() - 1
+                if arrival > due[j]:
+                    w += (arrival - due[j]) * weight[j]
+                if due[j] > depart:
+                    depart = due[j]
+                bits ^= low
+            if w > best_w:
                 continue
-            children.append(
-                (w, s, depart, (pick_mask ^ picked), (drop_mask ^ dropped) | picked, new_onboard)
-            )
-        # Explore cheapest-first; reversed so the stack pops ascending (w, stop).
-        children.sort(key=lambda c: (c[0], c[1]), reverse=True)
-        for w, s, depart, pick2, drop2, onboard2 in children:
-            stack.append((s, depart, pick2, drop2, w, onboard2, path + (s,)))
+            rest = pick_mask ^ picked
+            drops = (drop_mask ^ dropped) | picked
+            if not rest:
+                # Only drop-offs remain: order is cost-free, close the branch.
+                seq = path + (s,) + tuple(t for t, _, drop_t, _ in stops if drops & drop_t)
+                if w < best_w or seq < best_seq:  # w <= best_w here
+                    best_w, best_seq = w, seq
+                continue
+            # Each outstanding pickup j is reached no earlier than
+            # depart + tt(s, pickup_j) - 1 (see the module docstring).
+            bound = w
+            bits = rest
+            while bits:
+                low = bits & -bits
+                j = low.bit_length() - 1
+                leg = row_s[pick_stop[j]]
+                if leg is None:
+                    raise UnreachableStopError(f"no path from {ids[s]} to {ids[pick_stop[j]]}")
+                late = depart + leg - 1 - due[j]
+                if late > 0:
+                    bound += late * weight[j]
+                bits ^= low
+            if bound > best_w:
+                continue
+            children.append((bound, s, row_s, depart, rest, drops, w, load, path + (s,)))
+        # Explore lowest bound first: reversed so the stack pops ascending (bound, stop).
+        children.sort(reverse=True)
+        stack += children
 
-    if best_w is None:
+    if best_seq is None:
         return None
-    return best_w, best_seq
-
-
-def _bit_indices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return best_w, tuple(ids[s] for s in best_seq)

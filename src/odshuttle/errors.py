@@ -14,6 +14,14 @@ class ParseError(OdshuttleError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
+class ConfigError(OdshuttleError, ValueError):
+    """A scenario setting is out of range; ``fields`` names the settings at fault."""
+
+    def __init__(self, message, *fields):
+        self.fields = fields
+        super().__init__(message)
+
+
 class UnknownStopError(OdshuttleError, KeyError):
     """A stop id does not resolve in the travel network."""
 

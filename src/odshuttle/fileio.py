@@ -39,7 +39,10 @@ Route files (for ``fleetcalc``) hold ``route`` lines outside any section.
 References are checked at load time too: every stop a request, shuttle,
 region line or demand row names must be in the network, a weighted stop
 must be a region member or gateway, and every shuttle or request a
-``committed_*`` or ``penalty`` line names must be defined.
+``committed_*`` or ``penalty`` line names must be defined.  A value
+rejected when its section is built (a repeated stop, an unknown mode, a
+stop both member and gateway, a mix that does not sum to 1, a setting
+out of range) is reported at its own line, not the file's last.
 
 Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type.
 """
@@ -53,8 +56,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .demand import DemandProfile
-from .errors import ParseError
-from .network import Region, TravelNetwork
+from .errors import ConfigError, ParseError
+from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork
 from .simulator import FixedRoute, ScenarioConfig, TripRecord
 from .solver import DispatchProblem, DEFAULT_MISS_PENALTY
 from .types import DispatchSolution, ShuttleState, Stop, TripRequest
@@ -204,18 +207,41 @@ def _all(rows: list[_Row]) -> list:
 
 
 def _network(rows: dict, path: str, end: int) -> TravelNetwork:
-    """Build a ``[network]`` section; scenario configs and instances share it."""
-    mode = _last(rows["mode"])
-    if mode is None:
+    """Build a ``[network]`` section; scenario configs and instances share it.
+
+    Each check names the line at fault: the repeated ``stop``, the
+    ``mode`` or ``speed`` line, or the ``link``.
+    """
+    if not rows["mode"]:
         raise ParseError(path, end, "network section never declared a mode")
     if not rows["stop"]:
         raise ParseError(path, end, "network has no stops")
-    try:
-        return TravelNetwork([Stop(*row.args) for row in rows["stop"]], mode,
-                             speed=_last(rows["speed"]),
-                             links=[row.args for row in rows["link"]])
-    except (ValueError, KeyError) as err:
-        raise ParseError(path, end, f"bad network: {err}") from None
+    mode_row = rows["mode"][-1]
+    mode = mode_row.args[0]
+    stops: dict[str, Stop] = {}
+    for row in rows["stop"]:
+        if row.args[0] in stops:
+            raise ParseError(path, row.line, f"duplicate stop id {row.args[0]}")
+        stops[row.args[0]] = Stop(*row.args)
+    speed_row = rows["speed"][-1] if rows["speed"] else None
+    if mode == GRAPH:
+        for row in rows["link"]:
+            a, b, seconds = row.args
+            for stop in (a, b):
+                if stop not in stops:
+                    raise ParseError(path, row.line, f"link names unknown stop {stop!r}")
+            if seconds < 0:
+                raise ParseError(path, row.line, f"link {a}->{b}: negative traversal time")
+    elif mode in (EUCLIDEAN, MANHATTAN):
+        if speed_row is None or speed_row.args[0] <= 0:
+            raise ParseError(path, (speed_row or mode_row).line,
+                             f"{mode} mode needs a positive speed (m/s)")
+        if rows["link"]:
+            raise ParseError(path, rows["link"][0].line, f"{mode} mode takes no links")
+    else:
+        raise ParseError(path, mode_row.line, f"unknown network mode {mode!r}")
+    return TravelNetwork(stops.values(), mode, speed=_last(rows["speed"]),
+                         links=[row.args for row in rows["link"]])
 
 
 def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:
@@ -230,6 +256,13 @@ def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:
         except ValueError as err:
             raise ParseError(path, row.line, str(err)) from None
     return routes
+
+
+def _demand_profile(path: str, line_no: int, **fields) -> DemandProfile:
+    try:
+        return DemandProfile(**fields)
+    except ValueError as err:
+        raise ParseError(path, line_no, f"bad demand profile: {err}") from None
 
 
 def _check_stops(network: TravelNetwork, path: str, line_no: int, *stops) -> None:
@@ -293,17 +326,22 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
     if "horizon" not in scalars or "fleet_size" not in scalars:
         raise ParseError(path, end, "scenario section needs at least horizon and fleet_size")
 
+    for row in scenario["fleet_start"]:
+        _check_stops(network, path, row.line, *row.args)
     region = None
     if region_rows["member"] or region_rows["gateway"]:
-        for row in region_rows["member"] + region_rows["gateway"]:
+        kind_of: dict[str, str] = {}
+        for row, kind in sorted((row, kind) for kind in ("member", "gateway")
+                                for row in region_rows[kind]):
             _check_stops(network, path, row.line, *row.args)
-        try:
-            region = Region(
-                member_stops=_all(region_rows["member"]),
-                gateway_stations=_all(region_rows["gateway"]),
-            )
-        except ValueError as err:
-            raise ParseError(path, end, f"bad region: {err}") from None
+            for stop in row.args:
+                if kind_of.setdefault(stop, kind) != kind:
+                    raise ParseError(path, row.line,
+                                     f"stop {stop} cannot be both member and gateway")
+        region = Region(
+            member_stops=_all(region_rows["member"]),
+            gateway_stations=_all(region_rows["gateway"]),
+        )
     for kind in ("member", "gateway"):
         allowed = _all(region_rows[kind])
         for row in demand[f"{kind}_weight"]:
@@ -325,16 +363,18 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
         reqs, demand_types = parse_demand_csv(demand_text, network, path=str(target))
         demand_requests = tuple(reqs)
     elif demand["rate"]:
-        try:
-            profile = DemandProfile(
-                rates=tuple(row.args for row in demand["rate"]),
-                mix=demand["mix"][-1].args if demand["mix"] else (1.0, 0.0, 0.0),
-                member_weights=dict(row.args for row in demand["member_weight"]),
-                gateway_weights=dict(row.args for row in demand["gateway_weight"]),
-                seed=_last(demand["seed"], 0),
-            )
-        except ValueError as err:
-            raise ParseError(path, end, f"bad demand profile: {err}") from None
+        # Each rate line is checked on its own, so what fails after is the mix.
+        for row in demand["rate"]:
+            _demand_profile(path, row.line, rates=(row.args,))
+        mix = demand["mix"][-1] if demand["mix"] else _Row(end, (1.0, 0.0, 0.0))
+        profile = _demand_profile(
+            path, mix.line,
+            rates=tuple(row.args for row in demand["rate"]),
+            mix=mix.args,
+            member_weights=dict(row.args for row in demand["member_weight"]),
+            gateway_weights=dict(row.args for row in demand["gateway_weight"]),
+            seed=_last(demand["seed"], 0),
+        )
 
     try:
         return ScenarioConfig(
@@ -348,8 +388,10 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
             routes=tuple(_routes(rows["baseline"]["route"], path)),
             **scalars,
         )
-    except ValueError as err:
-        raise ParseError(path, end, f"bad scenario: {err}") from None
+    except ConfigError as err:
+        settings = {**scenario, "walk_speed": rows["baseline"]["walk_speed"]}
+        lines = [settings[name][-1].line for name in err.fields if settings.get(name)]
+        raise ParseError(path, lines[0] if lines else end, f"bad scenario: {err}") from None
 
 
 def load_scenario(path) -> ScenarioConfig:

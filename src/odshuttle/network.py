@@ -3,14 +3,20 @@
 Three network modes:
 
 * ``euclidean`` / ``manhattan`` -- travel time is metric distance over a
-  constant shuttle speed, rounded up to whole seconds.
+  constant shuttle speed, rounded up to whole seconds.  Rounding the
+  float distance up can make a detour one second shorter than the
+  direct trip, so the triangle inequality holds only to within 1 s.
 * ``graph`` -- directed links with traversal seconds; travel time is the
   shortest-path time (Dijkstra), so the triangle inequality holds by
   construction.
 
-Networks are immutable after construction.  Shortest-path results are
-cached per source stop; the cache is idempotent, so concurrent readers
-are fine.
+Stops are numbered by sorted id (``index``/``ids``), so comparing index
+sequences orders them as the id sequences would.  Travel times live in
+one ``list`` row per source stop, indexed by destination and filled on
+first use (:meth:`TravelNetwork.row`); graph mode fills a row with one
+Dijkstra run and marks unreachable stops ``None``.  Networks are
+immutable after construction and filling a row is idempotent, so
+concurrent readers are fine.
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ class TravelNetwork:
         self.stops: dict[StopId, Stop] = {s.id: s for s in stop_list}
         self.mode = mode
         self.speed = speed
-        self._adj: dict[StopId, list[tuple[StopId, int]]] = {s: [] for s in self.stops}
-        self._sssp_cache: dict[StopId, dict[StopId, int]] = {}
-        self._tt_cache: dict[tuple[StopId, StopId], int] = {}
+        self.ids: tuple[StopId, ...] = tuple(sorted(self.stops))
+        self.index: dict[StopId, int] = {stop: i for i, stop in enumerate(self.ids)}
+        self._rows: list[list[int | None] | None] = [None] * len(self.ids)
+        self._adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
         self.links: tuple[tuple[StopId, StopId, int], ...] = ()
 
         if mode in (EUCLIDEAN, MANHATTAN):
@@ -71,7 +78,7 @@ class TravelNetwork:
                     raise ValueError(f"link {a}->{b}: negative traversal time")
                 seconds = int(math.ceil(seconds))
                 cleaned.append((a, b, seconds))
-                self._adj[a].append((b, seconds))
+                self._adj[self.index[a]].append((self.index[b], seconds))
             self.links = tuple(cleaned)
         else:
             raise ValueError(f"unknown network mode {mode!r}")
@@ -92,50 +99,52 @@ class TravelNetwork:
         return stop in self.stops
 
     def stop_ids(self) -> list[StopId]:
-        return sorted(self.stops)
+        return list(self.ids)
 
     def travel_time(self, a: StopId, b: StopId) -> int:
         """Seconds to travel from ``a`` to ``b`` (0 when a == b)."""
-        cached = self._tt_cache.get((a, b))
-        if cached is not None:
-            return cached
-        if a not in self.stops:
+        if a not in self.index:
             raise UnknownStopError(a)
-        if b not in self.stops:
+        if b not in self.index:
             raise UnknownStopError(b)
-        if a == b:
-            seconds = 0
-        elif self.mode == GRAPH:
-            dist = self._single_source(a)
-            if b not in dist:
-                raise UnreachableStopError(f"no path from {a} to {b}")
-            seconds = dist[b]
-        else:
-            sa, sb = self.stops[a], self.stops[b]
-            if self.mode == EUCLIDEAN:
-                d = math.hypot(sa.x - sb.x, sa.y - sb.y)
-            else:
-                d = abs(sa.x - sb.x) + abs(sa.y - sb.y)
-            seconds = int(math.ceil(d / self.speed))
-        self._tt_cache[(a, b)] = seconds
+        seconds = self.row(self.index[a])[self.index[b]]
+        if seconds is None:
+            raise UnreachableStopError(f"no path from {a} to {b}")
         return seconds
 
-    def _single_source(self, source: StopId) -> dict[StopId, int]:
-        cached = self._sssp_cache.get(source)
-        if cached is not None:
-            return cached
-        dist: dict[StopId, int] = {source: 0}
-        heap: list[tuple[int, StopId]] = [(0, source)]
+    def row(self, source: int) -> list[int | None]:
+        """Seconds from stop ``ids[source]`` to every stop, by index.
+
+        ``None`` marks a stop with no path from the source (graph mode
+        only).  The row is shared: callers must not modify it.
+        """
+        row = self._rows[source]
+        if row is None:
+            row = self._rows[source] = self._fill(source)
+        return row
+
+    def _fill(self, source: int) -> list[int | None]:
+        if self.mode == GRAPH:
+            return self._shortest_paths(source)
+        a = self.stops[self.ids[source]]
+        points = [self.stops[stop] for stop in self.ids]
+        if self.mode == EUCLIDEAN:
+            return [math.ceil(math.hypot(a.x - b.x, a.y - b.y) / self.speed) for b in points]
+        return [math.ceil((abs(a.x - b.x) + abs(a.y - b.y)) / self.speed) for b in points]
+
+    def _shortest_paths(self, source: int) -> list[int | None]:
+        dist: list[int | None] = [None] * len(self.ids)
+        dist[source] = 0
+        heap: list[tuple[int, int]] = [(0, source)]
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
+            if d > dist[u]:
                 continue
             for v, w in self._adj[u]:
                 nd = d + w
-                if nd < dist.get(v, math.inf):
+                if dist[v] is None or nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        self._sssp_cache[source] = dist
         return dist
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from .demand import DemandProfile, generate_demand
 from .enumeration import enumerate_plans
+from .errors import ConfigError
 from .network import Region, TravelNetwork, TripType, classify_trip
 from .reporting import SummaryStats, summarize
 from .solver import DispatchProblem, solve_dispatch
@@ -158,26 +159,27 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ConfigError("horizon must be >= 1", "horizon")
         if self.dispatch_interval < 1:
-            raise ValueError("dispatch_interval must be >= 1")
+            raise ConfigError("dispatch_interval must be >= 1", "dispatch_interval")
         if self.fleet_size < 1:
-            raise ValueError("fleet_size must be >= 1")
+            raise ConfigError("fleet_size must be >= 1", "fleet_size")
         if self.shuttle_capacity < 1:
-            raise ValueError("shuttle_capacity must be >= 1")
+            raise ConfigError("shuttle_capacity must be >= 1", "shuttle_capacity")
         if self.max_requests_per_plan < 1:
-            raise ValueError("max_requests_per_plan must be >= 1")
+            raise ConfigError("max_requests_per_plan must be >= 1", "max_requests_per_plan")
         if self.miss_penalty < 0:
-            raise ValueError("miss_penalty must be >= 0")
+            raise ConfigError("miss_penalty must be >= 0", "miss_penalty")
         if self.max_defer <= self.dispatch_interval:
-            raise ValueError("max_defer must exceed dispatch_interval")
+            raise ConfigError("max_defer must exceed dispatch_interval",
+                              "max_defer", "dispatch_interval")
         if self.max_requests_per_tick < 1:
-            raise ValueError("max_requests_per_tick must be >= 1")
+            raise ConfigError("max_requests_per_tick must be >= 1", "max_requests_per_tick")
         if self.walk_speed <= 0:
-            raise ValueError("walk_speed must be positive")
+            raise ConfigError("walk_speed must be positive", "walk_speed")
         for stop in self.fleet_start:
             if not self.network.has_stop(stop):
-                raise ValueError(f"fleet start stop {stop} not in network")
+                raise ConfigError(f"fleet start stop {stop} not in network", "fleet_start")
 
     def resolve_requests(self) -> list[TripRequest]:
         """The demand stream: explicit list if configured, else generated."""

@@ -164,6 +164,9 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
             chosen.pop()
 
     descend(0, 0, 0)
+    # descend refers to itself, a reference cycle that would keep this
+    # tick's plans alive until the next full collection; break it now.
+    del descend
     return _assemble(problem, vehicles, best["chosen"], req_ids, best["covered"], best["objective"])
 
 

@@ -9,7 +9,7 @@ from odshuttle.costing import (
     optimal_sequence,
 )
 from odshuttle.enumeration import enumerate_plans
-from odshuttle.errors import CapacityExceededError
+from odshuttle.errors import CapacityExceededError, UnknownStopError, UnreachableStopError
 from odshuttle.network import TravelNetwork
 from odshuttle.types import ShuttleState, Stop, TripRequest
 
@@ -264,3 +264,101 @@ def test_result_independent_of_input_ordering(line_network):
         shuffled = rs[:]
         rng.shuffle(shuffled)
         assert optimal_sequence(v, shuffled, line_network) == baseline
+
+
+# -- the search's lower bound ---------------------------------------------------
+#
+# The search prunes on waiting accrued plus, per outstanding pickup, the
+# lateness of a direct drive there less one second.  These instances keep
+# at least three pickups outstanding so that the bound prunes, and use
+# metric networks whose ceil'd times break the triangle inequality by a
+# second (see test_network) as well as shortest-path graphs.
+
+
+def _bound_network(rng):
+    kind = rng.choice(("euclidean", "manhattan", "graph"))
+    if kind == "graph":
+        n = rng.randint(4, 7)
+        stops = [Stop(f"s{i}", i, 0) for i in range(n)]
+        links = [(f"s{i}", f"s{(i + 1) % n}", rng.randint(1, 300)) for i in range(n)]
+        links += [(*rng.sample([s.id for s in stops], 2), rng.randint(1, 300))
+                  for _ in range(2 * n)]
+        return TravelNetwork.graph(stops, links)
+    if rng.random() < 0.5:
+        # On one line, where ceil'd detours most often beat the direct time.
+        x = round(rng.uniform(0, 400), 1)
+        points = [(x, round(rng.uniform(0, 400), 1)) for _ in range(5)]
+    else:
+        points = [(round(rng.uniform(0, 400), 1), round(rng.uniform(0, 400), 1))
+                  for _ in range(5)]
+    stops = [Stop(f"s{i}", x, y) for i, (x, y) in enumerate(points)]
+    return getattr(TravelNetwork, kind)(stops, speed=0.1)
+
+
+def _bound_instance(rng):
+    network = _bound_network(rng)
+    ids = network.stop_ids()
+    count = [0]
+
+    def make(prefix):
+        count[0] += 1
+        pickup, dropoff = rng.sample(ids, 2)
+        return req(f"{prefix}{count[0]}", pickup, dropoff,
+                   t=rng.choice((0, rng.randint(0, 3000))), pax=rng.choice((1, 1, 2, 3)))
+
+    pickups = rng.randint(3, 4)
+    committed = {make("c") for _ in range(rng.randint(0, 1))}
+    new = {make("r") for _ in range(pickups - len(committed))}
+    riding = {make("o") for _ in range(rng.randint(0, 1) if pickups == 3 else 0)}
+    onboard = sum(r.passengers for r in riding)
+    shuttle = ShuttleState(id="v1", heading_stop=rng.choice(ids),
+                           arrival_time=rng.randint(0, 600), pending_pickups=committed,
+                           pending_dropoffs=riding, capacity=max(onboard, rng.choice((2, 3, 4))))
+    return shuttle, new, network
+
+
+def test_bound_matches_oracle_with_outstanding_pickups():
+    rng = random.Random(4141)
+    for i in range(400):
+        shuttle, new, network = _bound_instance(rng)
+        for per_passenger in (False, True):
+            got = optimal_sequence(shuttle, new, network, per_passenger)
+            want = exhaustive_best_sequence(shuttle, new, network, per_passenger)
+            assert got == want, f"instance {i} ({network.mode}, per_passenger={per_passenger})"
+
+
+def test_bound_keeps_lexicographic_tie_on_ceiled_detour():
+    # (s4, s0, s1, s2, s3) and (s4, s1, s2, s0, s3) both cost 7463 s.  From
+    # s0 the direct time to s2 is 3018 s, one more than via s1 (1647 + 1370),
+    # so a bound without the one-second slack cuts the smaller sequence.
+    stops = [Stop("s0", 189.5, 337.6), Stop("s1", 189.5, 172.9), Stop("s2", 189.5, 35.9),
+             Stop("s3", 189.5, 208.5), Stop("s4", 189.5, 395.6)]
+    net = TravelNetwork.euclidean(stops, speed=0.1)
+    rs = {req("r0", "s4", "s1", t=1750), req("r1", "s4", "s0"), req("r2", "s2", "s3")}
+    v = idle(stop="s3", capacity=8)
+    assert optimal_sequence(v, rs, net) == (7463, ("s4", "s0", "s1", "s2", "s3"))
+    assert optimal_sequence(v, rs, net) == exhaustive_best_sequence(v, rs, net)
+
+
+# -- lookup errors ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shuttle_at, requests", [
+    pytest.param("B", [("r1", "A", "B")], id="pickup-unreachable-from-shuttle"),
+    pytest.param("A", [("r1", "B", "A"), ("r2", "C", "A")], id="pickups-unreachable-between"),
+])
+def test_unreachable_stop_raises(shuttle_at, requests):
+    # One-way spokes out of A: nothing leads back, and B and C do not connect.
+    stops = [Stop("A", 0, 0), Stop("B", 1, 0), Stop("C", 2, 0)]
+    net = TravelNetwork.graph(stops, [("A", "B", 5), ("A", "C", 7)])
+    rs = {req(rid, pickup, dropoff) for rid, pickup, dropoff in requests}
+    with pytest.raises(UnreachableStopError):
+        optimal_sequence(idle(stop=shuttle_at), rs, net)
+
+
+@pytest.mark.parametrize("shuttle_at, pickup, dropoff", [
+    ("Z", "B", "C"), ("A", "Z", "C"), ("A", "B", "Z"),
+])
+def test_unknown_stop_raises(line_network, shuttle_at, pickup, dropoff):
+    with pytest.raises(UnknownStopError):
+        optimal_sequence(idle(stop=shuttle_at), {req("r1", pickup, dropoff)}, line_network)

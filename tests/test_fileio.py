@@ -251,6 +251,42 @@ def test_instance_rejects_bad_reference(line, message):
     assert message in text
 
 
+@pytest.mark.parametrize("parse, text, old, new", [
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "stop C 1000 0", "stop A 1000 0",
+                 id="duplicate-stop"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mode euclidean", "mode hexagonal",
+                 id="unknown-mode"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "speed 10.0", "speed 0",
+                 id="speed-not-positive"),
+    pytest.param(fileio.parse_instance_text, GRAPH_INSTANCE_TEXT, "link B C 20", "link B Z 20",
+                 id="link-unknown-stop"),
+    pytest.param(fileio.parse_instance_text, GRAPH_INSTANCE_TEXT, "link B C 20", "link B C -20",
+                 id="link-negative"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "gateway G1", "gateway C",
+                 id="gateway-is-member"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "rate 0 900 40.0", "rate 900 0 40.0",
+                 id="rate-empty-interval"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mix 0.8 0.2 0.0", "mix 0.8 0.3 0.0",
+                 id="mix-sum"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "horizon 1800", "horizon 0",
+                 id="horizon"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "max_defer 600", "max_defer 30",
+                 id="max-defer"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "fleet_start A", "fleet_start A Z",
+                 id="fleet-start-unknown-stop"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "walk_speed 1.3", "walk_speed 0",
+                 id="walk-speed"),
+])
+def test_section_error_names_offending_line(parse, text, old, new):
+    lines = text.splitlines()
+    line_no = lines.index(old) + 1
+    lines[line_no - 1] = new
+    assert line_no < len(lines)  # not the last line, which errors used to name
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines) + "\n", path="bad.txt")
+    assert str(err.value).startswith(f"bad.txt:{line_no}: ")
+
+
 def test_trips_csv_shape():
     records = [
         TripRecord(id="r1", request_time=5, trip_type="intra", pickup_time=30,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -103,6 +104,44 @@ def test_all_pairs_disconnected_graph_raises():
     net = TravelNetwork.graph(stops, [("A", "B", 5)])
     with pytest.raises(UnreachableStopError):
         _all_pairs(net, net.stop_ids())
+
+
+# Ceil'd metric times can exceed a detour's by one second, never more;
+# the sequencing search's lower bound relies on this one-second slack.
+
+
+@pytest.mark.parametrize("make, a, b, c", [
+    pytest.param(TravelNetwork.euclidean, (336.8, 140.7), (110.4, 310.5), (56.4, 351.0),
+                 id="euclidean"),
+    pytest.param(TravelNetwork.manhattan, (163.5, 1241.4), (1641.7, 399.9), (1752.0, 34.8),
+                 id="manhattan"),
+])
+def test_ceiled_metric_detour_can_save_one_second(make, a, b, c):
+    net = make([Stop("a", *a), Stop("b", *b), Stop("c", *c)], speed=0.1)
+    tt = net.travel_time
+    assert tt("a", "c") == tt("a", "b") + tt("b", "c") + 1
+
+
+@pytest.mark.parametrize("make", [TravelNetwork.euclidean, TravelNetwork.manhattan])
+def test_ceiled_metric_detour_saves_at_most_one_second(make):
+    rng = random.Random(5)
+    savings = set()
+    for _ in range(40):
+        points = [(round(rng.uniform(0, 400), 1), round(rng.uniform(0, 400), 1))
+                  for _ in range(6)]
+        # Points on segments between others, and on one vertical line, make
+        # the near-ties that round badly.
+        for _ in range(3):
+            (ax, ay), (bx, by) = rng.sample(points, 2)
+            f = rng.random()
+            points.append((round(ax + f * (bx - ax), 1), round(ay + f * (by - ay), 1)))
+        points += [(points[0][0], round(rng.uniform(0, 400), 1)) for _ in range(3)]
+        net = make([Stop(f"s{i}", x, y) for i, (x, y) in enumerate(points)], speed=0.1)
+        m = _all_pairs(net, net.stop_ids())
+        for a, b, c in itertools.product(net.stop_ids(), repeat=3):
+            assert m[a, c] <= m[a, b] + m[b, c] + 1
+            savings.add(m[a, c] - m[a, b] - m[b, c])
+    assert 1 in savings  # the slack is needed, not just allowed
 
 
 # -- region / classification -------------------------------------------------
