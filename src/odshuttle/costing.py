@@ -28,7 +28,8 @@ Two behaviors beyond the basic search:
   is infeasible.
 * Once every pickup is done, all remaining drop-off orders cost the
   same (zero added waiting), so such branches close immediately by
-  appending the outstanding drop-off stops in id order.
+  appending the outstanding drop-off stops in id order; each leg of
+  that tail must be drivable, else :class:`UnreachableStopError`.
 
 Ties between equal-cost sequences resolve to the lexicographically
 smallest stop-id sequence, so results never depend on set iteration
@@ -210,7 +211,7 @@ def _search(root: TravelSearchNode, network: TravelNetwork, per_passenger: bool 
     best_seq: tuple[int, ...] | None = None
 
     if not root_pick:
-        best_w, best_seq = 0, tuple(s for s, _, drop_s, _ in stops if root_drop & drop_s)
+        best_w, best_seq = 0, _drop_tail(stops, root_drop, start, network.row(start), ids)
         stack = []
     else:
         # (bound, stop, row, time, pick_mask, drop_mask, waiting, onboard, path)
@@ -260,7 +261,7 @@ def _search(root: TravelSearchNode, network: TravelNetwork, per_passenger: bool 
             drops = (drop_mask ^ dropped) | picked
             if not rest:
                 # Only drop-offs remain: order is cost-free, close the branch.
-                seq = path + (s,) + tuple(t for t, _, drop_t, _ in stops if drops & drop_t)
+                seq = path + (s,) + _drop_tail(stops, drops, s, row_s, ids)
                 if w < best_w or seq < best_seq:  # w <= best_w here
                     best_w, best_seq = w, seq
                 continue
@@ -288,3 +289,15 @@ def _search(root: TravelSearchNode, network: TravelNetwork, per_passenger: bool 
     if best_seq is None:
         return None
     return best_w, tuple(ids[s] for s in best_seq)
+
+
+def _drop_tail(stops, drops: int, stop: int, row, ids) -> tuple[int, ...]:
+    """The drop-off stops of ``drops`` in index order, driven from ``stop``."""
+    tail = []
+    for s, _, drop_s, row_s in stops:
+        if drops & drop_s:
+            if row[s] is None:
+                raise UnreachableStopError(f"no path from {ids[stop]} to {ids[s]}")
+            tail.append(s)
+            stop, row = s, row_s
+    return tuple(tail)

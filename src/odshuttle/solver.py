@@ -8,8 +8,16 @@ tie-broken optimum: lowest objective, then fewest missed requests, then
 lexicographically smallest plan-index tuple in vehicle-id order.
 
 No external MILP dependency: instances are per-region and per-interval,
-so a vehicle-by-vehicle search with a coverage-aware lower bound is
-exact and fast at the intended scale.
+so an iterative branch and bound over requests, with a coverage-aware
+lower bound, is exact and fast at the intended scale.  Each step settles
+the lowest undecided request, missed or served by one plan, so the search
+is as deep as the request count, not the fleet size.  Vehicles whose
+plan lists agree rank by rank on (requests, cost) form one class and are
+branched on once, however many there are; a class's chosen plans go to
+its highest-id members.  Each vehicle's place in the plan-index tuple
+only ever compares indices of that vehicle's own plans, so this is the
+smallest tuple among the class's permutations and the tie-break above
+holds unchanged.
 """
 
 from __future__ import annotations
@@ -56,19 +64,18 @@ def _prepare(problem: DispatchProblem):
         if not any(not plans[i].requests for i in indices):
             raise ValueError(f"vehicle {v} has no empty plan; the program would be infeasible")
         per_vehicle.append(indices)
-    masks = {}
-    for i, plan in enumerate(plans):
+    masks: list[int | None] = []
+    for plan in plans:
         mask = 0
-        ok = True
         for r in plan.requests:
             b = bit_of.get(r.id)
             if b is None:
-                ok = False  # plan covers a request not in this problem
+                mask = None  # plan covers a request not in this problem
                 break
             mask |= b
-        masks[i] = mask if ok else None
+        masks.append(mask)
     penalties = [problem.penalty(rid) for rid in req_ids]
-    return req_ids, bit_of, vehicles, per_vehicle, masks, penalties
+    return req_ids, vehicles, per_vehicle, masks, penalties
 
 
 def _assemble(problem, vehicles, chosen, req_ids, covered_mask, objective) -> DispatchSolution:
@@ -78,101 +85,150 @@ def _assemble(problem, vehicles, chosen, req_ids, covered_mask, objective) -> Di
     return DispatchSolution(selected=selected, missed=missed, objective=objective)
 
 
-def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
-    """Provably optimal plan selection via branch and bound over vehicles.
+def _selection(path, idle, idle_rank, members, per_vehicle) -> list[int]:
+    """Plan index per vehicle for a search path of (class, rank) choices.
 
-    The bound charges every uncovered request the cheaper of its miss
-    penalty and the best per-request share (cost / subset size, rounded
-    down) among plans of still-unassigned vehicles, which never
-    overestimates the cost of completing the partial selection.
+    Each class's ranks, padded with its idle rank, go to its members in
+    ascending order: the smallest plan-index tuple among the class's
+    permutations, since a vehicle's indices only compare with its own.
     """
-    req_ids, bit_of, vehicles, per_vehicle, masks, penalties = _prepare(problem)
+    ranks_of: dict[int, list[int]] = {}
+    while path is not None:
+        c, rank, path = path
+        ranks_of.setdefault(c, []).append(rank)
+    chosen = list(idle)
+    for c, ranks in ranks_of.items():
+        ranks.sort()
+        below = sum(1 for rank in ranks if rank < idle_rank[c])
+        team = members[c]
+        slots = team[:below] + team[len(team) - len(ranks) + below:]
+        for pos, rank in zip(slots, ranks):
+            chosen[pos] = per_vehicle[pos][rank]
+    return chosen
+
+
+def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
+    """Provably optimal plan selection via branch and bound over requests.
+
+    The search settles the lowest undecided request at each step: missed,
+    or served by a plan (whose lowest request it is) of a vehicle class
+    with a member still free.  Which members serve is decided only at a
+    leaf, by :func:`_selection`; vehicles never touched take their idle
+    plan, the cheapest empty one.
+
+    A node is cut when its cost plus a lower bound exceeds the incumbent
+    (strictly, so every tie is still reached): each undecided request
+    costs at least the cheaper of its miss penalty and the smallest
+    per-request share (plan cost over subset size, rounded down) of any
+    plan covering it.  Leaves are ranked by objective, then fewest
+    missed, then plan-index tuple in vehicle-id order, as in
+    :func:`brute_force_dispatch`.
+    """
+    req_ids, vehicles, per_vehicle, masks, penalties = _prepare(problem)
     plans = problem.plan_set.plans
     n_req = len(req_ids)
-    full_mask = (1 << n_req) - 1 if n_req else 0
+    full = (1 << n_req) - 1
 
-    # marginal_by_pos[k][r]: cheapest per-request share covering r using
-    # vehicles[k:]; suffix minima let the bound drop as vehicles commit.
-    inf = float("inf")
-    suffix = [[inf] * n_req for _ in range(len(vehicles) + 1)]
-    for k in range(len(vehicles) - 1, -1, -1):
-        row = suffix[k]
-        nxt = suffix[k + 1]
-        for r in range(n_req):
-            row[r] = nxt[r]
-        for i in per_vehicle[k]:
-            mask = masks[i]
+    class_of: dict[tuple, int] = {}
+    members: list[list[int]] = []  # vehicle positions per class, ascending id
+    for pos, indices in enumerate(per_vehicle):
+        c = class_of.setdefault(tuple([(masks[i], plans[i].cost) for i in indices]), len(members))
+        if c == len(members):
+            members.append([])
+        members[c].append(pos)
+
+    # Plans as (extra cost over the idle plan, class, rank, mask); shares
+    # of that extra bound each request's cost from below.
+    idle_rank: list[int] = []
+    idle = [0] * len(vehicles)
+    base = 0
+    share = list(penalties)
+    served: list[tuple[int, int, int, int]] = []
+    for key, c in class_of.items():
+        idle_cost, rank0 = min((cost, rank) for rank, (mask, cost) in enumerate(key) if mask == 0)
+        idle_rank.append(rank0)
+        for pos in members[c]:
+            idle[pos] = per_vehicle[pos][rank0]
+        base += idle_cost * len(members[c])
+        for rank, (mask, cost) in enumerate(key):
             if not mask:
                 continue
-            share = plans[i].cost // len(plans[i].requests)
+            extra = cost - idle_cost
+            per = extra // mask.bit_count()
             m = mask
             while m:
                 low = m & -m
                 r = low.bit_length() - 1
-                if share < row[r]:
-                    row[r] = share
+                if per < share[r]:
+                    share[r] = per
                 m ^= low
-    best: dict = {"key": None, "chosen": None, "covered": 0, "objective": None}
+            served.append((extra, c, rank, mask))
 
-    def lower_bound(pos: int, covered: int, cost: int) -> int:
-        lb = cost
-        row = suffix[pos]
-        for r in range(n_req):
-            if not covered & (1 << r):
-                marg = row[r]
-                lb += penalties[r] if marg >= penalties[r] else int(marg)
-        return lb
-
-    chosen: list[int] = []
-
-    def leaf(covered: int, cost: int):
-        objective = cost
-        missed = 0
-        for r in range(n_req):
-            if not covered & (1 << r):
-                objective += penalties[r]
-                missed += 1
-        key = (objective, missed, tuple(chosen))
-        if best["key"] is None or key < best["key"]:
-            best["key"] = key
-            best["chosen"] = tuple(chosen)
-            best["covered"] = covered
-            best["objective"] = objective
-
-    def descend(pos: int, covered: int, cost: int):
-        if pos == len(vehicles):
-            leaf(covered, cost)
-            return
-        if best["key"] is not None and lower_bound(pos, covered, cost) > best["key"][0]:
-            return
-        options = []
-        for i in per_vehicle[pos]:
-            mask = masks[i]
-            if mask is None or (mask and mask & covered):
-                continue  # overlaps already-served requests
-            saved = 0
-            m = mask
-            while m:
-                low = m & -m
-                saved += penalties[low.bit_length() - 1]
-                m ^= low
-            options.append((plans[i].cost - saved, i, mask))
+    # Branches per lowest request bit, best first by cost net of the
+    # penalties they save; class -1 is the miss branch.
+    branches: list[list[tuple]] = [
+        [(0, -1, -1, 1 << r, penalties[r], share[r])] for r in range(n_req)
+    ]
+    for extra, c, rank, mask in served:
+        saved = floor = 0
+        m = mask
+        while m:
+            low = m & -m
+            r = low.bit_length() - 1
+            saved += penalties[r]
+            floor += share[r]
+            m ^= low
+        branches[(mask & -mask).bit_length() - 1].append((extra - saved, c, rank, mask, extra, floor))
+    for options in branches:
         options.sort()
-        for _, i, mask in options:
-            chosen.append(i)
-            descend(pos + 1, covered | mask, cost + plans[i].cost)
-            chosen.pop()
 
-    descend(0, 0, 0)
-    # descend refers to itself, a reference cycle that would keep this
-    # tick's plans alive until the next full collection; break it now.
-    del descend
-    return _assemble(problem, vehicles, best["chosen"], req_ids, best["covered"], best["objective"])
+    # The all-missed leaf is the first incumbent.
+    best_cost = base + sum(penalties)
+    best_mask = full
+    best_path = None
+    best_sel = None
+    # (decided, missed, cost, floor of the undecided, path); a path is a
+    # linked tuple (class, rank, parent) of the plans chosen so far.
+    stack = [(0, 0, base, sum(share), None)]
+    while stack:
+        decided, missed, cost, rest, path = stack.pop()
+        if cost + rest > best_cost:
+            continue
+        if decided == full:
+            n_missed, best_missed = missed.bit_count(), best_mask.bit_count()
+            if cost == best_cost and n_missed == best_missed:
+                sel = _selection(path, idle, idle_rank, members, per_vehicle)
+                if best_sel is None:
+                    best_sel = _selection(best_path, idle, idle_rank, members, per_vehicle)
+                if sel < best_sel:
+                    best_mask, best_path, best_sel = missed, path, sel
+            elif cost < best_cost or n_missed < best_missed:
+                best_cost, best_mask, best_path, best_sel = cost, missed, path, None
+            continue
+        taken: dict[int, int] = {}
+        node = path
+        while node is not None:
+            taken[node[0]] = taken.get(node[0], 0) + 1
+            node = node[2]
+        children = []
+        for _, c, rank, mask, extra, floor in branches[(~decided & (decided + 1)).bit_length() - 1]:
+            if mask & decided or cost + extra + rest - floor > best_cost:
+                continue
+            if c < 0:
+                children.append((decided | mask, missed | mask, cost + extra, rest - floor, path))
+            elif taken.get(c, 0) < len(members[c]):
+                children.append((decided | mask, missed, cost + extra, rest - floor, (c, rank, path)))
+        children.reverse()
+        stack += children
+
+    if best_sel is None:
+        best_sel = _selection(best_path, idle, idle_rank, members, per_vehicle)
+    return _assemble(problem, vehicles, best_sel, req_ids, full & ~best_mask, best_cost)
 
 
 def brute_force_dispatch(problem: DispatchProblem, guard: int = 10**6) -> DispatchSolution:
     """Testing oracle: try every one-plan-per-vehicle selection outright."""
-    req_ids, bit_of, vehicles, per_vehicle, masks, penalties = _prepare(problem)
+    req_ids, vehicles, per_vehicle, masks, penalties = _prepare(problem)
     plans = problem.plan_set.plans
     combos = 1
     for indices in per_vehicle:

@@ -78,8 +78,15 @@ def random_costing_instance(rng):
     return shuttle, new_requests, network
 
 
-def random_dispatch_problem(rng, max_vehicles=4, max_requests=8, max_cap=3, max_combos=120_000):
-    """Random dispatch instance sized so the brute-force oracle stays tractable."""
+def random_dispatch_problem(rng, max_vehicles=4, max_requests=8, max_cap=3, max_combos=120_000,
+                            twins=False):
+    """Random dispatch instance sized so the brute-force oracle stays tractable.
+
+    With ``twins``, about half the shuttles after the first copy the state
+    of an earlier one under a new id (committed work renamed alike).
+    """
+    from dataclasses import replace
+
     from odshuttle.enumeration import enumerate_plans
     from odshuttle.solver import DispatchProblem
 
@@ -108,6 +115,14 @@ def random_dispatch_problem(rng, max_vehicles=4, max_requests=8, max_cap=3, max_
                                     request_time=rng.randint(0, 100)))
     shuttles = []
     for i in range(n_vehicles):
+        if twins and shuttles and rng.random() < 0.5:
+            twin = rng.choice(shuttles)
+            shuttles.append(replace(
+                twin, id=f"v{i:02d}",
+                pending_pickups={replace(r, id=f"cv{i}") for r in twin.pending_pickups},
+                pending_dropoffs={replace(r, id=f"cv{i}") for r in twin.pending_dropoffs},
+            ))
+            continue
         pending_pickups = set()
         pending_dropoffs = set()
         if rng.random() < 0.4:

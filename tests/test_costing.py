@@ -343,17 +343,23 @@ def test_bound_keeps_lexicographic_tie_on_ceiled_detour():
 # -- lookup errors ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shuttle_at, requests", [
-    pytest.param("B", [("r1", "A", "B")], id="pickup-unreachable-from-shuttle"),
-    pytest.param("A", [("r1", "B", "A"), ("r2", "C", "A")], id="pickups-unreachable-between"),
+@pytest.mark.parametrize("shuttle_at, requests, aboard", [
+    pytest.param("B", [("r1", "A", "B")], [], id="pickup-unreachable-from-shuttle"),
+    pytest.param("A", [("r1", "B", "A"), ("r2", "C", "A")], [], id="pickups-unreachable-between"),
+    pytest.param("A", [("r1", "B", "C")], [], id="dropoff-unreachable-from-pickup"),
+    pytest.param("B", [], [("o1", "A", "C")], id="dropoff-unreachable-from-shuttle"),
 ])
-def test_unreachable_stop_raises(shuttle_at, requests):
+def test_unreachable_stop_raises(shuttle_at, requests, aboard):
     # One-way spokes out of A: nothing leads back, and B and C do not connect.
     stops = [Stop("A", 0, 0), Stop("B", 1, 0), Stop("C", 2, 0)]
     net = TravelNetwork.graph(stops, [("A", "B", 5), ("A", "C", 7)])
     rs = {req(rid, pickup, dropoff) for rid, pickup, dropoff in requests}
+    riders = {req(rid, pickup, dropoff) for rid, pickup, dropoff in aboard}
+    shuttle = idle(stop=shuttle_at, pending_dropoffs=riders)
     with pytest.raises(UnreachableStopError):
-        optimal_sequence(idle(stop=shuttle_at), rs, net)
+        exhaustive_best_sequence(shuttle, rs, net)
+    with pytest.raises(UnreachableStopError):
+        optimal_sequence(shuttle, rs, net)
 
 
 @pytest.mark.parametrize("shuttle_at, pickup, dropoff", [

@@ -9,7 +9,7 @@ from odshuttle.network import TravelNetwork
 from odshuttle.solver import DispatchProblem, brute_force_dispatch, check_solution, solve_dispatch
 from odshuttle.types import AssignmentPlan, DispatchSolution, ShuttleState, Stop, TripRequest
 
-from conftest import random_dispatch_problem
+from conftest import make_grid_network, random_dispatch_problem
 
 
 def simple_problem(plan_cost=50, penalty=1000, line_network=None):
@@ -95,6 +95,81 @@ def test_matches_brute_force_on_random_instances():
         assert fast.missed == brute.missed
         assert {v: p.request_ids for v, p in fast.selected.items()} == \
                {v: p.request_ids for v, p in brute.selected.items()}
+
+
+def reversed_plans(problem):
+    """The same program with each vehicle's plans listed last to first."""
+    plans, per_vehicle = [], {}
+    for v in sorted(problem.plan_set.per_vehicle):
+        own = problem.plan_set.vehicle_plans(v)[::-1]
+        per_vehicle[v] = tuple(range(len(plans), len(plans) + len(own)))
+        plans += own
+    plan_set = PlanSet(plans=plans, max_new_requests=problem.plan_set.max_new_requests,
+                       per_vehicle=per_vehicle)
+    return DispatchProblem(requests=problem.requests, plan_set=plan_set,
+                           miss_penalty=problem.miss_penalty)
+
+
+@pytest.mark.parametrize("empty_plan_last", [False, True])
+def test_matches_brute_force_with_identical_shuttles(empty_plan_last):
+    # Twins share a vehicle class in the search; the oracle knows no classes.
+    # With the empty plan ranked last, a class's chosen plans rank below it
+    # and go to its lowest-id members instead.
+    rng = random.Random(2024)
+    classed = 0
+    for _ in range(300):
+        problem = random_dispatch_problem(rng, max_vehicles=5, twins=True)
+        if empty_plan_last:
+            problem = reversed_plans(problem)
+        fast = solve_dispatch(problem)
+        brute = brute_force_dispatch(problem)
+        assert fast.objective == brute.objective
+        assert fast.missed == brute.missed
+        assert fast.selected == brute.selected
+        assert check_solution(problem, fast) == []
+        lists = [tuple((p.request_ids, p.cost) for p in problem.plan_set.vehicle_plans(v))
+                 for v in problem.plan_set.per_vehicle]
+        classed += len(set(lists)) < len(lists)
+    assert classed > 100
+
+
+def test_identical_idle_shuttles_serve_from_highest_id(line_network):
+    shuttles = [ShuttleState(id=f"v{i}", heading_stop="A", arrival_time=0, capacity=4)
+                for i in range(3)]
+    r = TripRequest(id="r00", pickup="B", dropoff="C", request_time=0)
+    problem = DispatchProblem(requests=(r,), plan_set=enumerate_plans(shuttles, [r], 1, line_network))
+    solution = solve_dispatch(problem)
+    assert {v: p.request_ids for v, p in solution.selected.items()} == \
+           {"v0": (), "v1": (), "v2": ("r00",)}
+    assert solution.selected == brute_force_dispatch(problem).selected
+
+
+def test_thousand_identical_shuttles_solve_like_eight():
+    # Only eight shuttles can serve eight requests, so the optimum is that
+    # of the eight-shuttle fleet; the search depth stays eight.
+    rng = random.Random(31)
+    network = make_grid_network(rng, 8)
+    ids = network.stop_ids()
+    requests = [TripRequest(id=f"r{i}", pickup=ids[i], dropoff=ids[(i + 3) % 8],
+                            request_time=rng.randint(0, 100)) for i in range(8)]
+    shuttles = [ShuttleState(id=f"v{i:04d}", heading_stop=ids[0], arrival_time=0, capacity=3)
+                for i in range(8)]
+    small = DispatchProblem(requests=tuple(requests),
+                            plan_set=enumerate_plans(shuttles, requests, 3, network),
+                            miss_penalty={r.id: 1200 for r in requests})
+    template = small.plan_set.vehicle_plans("v0000")
+    plans, per_vehicle = [], {}
+    for i in range(1000):
+        per_vehicle[f"v{i:04d}"] = tuple(range(len(plans), len(plans) + len(template)))
+        plans += [replace(p, vehicle=f"v{i:04d}") for p in template]
+    large = DispatchProblem(requests=small.requests,
+                            plan_set=PlanSet(plans=plans, max_new_requests=3,
+                                             per_vehicle=per_vehicle),
+                            miss_penalty=small.miss_penalty)
+    solution = solve_dispatch(large)
+    assert check_solution(large, solution) == []
+    assert solution.objective == solve_dispatch(small).objective
+    assert sum(1 for p in solution.selected.values() if p.requests) <= 8
 
 
 def test_objective_never_exceeds_missing_everything():
