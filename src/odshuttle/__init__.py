@@ -1,12 +1,6 @@
 """On-demand shuttle dispatch engine and rolling-horizon simulator."""
 
-from .costing import (
-    TravelSearchNode,
-    create_root_node,
-    extend_node,
-    get_possible_next_stops,
-    optimal_sequence,
-)
+from .costing import optimal_sequence
 from .demand import DemandProfile, generate_demand
 from .enumeration import PlanSet, enumerate_plans
 from .network import Region, TravelNetwork, TripType, classify_trip
@@ -47,7 +41,6 @@ __all__ = [
     "StopId",
     "SummaryStats",
     "TravelNetwork",
-    "TravelSearchNode",
     "TripRecord",
     "TripRequest",
     "TripType",
@@ -56,11 +49,8 @@ __all__ = [
     "classify_trip",
     "compare",
     "cost_reduction",
-    "create_root_node",
     "enumerate_plans",
-    "extend_node",
     "generate_demand",
-    "get_possible_next_stops",
     "min_fleet_fixed_routes",
     "optimal_sequence",
     "run_baseline",

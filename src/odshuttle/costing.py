@@ -3,7 +3,11 @@
 Given a shuttle's committed work and a set of newly assigned requests,
 this module finds the stop sequence minimizing total passenger waiting
 (seconds between a request being placed and its pickup) via depth-first
-branch and bound.  Search state is a :class:`TravelSearchNode`.
+branch and bound.  The search state is packed straight from the
+:class:`ShuttleState`: stops are network indices, the outstanding
+pickups and drop-offs are bitmasks over the requests, and travel times
+are read from the network's per-stop rows, which keeps per-node cost low
+enough for the simulator's per-tick fan-out.
 
 A branch is cut when its waiting so far plus a lower bound on the
 waiting still to come exceeds the incumbent.  The bound charges each
@@ -22,8 +26,8 @@ tie-break below holds.
 
 Two behaviors beyond the basic search:
 
-* Capacity is tracked per node.  At a stop, alighting happens before
-  boarding; an extension that would leave more passengers aboard than
+* Capacity is tracked per search state.  At a stop, alighting happens
+  before boarding; a visit that would leave more passengers aboard than
   seats is infeasible.  If no sequence survives, the assignment itself
   is infeasible.
 * Once every pickup is done, all remaining drop-off orders cost the
@@ -39,112 +43,10 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import CapacityExceededError, UnknownStopError, UnreachableStopError
+from .errors import UnknownStopError, UnreachableStopError
 from .network import TravelNetwork
-from .types import ShuttleState, StopId, TripRequest
-
-
-@dataclass(frozen=True)
-class TravelSearchNode:
-    """One state of the sequencing search.
-
-    ``stop``/``time`` say where and when the shuttle is;
-    ``awaiting_pickup`` and ``awaiting_dropoff`` are the outstanding
-    request sets, and ``waiting`` the seconds of passenger waiting
-    accumulated so far.  ``onboard``/``capacity`` track seat usage and
-    ``path`` records the stops chosen on the way to this node.
-    """
-
-    stop: StopId
-    time: int
-    awaiting_pickup: frozenset[TripRequest]
-    awaiting_dropoff: frozenset[TripRequest]
-    waiting: int
-    onboard: int
-    capacity: int
-    path: tuple[StopId, ...] = ()
-
-    def is_terminal(self) -> bool:
-        return not self.awaiting_pickup and not self.awaiting_dropoff
-
-
-def create_root_node(v: ShuttleState, new_requests) -> TravelSearchNode:
-    """Root of the search: the shuttle's committed state plus the new requests."""
-    new = frozenset(new_requests)
-    already = v.pending_pickups | v.pending_dropoffs
-    overlap = new & already
-    if overlap:
-        ids = ", ".join(sorted(r.id for r in overlap))
-        raise ValueError(f"requests already committed to shuttle {v.id}: {ids}")
-    return TravelSearchNode(
-        stop=v.heading_stop,
-        time=v.arrival_time,
-        awaiting_pickup=v.pending_pickups | new,
-        awaiting_dropoff=v.pending_dropoffs,
-        waiting=0,
-        onboard=v.onboard,
-        capacity=v.capacity,
-    )
-
-
-def _stop_actions(node: TravelSearchNode, stop: StopId):
-    picked = [r for r in node.awaiting_pickup if r.pickup == stop]
-    dropped = [r for r in node.awaiting_dropoff if r.dropoff == stop]
-    return picked, dropped
-
-
-def get_possible_next_stops(node: TravelSearchNode) -> set[StopId]:
-    """Deduplicated pickup/drop-off stops still owed, minus capacity-infeasible ones.
-
-    Empty exactly when the node is terminal or a dead end (the caller
-    distinguishes the two via :meth:`TravelSearchNode.is_terminal`).
-    """
-    candidates = {r.pickup for r in node.awaiting_pickup}
-    candidates |= {r.dropoff for r in node.awaiting_dropoff}
-    feasible = set()
-    for stop in candidates:
-        picked, dropped = _stop_actions(node, stop)
-        after = node.onboard - sum(r.passengers for r in dropped) + sum(r.passengers for r in picked)
-        if after <= node.capacity:
-            feasible.add(stop)
-    return feasible
-
-
-def extend_node(node: TravelSearchNode, stop: StopId, network: TravelNetwork,
-                per_passenger: bool = False) -> TravelSearchNode:
-    """Advance to ``stop``, applying every pickup and drop-off due there.
-
-    Each pickup of request r adds ``max(0, arrival - request_time)``
-    waiting (scaled by party size when ``per_passenger``); if the
-    shuttle beats the request time (a future-dated carry-over), it
-    idles at the stop until the passenger shows up.
-    """
-    picked, dropped = _stop_actions(node, stop)
-    if not picked and not dropped:
-        raise ValueError(f"stop {stop} has no pending action for this node")
-    arrival = node.time + network.travel_time(node.stop, stop)
-    onboard = node.onboard - sum(r.passengers for r in dropped) + sum(r.passengers for r in picked)
-    if onboard > node.capacity:
-        raise CapacityExceededError(
-            f"visiting {stop} would load {onboard} > capacity {node.capacity}"
-        )
-    waiting = node.waiting
-    depart = arrival
-    for r in picked:
-        waiting += max(0, arrival - r.request_time) * (r.passengers if per_passenger else 1)
-        depart = max(depart, r.request_time)
-    return TravelSearchNode(
-        stop=stop,
-        time=depart,
-        awaiting_pickup=node.awaiting_pickup - frozenset(picked),
-        awaiting_dropoff=(node.awaiting_dropoff - frozenset(dropped)) | frozenset(picked),
-        waiting=waiting,
-        onboard=onboard,
-        capacity=node.capacity,
-        path=node.path + (stop,),
-    )
+from .types import ShuttleState, StopId
 
 
 def optimal_sequence(
@@ -156,24 +58,15 @@ def optimal_sequence(
     capacity-respecting sequence exists.  The sequence starts after the
     shuttle's current heading stop (a first element equal to it means
     "act there on arrival").  ``per_passenger`` weights each request's
-    waiting by its party size.
+    waiting by its party size.  A new request already committed to the
+    shuttle is a ``ValueError``.
     """
-    root = create_root_node(v, new_requests)
-    return _search(root, network, per_passenger)
-
-
-# -- search engine ---------------------------------------------------------
-#
-# The dataclass node above is the contract surface; the inner loop runs on
-# packed tuples with stops as network indices, request sets as bitmasks
-# and travel times read straight from the network's rows, which keeps
-# per-node cost low enough for the simulator's per-tick fan-out.
-# Transitions mirror extend_node exactly.
-
-
-def _search(root: TravelSearchNode, network: TravelNetwork, per_passenger: bool = False):
-    pickups, dropoffs = root.awaiting_pickup, root.awaiting_dropoff
-    if not pickups and not dropoffs:
+    new = frozenset(new_requests)
+    if not (new.isdisjoint(v.pending_pickups) and new.isdisjoint(v.pending_dropoffs)):
+        overlap = ", ".join(sorted(r.id for r in new
+                                   if r in v.pending_pickups or r in v.pending_dropoffs))
+        raise ValueError(f"requests already committed to shuttle {v.id}: {overlap}")
+    if not (v.pending_pickups or new or v.pending_dropoffs):
         return 0, ()
     index = network.index
     ids = network.ids
@@ -184,21 +77,24 @@ def _search(root: TravelSearchNode, network: TravelNetwork, per_passenger: bool 
     pax: list[int] = []
     weight: list[int] = []
     at: dict[int, list[int]] = {}  # stop -> [pick bits, drop bits] due there
+    onboard = 0
     try:
-        start = index[root.stop]
+        start = index[v.heading_stop]
         bit = 1
-        for r in pickups:
-            p = index[r.pickup]
-            pick_stop.append(p)
-            due.append(r.request_time)
-            pax.append(r.passengers)
-            weight.append(r.passengers if per_passenger else 1)
-            at.setdefault(p, [0, 0])[0] |= bit
-            at.setdefault(index[r.dropoff], [0, 0])[1] |= bit
-            bit <<= 1
+        for pickups in (v.pending_pickups, new):
+            for r in pickups:
+                p = index[r.pickup]
+                pick_stop.append(p)
+                due.append(r.request_time)
+                pax.append(r.passengers)
+                weight.append(r.passengers if per_passenger else 1)
+                at.setdefault(p, [0, 0])[0] |= bit
+                at.setdefault(index[r.dropoff], [0, 0])[1] |= bit
+                bit <<= 1
         root_pick = bit - 1
-        for r in dropoffs:
+        for r in v.pending_dropoffs:
             pax.append(r.passengers)
+            onboard += r.passengers
             at.setdefault(index[r.dropoff], [0, 0])[1] |= bit
             bit <<= 1
         root_drop = bit - 1 - root_pick
@@ -206,7 +102,7 @@ def _search(root: TravelSearchNode, network: TravelNetwork, per_passenger: bool 
         raise UnknownStopError(err.args[0]) from None
     # Involved stops ascending, so drop-off tails come out sorted.
     stops = [(s, bits[0], bits[1], network.row(s)) for s, bits in sorted(at.items())]
-    capacity = root.capacity
+    capacity = v.capacity
     best_w = math.inf
     best_seq: tuple[int, ...] | None = None
 
@@ -215,8 +111,8 @@ def _search(root: TravelSearchNode, network: TravelNetwork, per_passenger: bool 
         stack = []
     else:
         # (bound, stop, row, time, pick_mask, drop_mask, waiting, onboard, path)
-        stack = [(0, start, network.row(start), root.time, root_pick, root_drop, 0,
-                  root.onboard, ())]
+        stack = [(0, start, network.row(start), v.arrival_time, root_pick, root_drop, 0,
+                  onboard, ())]
     while stack:
         bound, stop, row, now, pick_mask, drop_mask, waiting, onboard, path = stack.pop()
         if bound > best_w:

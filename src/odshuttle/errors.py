@@ -30,9 +30,5 @@ class UnreachableStopError(OdshuttleError):
     """No path exists between two stops in graph mode."""
 
 
-class CapacityExceededError(OdshuttleError):
-    """Extending a travel search node would overload the shuttle."""
-
-
 class InstanceTooLargeError(OdshuttleError):
     """Enumeration or brute-force guard limit exceeded."""

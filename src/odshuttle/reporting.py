@@ -1,7 +1,6 @@
 """Aggregation of trip records into comparison metrics.
 
-Summaries cover completed trips only; abandoned trips show up as counts
-(optionally imputed at a fixed trip time via ``impute_abandoned``).
+Summaries cover completed trips only; abandoned trips show up as counts.
 Percentiles use the nearest-rank rule on sorted values, which keeps
 integer-second inputs integer.  Time bins key on the request time.
 """
@@ -40,13 +39,9 @@ def nearest_rank(sorted_values, fraction: float):
     return sorted_values[int(rank) - 1]
 
 
-def summarize(records, bin_seconds: int = 900, utilization: float | None = None,
-              impute_abandoned: int | None = None) -> SummaryStats:
-    """Aggregate trip records; ``bin_seconds`` must be at least 60.
-
-    ``impute_abandoned`` counts each abandoned trip into the time means
-    at the given trip time instead of excluding it.
-    """
+def summarize(records, bin_seconds: int = 900,
+              utilization: float | None = None) -> SummaryStats:
+    """Aggregate trip records; ``bin_seconds`` must be at least 60."""
     if bin_seconds < 60:
         raise ValueError("bin_seconds must be >= 60")
     completed = [r for r in records if r.status == "completed"]
@@ -58,14 +53,6 @@ def summarize(records, bin_seconds: int = 900, utilization: float | None = None,
     bins: dict[int, list[int]] = {}
     for r in completed:
         bins.setdefault((r.request_time // bin_seconds) * bin_seconds, []).append(r.trip_time)
-    if impute_abandoned is not None:
-        for r in records:
-            if r.status == "abandoned":
-                trips.append(impute_abandoned)
-                bins.setdefault((r.request_time // bin_seconds) * bin_seconds, []).append(
-                    impute_abandoned
-                )
-        trips.sort()
 
     def mean(values):
         return sum(values) / len(values) if values else 0.0

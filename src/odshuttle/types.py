@@ -37,8 +37,9 @@ class Stop:
 class TripRequest:
     """A passenger demand: travel from ``pickup`` to ``dropoff``.
 
-    ``passengers`` defaults to 1; waiting costs are accumulated per
-    request, not per passenger.
+    ``passengers`` defaults to 1.  Waiting costs are accumulated per
+    request unless the scenario sets ``waiting_per_passenger``, which
+    weights each request's waiting by its party size.
     """
 
     id: str

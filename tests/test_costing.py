@@ -2,14 +2,9 @@ import random
 
 import pytest
 
-from odshuttle.costing import (
-    create_root_node,
-    extend_node,
-    get_possible_next_stops,
-    optimal_sequence,
-)
+from odshuttle.costing import optimal_sequence
 from odshuttle.enumeration import enumerate_plans
-from odshuttle.errors import CapacityExceededError, UnknownStopError, UnreachableStopError
+from odshuttle.errors import UnknownStopError, UnreachableStopError
 from odshuttle.network import TravelNetwork
 from odshuttle.types import ShuttleState, Stop, TripRequest
 
@@ -45,8 +40,8 @@ def test_single_request_cost_is_pickup_wait(line_network):
 
 def test_two_requests_sharing_pickup_stop(line_network):
     rs = {req("r1", "B", "C"), req("r2", "B", "D")}
-    # Both board at t=40: waiting 40 + 40.
-    assert optimal_sequence(idle(), rs, line_network)[0] == 80
+    # Both board at t=40 on one visit to B: waiting 40 + 40.
+    assert optimal_sequence(idle(), rs, line_network) == (80, ("B", "C", "D"))
 
 
 def test_marginal_cost_subtracts_committed_waiting(line_network):
@@ -90,132 +85,38 @@ def test_infeasible_when_capacity_cannot_hold_shared_pickup(line_network):
 
 
 def test_feasible_with_distinct_pickups_at_capacity_one(line_network):
-    # pick r1, drop r1, pick r2, drop r2 keeps one seat enough.
+    # pick r1, drop r1, pick r2, drop r2 keeps one seat enough: at C r1
+    # alights and r2 boards on the same visit (waiting 40 + 80).
     rs = {req("r1", "B", "C"), req("r2", "C", "D")}
-    assert optimal_sequence(idle(capacity=1), rs, line_network) is not None
+    assert optimal_sequence(idle(capacity=1), rs, line_network) == (120, ("B", "C", "D"))
 
 
-# -- node operations -----------------------------------------------------------
+# -- search state --------------------------------------------------------------
 
 
-def test_create_root_node_mirrors_shuttle_state(line_network):
-    committed = req("p1", "B", "C")
-    riding = req("o1", "A", "D")
-    v = ShuttleState(id="v1", heading_stop="B", arrival_time=17, capacity=4,
-                     pending_pickups={committed}, pending_dropoffs={riding})
-    new = req("r1", "C", "A")
-    root = create_root_node(v, {new})
-    assert root.stop == "B"
-    assert root.time == 17
-    assert root.awaiting_pickup == {committed, new}
-    assert root.awaiting_dropoff == {riding}
-    assert root.waiting == 0
-    assert root.onboard == 1
-    assert root.path == ()
-
-
-def test_create_root_terminal_when_no_work():
-    root = create_root_node(idle(), frozenset())
-    assert root.is_terminal()
-    assert get_possible_next_stops(root) == set()
-
-
-def test_create_root_rejects_already_committed(line_network):
+def test_rejects_request_already_committed(line_network):
     r = req("r1", "B", "C")
     v = idle(pending_pickups={r})
-    with pytest.raises(ValueError):
-        create_root_node(v, {r})
+    with pytest.raises(ValueError, match=r"shuttle v1: r1$"):
+        optimal_sequence(v, {r, req("r2", "C", "D")}, line_network)
 
 
-def test_possible_stops_deduplicate_shared_pickup():
-    root = create_root_node(idle(), {req("r1", "B", "C"), req("r2", "B", "D")})
-    assert get_possible_next_stops(root) == {"B"}
+def test_rider_aboard_only_needs_dropoff(line_network):
+    v = idle(pending_dropoffs={req("o1", "A", "D")})
+    assert optimal_sequence(v, frozenset(), line_network) == (0, ("D",))
 
 
-def test_possible_stops_dropoff_only():
-    v = idle(pending_dropoffs={req("o1", "C", "D")})
-    root = create_root_node(v, frozenset())
-    assert get_possible_next_stops(root) == {"D"}
-
-
-def test_possible_stops_exclude_capacity_violations():
-    v = idle(capacity=1)
-    root = create_root_node(v, {req("r1", "B", "C"), req("r2", "B", "D"), req("r3", "C", "A")})
-    # B would board two passengers at once; only C survives.
-    assert get_possible_next_stops(root) == {"C"}
-
-
-def test_extend_accumulates_pickup_waiting(line_network):
-    # Arrival at 100 for a request placed at 40: waiting grows by 60.
-    v = ShuttleState(id="v1", heading_stop="A", arrival_time=60, capacity=4)
-    root = create_root_node(v, {req("r1", "B", "C", t=40)})
-    child = extend_node(root, "B", line_network)
-    assert child.time == 100
-    assert child.waiting == 60
-    assert child.awaiting_pickup == frozenset()
-    assert {r.id for r in child.awaiting_dropoff} == {"r1"}
-    assert child.onboard == 1
-    assert child.path == ("B",)
-
-
-def test_extend_dropoff_leaves_waiting_unchanged(line_network):
-    v = idle(pending_dropoffs={req("o1", "A", "C")})
-    root = create_root_node(v, frozenset())
-    child = extend_node(root, "C", line_network)
-    assert child.waiting == 0
-    assert child.is_terminal()
-    assert child.onboard == 0
-
-
-def test_extend_applies_pickup_and_unrelated_dropoff_together(line_network):
-    rider = req("o1", "A", "B")
-    v = idle(pending_dropoffs={rider})
-    boarder = req("r1", "B", "D", t=0)
-    root = create_root_node(v, {boarder})
-    child = extend_node(root, "B", line_network)
-    # One extension applies both changes, same as doing them by hand.
-    assert child.awaiting_dropoff == {boarder}
-    assert child.waiting == 40
-    assert child.onboard == 1
-
-
-def test_extend_waits_for_future_dated_request(line_network):
-    v = idle()
-    root = create_root_node(v, {req("r1", "B", "C", t=500)})
-    child = extend_node(root, "B", line_network)
-    # Shuttle arrives at 40, passenger shows at 500: no negative waiting.
-    assert child.waiting == 0
-    assert child.time == 500
-
-
-def test_extend_rejects_capacity_overflow(line_network):
-    v = idle(capacity=1)
-    root = create_root_node(v, {req("r1", "B", "C"), req("r2", "B", "D")})
-    with pytest.raises(CapacityExceededError):
-        extend_node(root, "B", line_network)
-
-
-def test_extend_rejects_actionless_stop(line_network):
-    root = create_root_node(idle(), {req("r1", "B", "C")})
-    with pytest.raises(ValueError):
-        extend_node(root, "D", line_network)
+def test_future_dated_pickup_idles_shuttle(line_network):
+    # The shuttle reaches B at 40 and idles until r1 shows at 500, so r1
+    # waits 0; it then leaves B at 500 and reaches C at 540, 30 s after
+    # r2 was placed.  Visiting C first would cost r1 50 s instead.
+    rs = {req("r1", "B", "C", t=500), req("r2", "C", "D", t=510)}
+    assert optimal_sequence(idle(), rs, line_network) == (30, ("B", "C", "D"))
+    assert optimal_sequence(idle(), rs, line_network) == exhaustive_best_sequence(
+        idle(), rs, line_network)
 
 
 # -- properties ----------------------------------------------------------------
-
-
-def test_waiting_non_decreasing_along_any_path(line_network):
-    rng = random.Random(99)
-    for _ in range(100):
-        shuttle, new, network = random_costing_instance(rng)
-        node = create_root_node(shuttle, new)
-        while True:
-            stops = sorted(get_possible_next_stops(node))
-            if not stops:
-                break
-            child = extend_node(node, rng.choice(stops), network)
-            assert child.waiting >= node.waiting
-            node = child
 
 
 def test_matches_exhaustive_oracle_on_random_instances():

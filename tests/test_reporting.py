@@ -60,13 +60,11 @@ def test_bins_key_on_request_time_and_skip_empty():
     assert s.bin_mean_trip[1800] == 600.0
 
 
-def test_abandoned_excluded_unless_imputed():
+def test_abandoned_excluded_from_time_means():
     records = [completed("a", 0, 10, 100),
                TripRecord(id="b", request_time=0, status="abandoned")]
     s = summarize(records)
     assert s.mean_trip == 100.0 and s.abandoned == 1
-    imputed = summarize(records, impute_abandoned=1800)
-    assert imputed.mean_trip == (100 + 1800) / 2
 
 
 def test_bin_floor_rejected():
