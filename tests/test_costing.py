@@ -116,6 +116,69 @@ def test_future_dated_pickup_idles_shuttle(line_network):
         idle(), rs, line_network)
 
 
+def test_create_root_terminal_when_no_work(line_network):
+    # Nothing committed, nothing new: no stop to visit, wherever the shuttle is.
+    v = idle(stop="C", t=300)
+    assert optimal_sequence(v, frozenset(), line_network) == (0, ())
+    assert optimal_sequence(v, frozenset(), line_network, per_passenger=True) == (0, ())
+    plans = enumerate_plans([v], [], 1, line_network)
+    assert [(p.cost, p.sequence) for p in plans.plans] == [(0, ())]
+
+
+def test_possible_stops_deduplicate_shared_pickup(line_network):
+    rs = {req("r1", "B", "C"), req("r2", "B", "D")}
+    cost, sequence = optimal_sequence(idle(), rs, line_network)
+    # One visit to B boards both requests.
+    assert sequence.count("B") == 1
+    assert (cost, sequence) == (80, ("B", "C", "D"))
+
+
+def test_possible_stops_dropoff_only(line_network):
+    v = idle(pending_dropoffs={req("o1", "C", "D")})
+    assert optimal_sequence(v, frozenset(), line_network) == (0, ("D",))
+
+
+def test_possible_stops_exclude_capacity_violations(line_network):
+    # With o1 aboard, B would board two more into two seats: the shuttle
+    # must first drop o1 at C (arriving at B at 120, so 120 + 120 waiting).
+    rs = {req("r1", "B", "C"), req("r2", "B", "D")}
+    riding = {req("o1", "A", "C")}
+    cramped = idle(capacity=2, pending_dropoffs=riding)
+    assert optimal_sequence(cramped, rs, line_network) == (240, ("C", "B", "C", "D"))
+    assert optimal_sequence(cramped, rs, line_network) == exhaustive_best_sequence(
+        cramped, rs, line_network)
+    # One more seat lets B come first.
+    roomy = idle(capacity=3, pending_dropoffs=riding)
+    assert optimal_sequence(roomy, rs, line_network) == (80, ("B", "C", "D"))
+
+
+def test_extend_accumulates_pickup_waiting(line_network):
+    # Arrival at B at 60 + 40 = 100 for a request placed at 40: waiting 60.
+    v = ShuttleState(id="v1", heading_stop="A", arrival_time=60, capacity=4)
+    assert optimal_sequence(v, {req("r1", "B", "C", t=40)}, line_network) == (60, ("B", "C"))
+
+
+def test_extend_dropoff_leaves_waiting_unchanged(line_network):
+    # Reaching C at 80 to let o1 off adds no waiting, weighted or not.
+    v = idle(pending_dropoffs={req("o1", "A", "C")})
+    assert optimal_sequence(v, frozenset(), line_network) == (0, ("C",))
+    assert optimal_sequence(v, frozenset(), line_network, per_passenger=True) == (0, ("C",))
+
+
+def test_extend_applies_pickup_and_unrelated_dropoff_together(line_network):
+    # One seat: o1 alights at B and r1 boards on the same visit.
+    v = idle(capacity=1, pending_dropoffs={req("o1", "A", "B")})
+    assert optimal_sequence(v, {req("r1", "B", "D")}, line_network) == (40, ("B", "D"))
+
+
+def test_extend_rejects_capacity_overflow(line_network):
+    # Two boarding at B into one seat, or a party of two into one seat.
+    shared = {req("r1", "B", "C"), req("r2", "B", "D")}
+    assert optimal_sequence(idle(capacity=1), shared, line_network) is None
+    party = {req("r1", "B", "C", pax=2)}
+    assert optimal_sequence(idle(capacity=1), party, line_network) is None
+
+
 # -- properties ----------------------------------------------------------------
 
 
