@@ -15,7 +15,7 @@ from .simulator import (
     run_scenario,
     sweep_fleet_sizes,
 )
-from .solver import DispatchProblem, brute_force_dispatch, check_solution, solve_dispatch
+from .solver import DispatchProblem, check_solution, solve_dispatch
 from .types import (
     AssignmentPlan,
     DispatchSolution,
@@ -44,7 +44,6 @@ __all__ = [
     "TripRecord",
     "TripRequest",
     "TripType",
-    "brute_force_dispatch",
     "check_solution",
     "classify_trip",
     "compare",

@@ -32,7 +32,6 @@ class PlanSet:
     """All candidate plans for one dispatch interval, indexed by vehicle."""
 
     plans: tuple[AssignmentPlan, ...]
-    max_new_requests: int
     per_vehicle: dict[str, tuple[int, ...]]
 
     def __post_init__(self):
@@ -116,6 +115,4 @@ def enumerate_plans(
                     )
                 )
         per_vehicle[v.id] = tuple(indices)
-    return PlanSet(
-        plans=tuple(plans), max_new_requests=max_new_requests, per_vehicle=per_vehicle
-    )
+    return PlanSet(plans=tuple(plans), per_vehicle=per_vehicle)

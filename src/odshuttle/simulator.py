@@ -1,9 +1,24 @@
 """Rolling-horizon shuttle service simulation and fixed-route baseline.
 
-The on-demand side is a deterministic discrete-event loop: requests
-arrive, a dispatch pass runs at a fixed cadence (30 s by default) over
-the queue of not-yet-committed requests plus every shuttle's committed
-state, and selected plans hand each shuttle a fresh stop sequence.
+The on-demand side is a deterministic loop over dispatch ticks, one
+every ``dispatch_interval`` seconds (30 s by default) up to the horizon.
+At each tick ``now`` it does three things, in this order:
+
+1. every shuttle arrival due at or before ``now`` is handled at its own
+   time (riders alight and board, the shuttle starts its next leg);
+2. every request placed at or before ``now`` joins the queue of
+   not-yet-committed requests;
+3. one dispatch pass runs over that queue plus every shuttle's
+   committed state, and selected plans hand each shuttle a fresh stop
+   sequence.
+
+So a shuttle arriving exactly at a tick is at its stop for that pass,
+and a request placed exactly at a tick is dispatched by it.  While the
+queue is empty the loop jumps straight to the first tick at or after the
+next request: a pass over an empty queue does nothing.  Arrivals after
+the last tick are still handled up to the horizon; requests placed after
+it stay pending.
+
 Requests missed in an interval stay queued for the next one; requests
 queued beyond ``max_defer`` are abandoned.  Once a request enters a
 selected plan it belongs to that shuttle for good -- later passes may
@@ -24,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .demand import DemandProfile, generate_demand
@@ -33,43 +49,6 @@ from .network import Region, TravelNetwork, TripType, classify_trip
 from .reporting import SummaryStats, summarize
 from .solver import DispatchProblem, solve_dispatch
 from .types import ShuttleState, StopId, TripRequest
-
-ARRIVE, REQUEST, TICK = 0, 1, 2  # same-time event ordering
-
-
-@dataclass(frozen=True)
-class Event:
-    """One queue entry; total order is (time, kind priority, insertion id)."""
-
-    time: int
-    priority: int
-    seq: int
-    kind: str
-    subject: str = ""
-
-    def sort_key(self):
-        return (self.time, self.priority, self.seq)
-
-
-class EventQueue:
-    """Min-heap of events, popping in non-decreasing time with stable ties."""
-
-    def __init__(self):
-        self._heap: list[tuple[tuple[int, int, int], Event]] = []
-        self._seq = 0
-
-    def push(self, time: int, priority: int, kind: str, subject: str = "") -> Event:
-        event = Event(time=time, priority=priority, seq=self._seq, kind=kind, subject=subject)
-        self._seq += 1
-        heapq.heappush(self._heap, (event.sort_key(), event))
-        return event
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)[1]
-
-    def __len__(self):
-        return len(self._heap)
-
 
 @dataclass(frozen=True)
 class FixedRoute:
@@ -222,21 +201,20 @@ class ScenarioResult:
 
 
 class _SimShuttle:
-    __slots__ = ("id", "capacity", "location", "moving", "heading", "heading_arrival",
+    __slots__ = ("id", "capacity", "moving", "heading", "heading_arrival",
                  "schedule", "pending_pickups", "pending_dropoffs", "busy_seconds")
 
     def __init__(self, vid, start, capacity):
         self.id = vid
         self.capacity = capacity
-        self.location = start
-        self.moving = False
+        self.moving = False  # when not moving, the shuttle stands at ``heading``
         self.heading = start
         self.heading_arrival = 0
         # Remaining visits as (stop, to_board, to_alight): execution replays
         # the committed plan's own staging rather than boarding whatever is
         # waiting at a stop, because an optimal sequence may pass a pickup
         # stop while full and only return for those riders later.
-        self.schedule: list[tuple[StopId, frozenset, frozenset]] = []
+        self.schedule: deque[tuple[StopId, frozenset, frozenset]] = deque()
         self.pending_pickups: set[TripRequest] = set()
         self.pending_dropoffs: set[TripRequest] = set()
         self.busy_seconds = 0
@@ -247,7 +225,7 @@ class _SimShuttle:
     def snapshot(self, now: int) -> ShuttleState:
         return ShuttleState(
             id=self.id,
-            heading_stop=self.heading if self.moving else self.location,
+            heading_stop=self.heading,
             arrival_time=self.heading_arrival if self.moving else now,
             pending_pickups=frozenset(self.pending_pickups),
             pending_dropoffs=frozenset(self.pending_dropoffs),
@@ -259,7 +237,7 @@ class _SimShuttle:
         self.pending_pickups.update(new_requests)
         awaiting_pickup = set(self.pending_pickups)
         awaiting_dropoff = set(self.pending_dropoffs)
-        schedule = []
+        schedule = deque()
         for stop in sequence:
             picked = frozenset(r for r in awaiting_pickup if r.pickup == stop)
             dropped = frozenset(r for r in awaiting_dropoff if r.dropoff == stop)
@@ -274,14 +252,24 @@ class _SimShuttle:
         self.schedule = schedule
 
 
+def _demand(config: ScenarioConfig, requests) -> list[TripRequest]:
+    """``requests`` (else the configured stream) before the horizon, by (time, id)."""
+    if requests is None:
+        requests = config.resolve_requests()
+    return sorted((r for r in requests if r.request_time < config.horizon),
+                  key=lambda r: (r.request_time, r.id))
+
+
 def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
     """Simulate the on-demand service; deterministic for a given config."""
-    network = config.network
-    demand = sorted(
-        requests if requests is not None else config.resolve_requests(),
-        key=lambda r: (r.request_time, r.id),
-    )
-    demand = [r for r in demand if r.request_time < config.horizon]
+    network, horizon, interval = config.network, config.horizon, config.dispatch_interval
+    demand = _demand(config, requests)
+    records: dict[str, TripRecord] = {}
+    for r in demand:
+        if r.id in records:
+            raise ValueError(f"duplicate request id in demand: {r.id}")
+        records[r.id] = TripRecord(id=r.id, request_time=r.request_time,
+                                   trip_type=config.trip_type_of(r))
 
     shuttles = {
         f"s{i:03d}": _SimShuttle(f"s{i:03d}", start, config.shuttle_capacity)
@@ -289,55 +277,45 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
     }
     order = sorted(shuttles)
 
-    records: dict[str, TripRecord] = {}
-    by_id: dict[str, TripRequest] = {}
-    queue: dict[str, TripRequest] = {}  # arrived, not yet committed
+    queue: dict[str, TripRequest] = {}  # placed, not yet committed
     committed: set[str] = set()
-
-    events = EventQueue()
-    for r in demand:
-        if r.id in by_id:
-            raise ValueError(f"duplicate request id in demand: {r.id}")
-        events.push(r.request_time, REQUEST, "request", r.id)
-        by_id[r.id] = r
-    t = config.dispatch_interval
-    while t <= config.horizon:
-        events.push(t, TICK, "tick", "")
-        t += config.dispatch_interval
+    arrivals: list[tuple[int, str]] = []  # heap of (time, shuttle id), one leg per shuttle
 
     def start_next_leg(sim: _SimShuttle, now: int):
         if not sim.schedule:
             sim.moving = False
             return
         nxt = sim.schedule[0][0]
-        arrival = now + network.travel_time(sim.location, nxt)
+        arrival = now + network.travel_time(sim.heading, nxt)
         sim.moving = True
         sim.heading = nxt
         sim.heading_arrival = arrival
-        sim.busy_seconds += max(0, min(arrival, config.horizon) - now)
-        events.push(arrival, ARRIVE, "arrive", sim.id)
+        sim.busy_seconds += max(0, min(arrival, horizon) - now)
+        heapq.heappush(arrivals, (arrival, sim.id))
 
-    def handle_arrival(sim: _SimShuttle, now: int):
-        stop = sim.heading
-        sim.location = stop
-        sim.moving = False
-        depart = now
-        if sim.schedule and sim.schedule[0][0] == stop:
-            _, picked, dropped = sim.schedule.pop(0)
-            for r in sorted(dropped, key=lambda r: r.id):
-                sim.pending_dropoffs.discard(r)
-                rec = records[r.id]
-                rec.dropoff_time = now
-                rec.status = "completed"
-            for r in sorted(picked, key=lambda r: r.id):
-                sim.pending_pickups.discard(r)
-                sim.pending_dropoffs.add(r)
-                records[r.id].pickup_time = max(now, r.request_time)
-                depart = max(depart, r.request_time)
-            if sim.onboard() > sim.capacity:
-                raise AssertionError(f"shuttle {sim.id} overloaded at {stop}: "
-                                     f"{sim.onboard()} > {sim.capacity}")
-        start_next_leg(sim, depart)
+    def handle_arrivals(until: int):
+        while arrivals and arrivals[0][0] <= until:
+            now, vid = heapq.heappop(arrivals)
+            sim = shuttles[vid]
+            stop = sim.heading
+            sim.moving = False
+            depart = now
+            if sim.schedule and sim.schedule[0][0] == stop:
+                _, picked, dropped = sim.schedule.popleft()
+                for r in sorted(dropped, key=lambda r: r.id):
+                    sim.pending_dropoffs.discard(r)
+                    rec = records[r.id]
+                    rec.dropoff_time = now
+                    rec.status = "completed"
+                for r in sorted(picked, key=lambda r: r.id):
+                    sim.pending_pickups.discard(r)
+                    sim.pending_dropoffs.add(r)
+                    records[r.id].pickup_time = max(now, r.request_time)
+                    depart = max(depart, r.request_time)
+                if sim.onboard() > sim.capacity:
+                    raise AssertionError(f"shuttle {sim.id} overloaded at {stop}: "
+                                         f"{sim.onboard()} > {sim.capacity}")
+            start_next_leg(sim, depart)
 
     def dispatch(now: int):
         for rid in sorted(queue):
@@ -377,23 +355,26 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
             if not sim.moving:
                 start_next_leg(sim, now)
 
-    while len(events):
-        event = events.pop()
-        if event.time > config.horizon:
-            break
-        if event.kind == "request":
-            r = by_id[event.subject]
-            records[r.id] = TripRecord(id=r.id, request_time=r.request_time,
-                                       trip_type=config.trip_type_of(r))
-            queue[r.id] = r
-        elif event.kind == "arrive":
-            handle_arrival(shuttles[event.subject], event.time)
-        elif event.kind == "tick":
-            dispatch(event.time)
+    placed = 0  # demand[:placed] has joined the queue
+    now = interval
+    while now <= horizon:
+        handle_arrivals(now)
+        while placed < len(demand) and demand[placed].request_time <= now:
+            queue[demand[placed].id] = demand[placed]
+            placed += 1
+        dispatch(now)
+        if not queue:
+            if placed == len(demand):
+                break
+            # Nothing to dispatch before the next request: resume at the
+            # first tick at or after its placement.
+            now = (demand[placed].request_time - 1) // interval * interval
+        now += interval
+    handle_arrivals(horizon)
 
-    ordered = [records[r.id] for r in demand]
+    ordered = list(records.values())
     busy = sum(s.busy_seconds for s in shuttles.values())
-    utilization = busy / (config.fleet_size * config.horizon)
+    utilization = busy / (config.fleet_size * horizon)
     return ScenarioResult(
         records=ordered,
         summary=summarize(ordered, bin_seconds=config.bin_seconds, utilization=utilization),
@@ -438,11 +419,7 @@ def _route_trip(route: FixedRoute, network, request, walk_speed):
 
 def run_baseline(config: ScenarioConfig, requests=None) -> ScenarioResult:
     """Fixed-route alternative for the same demand, computed analytically."""
-    demand = sorted(
-        requests if requests is not None else config.resolve_requests(),
-        key=lambda r: (r.request_time, r.id),
-    )
-    demand = [r for r in demand if r.request_time < config.horizon]
+    demand = _demand(config, requests)
     records = []
     for r in demand:
         rec = TripRecord(id=r.id, request_time=r.request_time,

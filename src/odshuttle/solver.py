@@ -2,10 +2,10 @@
 
 The program selects exactly one assignment plan per vehicle and marks
 each request either served (by exactly one selected plan) or missed,
-minimizing total miss penalties plus plan waiting costs.  Both the
-branch-and-bound solver and the brute-force oracle return the same
-tie-broken optimum: lowest objective, then fewest missed requests, then
-lexicographically smallest plan-index tuple in vehicle-id order.
+minimizing total miss penalties plus plan waiting costs.  The solver
+returns the tie-broken optimum: lowest objective, then fewest missed
+requests, then lexicographically smallest plan-index tuple in vehicle-id
+order.
 
 No external MILP dependency: instances are per-region and per-interval,
 so an iterative branch and bound over requests, with a coverage-aware
@@ -23,10 +23,8 @@ holds unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .enumeration import PlanSet
-from .errors import InstanceTooLargeError
 from .types import DispatchSolution, TripRequest
 
 DEFAULT_MISS_PENALTY = 3600
@@ -121,8 +119,8 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     costs at least the cheaper of its miss penalty and the smallest
     per-request share (plan cost over subset size, rounded down) of any
     plan covering it.  Leaves are ranked by objective, then fewest
-    missed, then plan-index tuple in vehicle-id order, as in
-    :func:`brute_force_dispatch`.
+    missed, then plan-index tuple in vehicle-id order, as in the
+    brute-force oracle of the test suite.
     """
     req_ids, vehicles, per_vehicle, masks, penalties = _prepare(problem)
     plans = problem.plan_set.plans
@@ -224,47 +222,6 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     if best_sel is None:
         best_sel = _selection(best_path, idle, idle_rank, members, per_vehicle)
     return _assemble(problem, vehicles, best_sel, req_ids, full & ~best_mask, best_cost)
-
-
-def brute_force_dispatch(problem: DispatchProblem, guard: int = 10**6) -> DispatchSolution:
-    """Testing oracle: try every one-plan-per-vehicle selection outright."""
-    req_ids, vehicles, per_vehicle, masks, penalties = _prepare(problem)
-    plans = problem.plan_set.plans
-    combos = 1
-    for indices in per_vehicle:
-        combos *= len(indices)
-    if combos > guard:
-        raise InstanceTooLargeError(f"{combos} plan selections exceed the {guard} guard")
-
-    n_req = len(req_ids)
-    best_key = None
-    best_state = None
-    for selection in product(*per_vehicle):
-        covered = 0
-        cost = 0
-        ok = True
-        for i in selection:
-            mask = masks[i]
-            if mask is None or mask & covered:
-                ok = False
-                break
-            covered |= mask
-            cost += plans[i].cost
-        if not ok:
-            continue
-        missed = 0
-        for r in range(n_req):
-            if not covered & (1 << r):
-                cost += penalties[r]
-                missed += 1
-        key = (cost, missed)
-        if best_key is None or key < best_key:
-            # product() runs in lexicographic index order, so the first
-            # hit of a (cost, missed) value is the tie-broken optimum.
-            best_key = key
-            best_state = (selection, covered, cost)
-    selection, covered, objective = best_state
-    return _assemble(problem, vehicles, selection, req_ids, covered, objective)
 
 
 def check_solution(problem: DispatchProblem, solution: DispatchSolution) -> list[str]:

@@ -136,9 +136,3 @@ class DispatchSolution:
     def __post_init__(self):
         object.__setattr__(self, "selected", dict(self.selected))
         object.__setattr__(self, "missed", frozenset(self.missed))
-
-    def served_ids(self) -> set[str]:
-        ids: set[str] = set()
-        for plan in self.selected.values():
-            ids.update(r.id for r in plan.requests)
-        return ids

@@ -3,10 +3,18 @@
 These deliberately share no search machinery with the package: the
 sequencing oracle is a plain exhaustive recursion over every
 precedence-feasible stop ordering, with no pruning, no bound, and no
-shortcutting of drop-off tails.  Slow but unarguable.
+shortcutting of drop-off tails, and the dispatch oracle tries every
+one-plan-per-vehicle selection, borrowing only the solver's indexing
+(``_prepare``) and result assembly (``_assemble``).  Slow but unarguable.
 """
 
 from __future__ import annotations
+
+from itertools import product
+
+from odshuttle.errors import InstanceTooLargeError
+from odshuttle.solver import DispatchProblem, _assemble, _prepare
+from odshuttle.types import DispatchSolution
 
 
 def exhaustive_best_sequence(v, new_requests, network, per_passenger=False):
@@ -95,3 +103,44 @@ def shortest_path_by_enumeration(stops, links, a, b, max_hops=None):
 
     walk(a, {a}, 0)
     return best[0]
+
+
+def brute_force_dispatch(problem: DispatchProblem, guard: int = 10**6) -> DispatchSolution:
+    """Testing oracle: try every one-plan-per-vehicle selection outright."""
+    req_ids, vehicles, per_vehicle, masks, penalties = _prepare(problem)
+    plans = problem.plan_set.plans
+    combos = 1
+    for indices in per_vehicle:
+        combos *= len(indices)
+    if combos > guard:
+        raise InstanceTooLargeError(f"{combos} plan selections exceed the {guard} guard")
+
+    n_req = len(req_ids)
+    best_key = None
+    best_state = None
+    for selection in product(*per_vehicle):
+        covered = 0
+        cost = 0
+        ok = True
+        for i in selection:
+            mask = masks[i]
+            if mask is None or mask & covered:
+                ok = False
+                break
+            covered |= mask
+            cost += plans[i].cost
+        if not ok:
+            continue
+        missed = 0
+        for r in range(n_req):
+            if not covered & (1 << r):
+                cost += penalties[r]
+                missed += 1
+        key = (cost, missed)
+        if best_key is None or key < best_key:
+            # product() runs in lexicographic index order, so the first
+            # hit of a (cost, missed) value is the tie-broken optimum.
+            best_key = key
+            best_state = (selection, covered, cost)
+    selection, covered, objective = best_state
+    return _assemble(problem, vehicles, selection, req_ids, covered, objective)

@@ -16,11 +16,11 @@ from odshuttle.costing import optimal_sequence
 from odshuttle.enumeration import enumerate_plans
 from odshuttle.fileio import load_scenario
 from odshuttle.simulator import FixedRoute, cost_reduction, min_fleet_fixed_routes, run_baseline, run_scenario
-from odshuttle.solver import brute_force_dispatch, check_solution, solve_dispatch
+from odshuttle.solver import check_solution, solve_dispatch
 from odshuttle.types import ShuttleState, TripRequest
 
 from conftest import make_grid_network, random_costing_instance, random_dispatch_problem
-from oracles import exhaustive_best_sequence
+from oracles import brute_force_dispatch, exhaustive_best_sequence
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -19,7 +19,6 @@ PUBLIC = [
     "TripRecord",
     "TripRequest",
     "TripType",
-    "brute_force_dispatch",
     "check_solution",
     "classify_trip",
     "compare",

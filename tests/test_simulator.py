@@ -1,16 +1,15 @@
+import hashlib
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from odshuttle import simulator
 from odshuttle.demand import DemandProfile
-from odshuttle.fileio import write_trips_csv
+from odshuttle.fileio import load_scenario, write_summary_csv, write_trips_csv
 from odshuttle.network import Region, TravelNetwork
 from odshuttle.simulator import (
-    ARRIVE,
-    REQUEST,
-    TICK,
-    EventQueue,
     FixedRoute,
     ScenarioConfig,
     cost_reduction,
@@ -164,23 +163,88 @@ def test_config_validation():
         line_config(fleet_start=("Z",))
 
 
-def test_event_queue_orders_by_time_priority_then_insertion():
-    q = EventQueue()
-    q.push(60, TICK, "tick")
-    q.push(30, TICK, "tick")
-    q.push(30, REQUEST, "request", "r2")
-    q.push(30, ARRIVE, "arrive", "s1")
-    q.push(30, REQUEST, "request", "r1")
-    popped = [q.pop() for _ in range(len(q))]
-    assert [(e.time, e.kind, e.subject) for e in popped] == [
-        (30, "arrive", "s1"),      # arrivals update shuttle state first
-        (30, "request", "r2"),     # then same-priority ties keep insertion order
-        (30, "request", "r1"),
-        (30, "tick", ""),          # the dispatch pass sees everything above
-        (60, "tick", ""),
-    ]
-    times = [e.time for e in popped]
-    assert times == sorted(times)
+def test_arrival_exactly_at_tick_is_seen_by_that_pass():
+    # r1 rides A->B from the tick at 30 and is dropped at B at 90.  Until
+    # then max_outstanding keeps r2 off the shuttle; the pass at 90 must
+    # see the shuttle standing empty at B and board r2 on the spot.
+    demand = (req("r1", "A", "B", 0), req("r2", "B", "C", 75))
+    config = line_config(demand_requests=demand, max_outstanding=1, max_requests_per_plan=1)
+    records = {r.id: r for r in run_scenario(config).records}
+    assert records["r1"].dropoff_time == 90
+    assert records["r2"].pickup_time == 90
+
+
+@pytest.mark.parametrize("placed", [(1000, 1020), (1020,)], ids=["between-ticks", "on-tick"])
+def test_request_after_idle_gap_taken_at_first_tick_at_or_after_it(placed):
+    later = tuple(req(f"r{i}", "B", "C", t) for i, t in enumerate(placed, start=2))
+    demand = (req("r1", "A", "B", 0),) + later
+    records = {r.id: r for r in run_scenario(line_config(demand_requests=demand)).records}
+    assert records["r1"].dropoff_time == 90
+    assert [records[r.id].pickup_time for r in later] == [1020] * len(later)
+
+
+def test_request_after_last_tick_stays_pending():
+    demand = (req("r1", "A", "B", 0), req("r2", "B", "C", 1210))
+    config = line_config(demand_requests=demand, horizon=1220, dispatch_interval=50)
+    records = {r.id: r for r in run_scenario(config).records}
+    assert records["r1"].status == "completed"
+    assert records["r2"].status == "pending"
+    assert records["r2"].pickup_time is None
+
+
+def test_arrival_between_last_tick_and_horizon_completes_trip():
+    # Ticks at 40 and 80; the shuttle reaches B at 100, the horizon.
+    config = line_config(demand_requests=(req("r1", "A", "B", 0),), horizon=100,
+                         dispatch_interval=40)
+    rec = run_scenario(config).records[0]
+    assert (rec.pickup_time, rec.dropoff_time, rec.status) == (40, 100, "completed")
+
+
+# -- bundled scenarios ------------------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# sha256 of the files `simulate` writes; any change to them is a change
+# of simulated behaviour and has to be made here on purpose.
+GOLDEN = {
+    "lowridership": ("1e394615bd47e35008b3388867a71adaacb5c6f2dbca37b29d0ff85cd48ea7d5",
+                     "fdf285916a8e0f60db1ea16dad147ab0adfde211beea851c4fb43b15be22f91d"),
+    "peakdemand": ("4311cd18e708051252b4855989a53a147f4f77b1b9e019a44a00605f72e5f2dd",
+                   "e03bc779623ad839d5a5e056c602a97015bf3a00d2cd30fb473d6bbd38afd466"),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_scenario_outputs_match_golden_hashes(name):
+    result = run_scenario(load_scenario(SCENARIOS / f"{name}.cfg"))
+    trips, summary = GOLDEN[name]
+    assert _sha256(write_trips_csv(result.records)) == trips
+    assert _sha256(write_summary_csv(result.summary)) == summary
+
+
+@pytest.mark.parametrize("name, passes", [("lowridership", 27), ("peakdemand", 73)])
+def test_every_dispatch_pass_goes_through_module_hooks(monkeypatch, name, passes):
+    # Benchmark tracers time passes by patching these module globals, and
+    # skipped ticks must only ever be empty passes.
+    calls = {"enumerate": 0, "solve": 0}
+    enumerate_plans, solve_dispatch = simulator.enumerate_plans, simulator.solve_dispatch
+
+    def counted_enumerate(*args, **kwargs):
+        calls["enumerate"] += 1
+        return enumerate_plans(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve_dispatch(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "enumerate_plans", counted_enumerate)
+    monkeypatch.setattr(simulator, "solve_dispatch", counted_solve)
+    run_scenario(load_scenario(SCENARIOS / f"{name}.cfg"))
+    assert calls == {"enumerate": passes, "solve": passes}
 
 
 # -- fixed-route arithmetic -------------------------------------------------------

@@ -6,10 +6,11 @@ import pytest
 from odshuttle.enumeration import PlanSet, enumerate_plans
 from odshuttle.errors import InstanceTooLargeError
 from odshuttle.network import TravelNetwork
-from odshuttle.solver import DispatchProblem, brute_force_dispatch, check_solution, solve_dispatch
+from odshuttle.solver import DispatchProblem, check_solution, solve_dispatch
 from odshuttle.types import AssignmentPlan, DispatchSolution, ShuttleState, Stop, TripRequest
 
 from conftest import make_grid_network, random_dispatch_problem
+from oracles import brute_force_dispatch
 
 
 def simple_problem(plan_cost=50, penalty=1000, line_network=None):
@@ -22,7 +23,7 @@ def simple_problem(plan_cost=50, penalty=1000, line_network=None):
         AssignmentPlan(vehicle="v00", requests=frozenset(), cost=0),
         AssignmentPlan(vehicle="v00", requests={r}, cost=plan_cost, sequence=("B", "C")),
     )
-    plan_set = PlanSet(plans=plans, max_new_requests=1, per_vehicle={"v00": (0, 1)})
+    plan_set = PlanSet(plans=plans, per_vehicle={"v00": (0, 1)})
     return DispatchProblem(requests=(r,), plan_set=plan_set, miss_penalty={"r00": penalty})
 
 
@@ -61,7 +62,6 @@ def test_malformed_problem_vehicle_without_empty_plan():
     r = problem.requests[0]
     only_nonempty = PlanSet(
         plans=(AssignmentPlan(vehicle="v00", requests={r}, cost=10),),
-        max_new_requests=1,
         per_vehicle={"v00": (0,)},
     )
     broken = DispatchProblem(requests=problem.requests, plan_set=only_nonempty)
@@ -104,8 +104,7 @@ def reversed_plans(problem):
         own = problem.plan_set.vehicle_plans(v)[::-1]
         per_vehicle[v] = tuple(range(len(plans), len(plans) + len(own)))
         plans += own
-    plan_set = PlanSet(plans=plans, max_new_requests=problem.plan_set.max_new_requests,
-                       per_vehicle=per_vehicle)
+    plan_set = PlanSet(plans=plans, per_vehicle=per_vehicle)
     return DispatchProblem(requests=problem.requests, plan_set=plan_set,
                            miss_penalty=problem.miss_penalty)
 
@@ -163,8 +162,7 @@ def test_thousand_identical_shuttles_solve_like_eight():
         per_vehicle[f"v{i:04d}"] = tuple(range(len(plans), len(plans) + len(template)))
         plans += [replace(p, vehicle=f"v{i:04d}") for p in template]
     large = DispatchProblem(requests=small.requests,
-                            plan_set=PlanSet(plans=plans, max_new_requests=3,
-                                             per_vehicle=per_vehicle),
+                            plan_set=PlanSet(plans=plans, per_vehicle=per_vehicle),
                             miss_penalty=small.miss_penalty)
     solution = solve_dispatch(large)
     assert check_solution(large, solution) == []
