@@ -24,10 +24,14 @@ queued beyond ``max_defer`` are abandoned.  Once a request enters a
 selected plan it belongs to that shuttle for good -- later passes may
 re-sequence the shuttle's stops but never move the request elsewhere.
 
-Shuttles are only observable at stops: state is the stop currently
-headed for and the arrival time there.  A moving shuttle finishes its
-current leg before any new sequence takes effect.  Idle shuttles hold
-position.
+Shuttles are only observable at stops.  The simulator holds each
+shuttle as the ``ShuttleState`` the dispatcher reads (the stop currently
+headed for, the arrival time there, the requests it owes) plus its
+remaining visits; it is moving exactly while visits remain.  Every state
+change builds a new ``ShuttleState``, so its checks (capacity among
+them) run at every visit.  A moving shuttle finishes its current leg
+before any new sequence takes effect.  Idle shuttles hold position and
+are shown to the dispatcher as arriving "now".
 
 The baseline models the fixed-route alternative analytically: walk to
 the nearest served stop, wait for the next scheduled departure
@@ -154,6 +158,10 @@ class ScenarioConfig:
                               "max_defer", "dispatch_interval")
         if self.max_requests_per_tick < 1:
             raise ConfigError("max_requests_per_tick must be >= 1", "max_requests_per_tick")
+        if self.max_outstanding is not None and self.max_outstanding < 1:
+            raise ConfigError("max_outstanding must be >= 1", "max_outstanding")
+        if self.bin_seconds < 60:
+            raise ConfigError("bin_seconds must be >= 60", "bin_seconds")
         if self.walk_speed <= 0:
             raise ConfigError("walk_speed must be positive", "walk_speed")
         for stop in self.fleet_start:
@@ -200,56 +208,29 @@ class ScenarioResult:
     summary: SummaryStats
 
 
-class _SimShuttle:
-    __slots__ = ("id", "capacity", "moving", "heading", "heading_arrival",
-                 "schedule", "pending_pickups", "pending_dropoffs", "busy_seconds")
+def _stage(sequence, pickups, dropoffs, vid) -> deque:
+    """Remaining visits as (stop, to_board, to_alight) from replaying ``sequence``.
 
-    def __init__(self, vid, start, capacity):
-        self.id = vid
-        self.capacity = capacity
-        self.moving = False  # when not moving, the shuttle stands at ``heading``
-        self.heading = start
-        self.heading_arrival = 0
-        # Remaining visits as (stop, to_board, to_alight): execution replays
-        # the committed plan's own staging rather than boarding whatever is
-        # waiting at a stop, because an optimal sequence may pass a pickup
-        # stop while full and only return for those riders later.
-        self.schedule: deque[tuple[StopId, frozenset, frozenset]] = deque()
-        self.pending_pickups: set[TripRequest] = set()
-        self.pending_dropoffs: set[TripRequest] = set()
-        self.busy_seconds = 0
-
-    def onboard(self) -> int:
-        return sum(r.passengers for r in self.pending_dropoffs)
-
-    def snapshot(self, now: int) -> ShuttleState:
-        return ShuttleState(
-            id=self.id,
-            heading_stop=self.heading,
-            arrival_time=self.heading_arrival if self.moving else now,
-            pending_pickups=frozenset(self.pending_pickups),
-            pending_dropoffs=frozenset(self.pending_dropoffs),
-            capacity=self.capacity,
+    Execution replays the committed plan's own staging rather than
+    boarding whatever is waiting at a stop, because an optimal sequence
+    may pass a pickup stop while full and only return for those riders
+    later.
+    """
+    awaiting_pickup = set(pickups)
+    awaiting_dropoff = set(dropoffs)
+    visits = deque()
+    for stop in sequence:
+        picked = frozenset(r for r in awaiting_pickup if r.pickup == stop)
+        dropped = frozenset(r for r in awaiting_dropoff if r.dropoff == stop)
+        awaiting_pickup -= picked
+        awaiting_dropoff = (awaiting_dropoff - dropped) | picked
+        visits.append((stop, picked, dropped))
+    if awaiting_pickup or awaiting_dropoff:
+        raise AssertionError(
+            f"plan for {vid} leaves requests unserved: "
+            f"{sorted(r.id for r in awaiting_pickup | awaiting_dropoff)}"
         )
-
-    def adopt_plan(self, sequence, new_requests):
-        """Replace the remaining visit schedule by replaying ``sequence``."""
-        self.pending_pickups.update(new_requests)
-        awaiting_pickup = set(self.pending_pickups)
-        awaiting_dropoff = set(self.pending_dropoffs)
-        schedule = deque()
-        for stop in sequence:
-            picked = frozenset(r for r in awaiting_pickup if r.pickup == stop)
-            dropped = frozenset(r for r in awaiting_dropoff if r.dropoff == stop)
-            awaiting_pickup -= picked
-            awaiting_dropoff = (awaiting_dropoff - dropped) | picked
-            schedule.append((stop, picked, dropped))
-        if awaiting_pickup or awaiting_dropoff:
-            raise AssertionError(
-                f"plan for {self.id} leaves requests unserved: "
-                f"{sorted(r.id for r in awaiting_pickup | awaiting_dropoff)}"
-            )
-        self.schedule = schedule
+    return visits
 
 
 def _demand(config: ScenarioConfig, requests) -> list[TripRequest]:
@@ -271,51 +252,48 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
         records[r.id] = TripRecord(id=r.id, request_time=r.request_time,
                                    trip_type=config.trip_type_of(r))
 
-    shuttles = {
-        f"s{i:03d}": _SimShuttle(f"s{i:03d}", start, config.shuttle_capacity)
-        for i, start in enumerate(config.start_stops())
-    }
-    order = sorted(shuttles)
+    # Each shuttle is the state the dispatcher reads, its remaining visits
+    # and its busy seconds; it is moving exactly while visits remain.
+    capacity = config.shuttle_capacity
+    states = {f"s{i:03d}": ShuttleState(f"s{i:03d}", start, 0, capacity=capacity)
+              for i, start in enumerate(config.start_stops())}
+    order = sorted(states)
+    visits = {vid: deque() for vid in order}  # of (stop, to_board, to_alight)
+    busy = dict.fromkeys(order, 0)
 
     queue: dict[str, TripRequest] = {}  # placed, not yet committed
     committed: set[str] = set()
     arrivals: list[tuple[int, str]] = []  # heap of (time, shuttle id), one leg per shuttle
 
-    def start_next_leg(sim: _SimShuttle, now: int):
-        if not sim.schedule:
-            sim.moving = False
-            return
-        nxt = sim.schedule[0][0]
-        arrival = now + network.travel_time(sim.heading, nxt)
-        sim.moving = True
-        sim.heading = nxt
-        sim.heading_arrival = arrival
-        sim.busy_seconds += max(0, min(arrival, horizon) - now)
-        heapq.heappush(arrivals, (arrival, sim.id))
+    def start_leg(vid: str, stop: StopId, now: int, pickups, dropoffs):
+        """Leave ``stop`` at ``now`` for the next visit, or stand there if none."""
+        if visits[vid]:
+            nxt = visits[vid][0][0]
+            arrival = now + network.travel_time(stop, nxt)
+            busy[vid] += max(0, min(arrival, horizon) - now)
+            heapq.heappush(arrivals, (arrival, vid))
+            stop, now = nxt, arrival
+        states[vid] = ShuttleState(vid, stop, now, pickups, dropoffs, capacity)
 
     def handle_arrivals(until: int):
         while arrivals and arrivals[0][0] <= until:
             now, vid = heapq.heappop(arrivals)
-            sim = shuttles[vid]
-            stop = sim.heading
-            sim.moving = False
+            state = states[vid]
+            stop = state.heading_stop
+            pickups, dropoffs = state.pending_pickups, state.pending_dropoffs
             depart = now
-            if sim.schedule and sim.schedule[0][0] == stop:
-                _, picked, dropped = sim.schedule.popleft()
+            if visits[vid][0][0] == stop:
+                _, picked, dropped = visits[vid].popleft()
                 for r in sorted(dropped, key=lambda r: r.id):
-                    sim.pending_dropoffs.discard(r)
                     rec = records[r.id]
                     rec.dropoff_time = now
                     rec.status = "completed"
                 for r in sorted(picked, key=lambda r: r.id):
-                    sim.pending_pickups.discard(r)
-                    sim.pending_dropoffs.add(r)
                     records[r.id].pickup_time = max(now, r.request_time)
                     depart = max(depart, r.request_time)
-                if sim.onboard() > sim.capacity:
-                    raise AssertionError(f"shuttle {sim.id} overloaded at {stop}: "
-                                         f"{sim.onboard()} > {sim.capacity}")
-            start_next_leg(sim, depart)
+                pickups, dropoffs = pickups - picked, (dropoffs - dropped) | picked
+            # The new state's own checks (capacity among them) run at every visit.
+            start_leg(vid, stop, depart, pickups, dropoffs)
 
     def dispatch(now: int):
         for rid in sorted(queue):
@@ -326,9 +304,15 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
             return
         batch = sorted(queue.values(), key=lambda r: (r.request_time, r.id))
         batch = batch[: config.max_requests_per_tick]
-        states = [shuttles[vid].snapshot(now) for vid in order]
+        fleet = []
+        for vid in order:
+            state = states[vid]
+            if not visits[vid]:  # idle: standing at its stop now
+                state = ShuttleState(vid, state.heading_stop, now, state.pending_pickups,
+                                     state.pending_dropoffs, capacity)
+            fleet.append(state)
         plan_set = enumerate_plans(
-            states,
+            fleet,
             batch,
             config.max_requests_per_plan,
             network,
@@ -345,15 +329,20 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
             plan = solution.selected[vid]
             if not plan.requests:
                 continue
-            sim = shuttles[vid]
             for r in sorted(plan.requests, key=lambda r: r.id):
                 if r.id in committed:
                     raise AssertionError(f"request {r.id} dispatched twice")
                 committed.add(r.id)
                 del queue[r.id]
-            sim.adopt_plan(plan.sequence, plan.requests)
-            if not sim.moving:
-                start_next_leg(sim, now)
+            state = states[vid]
+            idle = not visits[vid]
+            pickups = state.pending_pickups | plan.requests
+            visits[vid] = _stage(plan.sequence, pickups, state.pending_dropoffs, vid)
+            if idle:
+                start_leg(vid, state.heading_stop, now, pickups, state.pending_dropoffs)
+            else:  # finishes its current leg first
+                states[vid] = ShuttleState(vid, state.heading_stop, state.arrival_time,
+                                           pickups, state.pending_dropoffs, capacity)
 
     placed = 0  # demand[:placed] has joined the queue
     now = interval
@@ -373,8 +362,7 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
     handle_arrivals(horizon)
 
     ordered = list(records.values())
-    busy = sum(s.busy_seconds for s in shuttles.values())
-    utilization = busy / (config.fleet_size * horizon)
+    utilization = sum(busy.values()) / (config.fleet_size * horizon)
     return ScenarioResult(
         records=ordered,
         summary=summarize(ordered, bin_seconds=config.bin_seconds, utilization=utilization),

@@ -148,9 +148,9 @@ def test_criterion_7_simulate_is_byte_deterministic(tmp_path):
 
 
 def test_criterion_8_conservation_and_capacity():
-    # The event loop asserts onboard <= capacity at every stop visit, so any
-    # completed run certifies the capacity half; the bookkeeping half is
-    # checked record by record.
+    # Every stop visit builds the shuttle's next ShuttleState, whose own
+    # check refuses onboard > capacity, so any completed run certifies the
+    # capacity half; the bookkeeping half is checked record by record.
     checked = 0
     for name, seeds in (("lowridership.cfg", (1, 2, 3)), ("peakdemand.cfg", (1, 2))):
         config = load_scenario(SCENARIOS / name)

@@ -276,6 +276,10 @@ def test_instance_rejects_bad_reference(line, message):
                  id="fleet-start-unknown-stop"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "walk_speed 1.3", "walk_speed 0",
                  id="walk-speed"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "dispatch_interval 30",
+                 "bin_seconds 30", id="bin-seconds"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "dispatch_interval 30",
+                 "max_outstanding 0", id="max-outstanding"),
 ])
 def test_section_error_names_offending_line(parse, text, old, new):
     lines = text.splitlines()

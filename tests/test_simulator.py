@@ -7,6 +7,7 @@ import pytest
 
 from odshuttle import simulator
 from odshuttle.demand import DemandProfile
+from odshuttle.enumeration import PlanSet
 from odshuttle.fileio import load_scenario, write_summary_csv, write_trips_csv
 from odshuttle.network import Region, TravelNetwork
 from odshuttle.simulator import (
@@ -18,7 +19,7 @@ from odshuttle.simulator import (
     run_scenario,
     sweep_fleet_sizes,
 )
-from odshuttle.types import Stop, TripRequest
+from odshuttle.types import AssignmentPlan, Stop, TripRequest
 
 
 def line_config(**overrides):
@@ -245,6 +246,55 @@ def test_every_dispatch_pass_goes_through_module_hooks(monkeypatch, name, passes
     monkeypatch.setattr(simulator, "solve_dispatch", counted_solve)
     run_scenario(load_scenario(SCENARIOS / f"{name}.cfg"))
     assert calls == {"enumerate": passes, "solve": passes}
+
+
+@pytest.mark.parametrize("name, passes", [("lowridership", 27), ("peakdemand", 73)])
+def test_dispatcher_sees_committed_fleet_state(monkeypatch, name, passes):
+    # Idle shuttles stand at their stop "now" (the tick); busy ones arrive
+    # strictly later; each request is owed by at most one shuttle, and a
+    # committed request never comes back in the batch.
+    config = load_scenario(SCENARIOS / f"{name}.cfg")
+    enumerate_plans = simulator.enumerate_plans
+    checked = []
+
+    def checking_enumerate(shuttles, requests, *args, **kwargs):
+        idle = {s.arrival_time for s in shuttles
+                if not s.pending_pickups and not s.pending_dropoffs}
+        latest = max(r.request_time for r in requests)
+        assert len(idle) <= 1
+        for now in idle:
+            assert now % config.dispatch_interval == 0 and now >= latest
+        floor = min(idle, default=latest)
+        owed = []
+        for s in shuttles:
+            if s.pending_pickups or s.pending_dropoffs:
+                assert s.arrival_time > floor
+            owed += [r.id for r in s.pending_pickups | s.pending_dropoffs]
+        assert len(owed) == len(set(owed))
+        assert not set(owed) & {r.id for r in requests}
+        checked.append(len(shuttles))
+        return enumerate_plans(shuttles, requests, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "enumerate_plans", checking_enumerate)
+    run_scenario(config)
+    assert checked == [config.fleet_size] * passes
+
+
+def test_overloading_plan_stops_run_at_that_visit(monkeypatch):
+    # Both riders board at A into a one-seat shuttle; the shuttle state
+    # built at that visit refuses the load.
+    config = line_config(shuttle_capacity=1,
+                         demand_requests=(req("r1", "A", "B", 10), req("r2", "A", "B", 10)))
+
+    def overloading(shuttles, requests, *args, **kwargs):
+        (shuttle,) = shuttles
+        plans = (AssignmentPlan(shuttle.id, frozenset(), 0),
+                 AssignmentPlan(shuttle.id, frozenset(requests), 0, ("A", "B")))
+        return PlanSet(plans=plans, per_vehicle={shuttle.id: (0, 1)})
+
+    monkeypatch.setattr(simulator, "enumerate_plans", overloading)
+    with pytest.raises(ValueError, match="exceeds capacity"):
+        run_scenario(config)
 
 
 # -- fixed-route arithmetic -------------------------------------------------------
