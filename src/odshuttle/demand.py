@@ -26,9 +26,11 @@ class DemandProfile:
     """Arrival intensity, trip-type mix and endpoint weights.
 
     ``rates`` are ``(start_second, end_second, requests_per_hour)``
-    pieces; gaps between pieces mean zero demand.  ``mix`` orders as
-    (intra-region, outbound connector, inbound connector) and must sum
-    to 1.  Stop weights default to uniform over the region's sets.
+    pieces that may not overlap (each end is exclusive, so adjacent
+    pieces are fine); gaps between pieces mean zero demand.  ``mix``
+    orders as (intra-region, outbound connector, inbound connector) and
+    must sum to 1.  Stop weights default to uniform over the region's
+    sets.
     """
 
     rates: tuple[tuple[int, int, float], ...]
@@ -47,6 +49,11 @@ class DemandProfile:
                 raise ValueError(f"negative arrival rate on [{start}, {end})")
             if end <= start:
                 raise ValueError(f"empty rate interval [{start}, {end})")
+        ordered = sorted(self.rates)
+        for (start, end, _), (later, later_end, _) in zip(ordered, ordered[1:]):
+            if later < end:
+                raise ValueError(f"rate intervals [{start}, {end}) and "
+                                 f"[{later}, {later_end}) overlap")
         if len(self.mix) != 3 or any(f < 0 for f in self.mix):
             raise ValueError("mix needs three non-negative fractions")
         if abs(sum(self.mix) - 1.0) > 1e-9:
@@ -75,20 +82,27 @@ def _weighted_choice(rng: random.Random, items: list[str], weights: dict[str, fl
     return items[-1]
 
 
+def check_drawable(profile: DemandProfile, region: Region) -> None:
+    """Raise ``ValueError`` when a nonzero mix fraction has no stops to draw
+    from: intra trips need two member stops, connectors a member stop and
+    a gateway."""
+    intra, outbound, inbound = profile.mix
+    if intra > 0 and len(region.member_stops) < 2:
+        raise ValueError("intra-region demand needs at least two member stops")
+    if (outbound > 0 or inbound > 0) and not (region.member_stops and region.gateway_stations):
+        raise ValueError("connector demand needs member stops and gateway stations")
+
+
 def generate_demand(profile: DemandProfile, region: Region, horizon: int) -> list[TripRequest]:
     """Materialize a request list over [0, horizon), sorted by request time.
 
-    Raises ``ValueError`` when a nonzero mix fraction has no stops to
-    draw from (intra trips need two member stops; connectors need a
-    member stop and a gateway).
+    Raises ``ValueError`` when the region cannot supply the mix
+    (:func:`check_drawable`).
     """
+    check_drawable(profile, region)
     members = sorted(region.member_stops)
     gateways = sorted(region.gateway_stations)
     intra, outbound, inbound = profile.mix
-    if intra > 0 and len(members) < 2:
-        raise ValueError("intra-region demand needs at least two member stops")
-    if (outbound > 0 or inbound > 0) and (not members or not gateways):
-        raise ValueError("connector demand needs member stops and gateway stations")
 
     rng = random.Random(profile.seed)
     peak = profile.peak_rate()

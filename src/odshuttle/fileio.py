@@ -41,8 +41,14 @@ region line or demand row names must be in the network, a weighted stop
 must be a region member or gateway, and every shuttle or request a
 ``committed_*`` or ``penalty`` line names must be defined.  A value
 rejected when its section is built (a repeated stop, an unknown mode, a
-stop both member and gateway, a mix that does not sum to 1, a setting
-out of range) is reported at its own line, not the file's last.
+stop both member and gateway, an overlapping rate piece, a mix that does
+not sum to 1, a setting out of range) is reported at its own line, not
+the file's last.  A demand profile the region cannot draw from fails at
+its ``mix`` line (the first ``rate`` line without a mix or a region).  In
+graph mode every stop a shuttle may be sent to -- the start stops, the
+region's stops and a demand file's stops -- must reach every other, or
+the load fails at the unreachable stop's ``stop`` line; stops only the
+walking baseline uses need no links.
 
 Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type.
 """
@@ -55,7 +61,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .demand import DemandProfile
+from .demand import DemandProfile, check_drawable
 from .errors import ConfigError, ParseError
 from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork
 from .simulator import FixedRoute, ScenarioConfig, TripRecord
@@ -363,21 +369,30 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
         reqs, demand_types = parse_demand_csv(demand_text, network, path=str(target))
         demand_requests = tuple(reqs)
     elif demand["rate"]:
-        # Each rate line is checked on its own, so what fails after is the mix.
-        for row in demand["rate"]:
-            _demand_profile(path, row.line, rates=(row.args,))
-        mix = demand["mix"][-1] if demand["mix"] else _Row(end, (1.0, 0.0, 0.0))
+        # Each rate line is checked with the ones before it, so a bad or
+        # overlapping piece names its own line and what fails after is the mix.
+        rates = [row.args for row in demand["rate"]]
+        for i, row in enumerate(demand["rate"]):
+            _demand_profile(path, row.line, rates=rates[:i + 1])
+        first_rate = demand["rate"][0].line
+        mix = demand["mix"][-1] if demand["mix"] else _Row(first_rate, (1.0, 0.0, 0.0))
         profile = _demand_profile(
             path, mix.line,
-            rates=tuple(row.args for row in demand["rate"]),
+            rates=rates,
             mix=mix.args,
             member_weights=dict(row.args for row in demand["member_weight"]),
             gateway_weights=dict(row.args for row in demand["gateway_weight"]),
             seed=_last(demand["seed"], 0),
         )
+        if region is None:
+            raise ParseError(path, first_rate, "a demand profile needs a [region] to draw from")
+        try:
+            check_drawable(profile, region)
+        except ValueError as err:
+            raise ParseError(path, mix.line, f"bad demand profile: {err}") from None
 
     try:
-        return ScenarioConfig(
+        config = ScenarioConfig(
             network=network,
             region=region,
             demand_profile=profile,
@@ -392,6 +407,21 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
         settings = {**scenario, "walk_speed": rows["baseline"]["walk_speed"]}
         lines = [settings[name][-1].line for name in err.fields if settings.get(name)]
         raise ParseError(path, lines[0] if lines else end, f"bad scenario: {err}") from None
+    if network.mode == GRAPH:
+        # Every stop a shuttle may be sent to must reach every other, or the
+        # run dies at the first leg that needs the missing path.
+        stops = set(config.start_stops())
+        if region is not None:
+            stops |= region.member_stops | region.gateway_stations
+        for r in demand_requests or ():
+            stops |= {r.pickup, r.dropoff}
+        line_of = {row.args[0]: row.line for row in rows["network"]["stop"]}
+        for a in sorted(stops):
+            row = network.row(network.index[a])
+            for b in sorted(stops):
+                if row[network.index[b]] is None:
+                    raise ParseError(path, line_of[b], f"stop {b} cannot be reached from stop {a}")
+    return config
 
 
 def load_scenario(path) -> ScenarioConfig:

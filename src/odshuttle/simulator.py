@@ -26,12 +26,17 @@ re-sequence the shuttle's stops but never move the request elsewhere.
 
 Shuttles are only observable at stops.  The simulator holds each
 shuttle as the ``ShuttleState`` the dispatcher reads (the stop currently
-headed for, the arrival time there, the requests it owes) plus its
-remaining visits; it is moving exactly while visits remain.  Every state
-change builds a new ``ShuttleState``, so its checks (capacity among
-them) run at every visit.  A moving shuttle finishes its current leg
-before any new sequence takes effect.  Idle shuttles hold position and
-are shown to the dispatcher as arriving "now".
+headed for, the arrival time there, the requests it owes) plus the rest
+of its committed stop sequence; it is moving exactly while stops remain.
+Arriving at the next stop of that sequence, a shuttle alights everyone
+due there, then boards everyone it owes who waits there: the visit rule
+costing priced the sequence with.  Arriving anywhere else (a heading
+stop that a new sequence skips) does nothing.  Every state change builds
+a new ``ShuttleState``, so its checks (capacity among them) run at every
+visit, and a sequence that runs out while requests are still owed stops
+the run.  A moving shuttle finishes its current leg before any new
+sequence takes effect.  Idle shuttles hold position and are shown to the
+dispatcher as arriving "now".
 
 The baseline models the fixed-route alternative analytically: walk to
 the nearest served stop, wait for the next scheduled departure
@@ -208,31 +213,6 @@ class ScenarioResult:
     summary: SummaryStats
 
 
-def _stage(sequence, pickups, dropoffs, vid) -> deque:
-    """Remaining visits as (stop, to_board, to_alight) from replaying ``sequence``.
-
-    Execution replays the committed plan's own staging rather than
-    boarding whatever is waiting at a stop, because an optimal sequence
-    may pass a pickup stop while full and only return for those riders
-    later.
-    """
-    awaiting_pickup = set(pickups)
-    awaiting_dropoff = set(dropoffs)
-    visits = deque()
-    for stop in sequence:
-        picked = frozenset(r for r in awaiting_pickup if r.pickup == stop)
-        dropped = frozenset(r for r in awaiting_dropoff if r.dropoff == stop)
-        awaiting_pickup -= picked
-        awaiting_dropoff = (awaiting_dropoff - dropped) | picked
-        visits.append((stop, picked, dropped))
-    if awaiting_pickup or awaiting_dropoff:
-        raise AssertionError(
-            f"plan for {vid} leaves requests unserved: "
-            f"{sorted(r.id for r in awaiting_pickup | awaiting_dropoff)}"
-        )
-    return visits
-
-
 def _demand(config: ScenarioConfig, requests) -> list[TripRequest]:
     """``requests`` (else the configured stream) before the horizon, by (time, id)."""
     if requests is None:
@@ -252,27 +232,30 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
         records[r.id] = TripRecord(id=r.id, request_time=r.request_time,
                                    trip_type=config.trip_type_of(r))
 
-    # Each shuttle is the state the dispatcher reads, its remaining visits
-    # and its busy seconds; it is moving exactly while visits remain.
+    # Each shuttle is the state the dispatcher reads, the rest of its
+    # committed stop sequence and its busy seconds; it is moving exactly
+    # while stops remain.
     capacity = config.shuttle_capacity
     states = {f"s{i:03d}": ShuttleState(f"s{i:03d}", start, 0, capacity=capacity)
               for i, start in enumerate(config.start_stops())}
     order = sorted(states)
-    visits = {vid: deque() for vid in order}  # of (stop, to_board, to_alight)
+    visits = {vid: deque() for vid in order}
     busy = dict.fromkeys(order, 0)
 
     queue: dict[str, TripRequest] = {}  # placed, not yet committed
-    committed: set[str] = set()
     arrivals: list[tuple[int, str]] = []  # heap of (time, shuttle id), one leg per shuttle
 
     def start_leg(vid: str, stop: StopId, now: int, pickups, dropoffs):
         """Leave ``stop`` at ``now`` for the next visit, or stand there if none."""
         if visits[vid]:
-            nxt = visits[vid][0][0]
+            nxt = visits[vid][0]
             arrival = now + network.travel_time(stop, nxt)
             busy[vid] += max(0, min(arrival, horizon) - now)
             heapq.heappush(arrivals, (arrival, vid))
             stop, now = nxt, arrival
+        elif pickups or dropoffs:
+            raise AssertionError(f"plan for {vid} leaves requests unserved: "
+                                 f"{sorted(r.id for r in pickups | dropoffs)}")
         states[vid] = ShuttleState(vid, stop, now, pickups, dropoffs, capacity)
 
     def handle_arrivals(until: int):
@@ -282,13 +265,14 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
             stop = state.heading_stop
             pickups, dropoffs = state.pending_pickups, state.pending_dropoffs
             depart = now
-            if visits[vid][0][0] == stop:
-                _, picked, dropped = visits[vid].popleft()
-                for r in sorted(dropped, key=lambda r: r.id):
-                    rec = records[r.id]
-                    rec.dropoff_time = now
-                    rec.status = "completed"
-                for r in sorted(picked, key=lambda r: r.id):
+            if visits[vid][0] == stop:  # a planned visit: alight, then board
+                visits[vid].popleft()
+                dropped = {r for r in dropoffs if r.dropoff == stop}
+                picked = {r for r in pickups if r.pickup == stop}
+                for r in dropped:
+                    records[r.id].dropoff_time = now
+                    records[r.id].status = "completed"
+                for r in picked:
                     records[r.id].pickup_time = max(now, r.request_time)
                     depart = max(depart, r.request_time)
                 pickups, dropoffs = pickups - picked, (dropoffs - dropped) | picked
@@ -330,14 +314,12 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
             if not plan.requests:
                 continue
             for r in sorted(plan.requests, key=lambda r: r.id):
-                if r.id in committed:
+                if queue.pop(r.id, None) is None:
                     raise AssertionError(f"request {r.id} dispatched twice")
-                committed.add(r.id)
-                del queue[r.id]
             state = states[vid]
             idle = not visits[vid]
             pickups = state.pending_pickups | plan.requests
-            visits[vid] = _stage(plan.sequence, pickups, state.pending_dropoffs, vid)
+            visits[vid] = deque(plan.sequence)
             if idle:
                 start_leg(vid, state.heading_stop, now, pickups, state.pending_dropoffs)
             else:  # finishes its current leg first

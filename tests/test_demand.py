@@ -103,3 +103,10 @@ def test_mix_must_sum_to_one():
 def test_negative_rate_rejected():
     with pytest.raises(ValueError):
         DemandProfile(rates=((0, 10, -1.0),))
+
+
+def test_overlapping_rates_rejected():
+    with pytest.raises(ValueError, match="overlap"):
+        DemandProfile(rates=((0, 3600, 10.0), (1800, 3600, 80.0)))
+    adjacent = DemandProfile(rates=((1800, 3600, 80.0), (0, 1800, 10.0)))
+    assert (adjacent.rate_at(1799), adjacent.rate_at(1800)) == (10.0, 80.0)

@@ -266,6 +266,8 @@ def test_instance_rejects_bad_reference(line, message):
                  id="gateway-is-member"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "rate 0 900 40.0", "rate 900 0 40.0",
                  id="rate-empty-interval"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "seed 0", "rate 600 1200 10",
+                 id="rate-overlap"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mix 0.8 0.2 0.0", "mix 0.8 0.3 0.0",
                  id="mix-sum"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "horizon 1800", "horizon 0",
@@ -289,6 +291,59 @@ def test_section_error_names_offending_line(parse, text, old, new):
     with pytest.raises(ParseError) as err:
         parse("\n".join(lines) + "\n", path="bad.txt")
     assert str(err.value).startswith(f"bad.txt:{line_no}: ")
+
+
+@pytest.mark.parametrize("edits, at", [
+    pytest.param({"[region]": "", "member A B C": "", "gateway G1": ""}, "rate 0 900 40.0",
+                 id="rate-without-region"),
+    pytest.param({"member A B C": "member A", "mix 0.8 0.2 0.0": "mix 0.5 0.5 0"},
+                 "mix 0.5 0.5 0", id="intra-one-member"),
+    pytest.param({"gateway G1": ""}, "mix 0.8 0.2 0.0", id="connector-no-gateway"),
+])
+def test_undrawable_demand_profile_fails_at_load(edits, at):
+    lines = [edits.get(line, line) for line in SCENARIO_TEXT.splitlines()]
+    with pytest.raises(ParseError) as err:
+        fileio.parse_scenario_text("\n".join(lines) + "\n", path="bad.txt")
+    assert str(err.value).startswith(f"bad.txt:{lines.index(at) + 1}: ")
+
+
+GRAPH_SCENARIO_TEXT = """\
+[scenario]
+horizon 600
+fleet_size 1
+fleet_start a
+[network]
+mode graph
+stop a 0 0
+stop b 100 0
+stop c 200 0
+stop z 900 0
+link a b 10
+link b c 10
+link c b 10
+[baseline]
+route r1 20 10 two_way a z
+"""
+
+
+@pytest.mark.parametrize("demand", [
+    pytest.param("[region]\nmember a b c\n[demand]\nrate 0 600 60\n", id="region"),
+    pytest.param("[demand]\nfile demand.csv\n", id="demand-file"),
+])
+def test_graph_stop_a_shuttle_cannot_reach_fails_at_load(tmp_path, demand):
+    # b and c have no path back to the start stop a; z is a baseline-only
+    # stop with no links at all.
+    (tmp_path / "demand.csv").write_text(
+        "id,request_time,pickup,dropoff,passengers,trip_type\nr1,5,b,c,1,\n")
+    path = tmp_path / "scenario.cfg"
+    path.write_text(GRAPH_SCENARIO_TEXT + demand)
+    with pytest.raises(ParseError) as err:
+        fileio.load_scenario(path)
+    line_no = GRAPH_SCENARIO_TEXT.splitlines().index("stop a 0 0") + 1
+    assert str(err.value) == f"{path}:{line_no}: stop a cannot be reached from stop b"
+    path.write_text(GRAPH_SCENARIO_TEXT.replace("link c b 10", "link c b 10\nlink c a 10")
+                    + demand)
+    assert fileio.load_scenario(path).network.travel_time("b", "a") == 20
 
 
 def test_trips_csv_shape():

@@ -4,8 +4,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import make_grid_network
 
 from odshuttle import simulator
+from odshuttle.costing import optimal_sequence
 from odshuttle.demand import DemandProfile
 from odshuttle.enumeration import PlanSet
 from odshuttle.fileio import load_scenario, write_summary_csv, write_trips_csv
@@ -19,7 +21,7 @@ from odshuttle.simulator import (
     run_scenario,
     sweep_fleet_sizes,
 )
-from odshuttle.types import AssignmentPlan, Stop, TripRequest
+from odshuttle.types import AssignmentPlan, DispatchSolution, ShuttleState, Stop, TripRequest
 
 
 def line_config(**overrides):
@@ -135,7 +137,7 @@ def test_full_shuttle_defers_pickup_until_after_dropoff():
     # r0 fills the shuttle at the first tick (2 of 2 seats).  r1 is
     # committed while the shuttle is en route to C, but boarding at B
     # before C would overload, so the plan alights at C first and only
-    # then collects r1; execution must honor that staging.
+    # then collects r1; execution must follow that sequence.
     demand = (req("r0", "A", "C", 0, pax=2), req("r1", "B", "D", 35))
     config = line_config(demand_requests=demand, shuttle_capacity=2, horizon=2400,
                          max_defer=2000)
@@ -295,6 +297,68 @@ def test_overloading_plan_stops_run_at_that_visit(monkeypatch):
     monkeypatch.setattr(simulator, "enumerate_plans", overloading)
     with pytest.raises(ValueError, match="exceeds capacity"):
         run_scenario(config)
+
+
+def test_plan_that_omits_a_dropoff_stops_run(monkeypatch):
+    config = line_config(demand_requests=(req("r1", "A", "B", 10),))
+
+    def dropoff_omitted(shuttles, requests, *args, **kwargs):
+        (shuttle,) = shuttles
+        plans = (AssignmentPlan(shuttle.id, frozenset(), 0),
+                 AssignmentPlan(shuttle.id, frozenset(requests), 0, ("A",)))
+        return PlanSet(plans=plans, per_vehicle={shuttle.id: (0, 1)})
+
+    monkeypatch.setattr(simulator, "enumerate_plans", dropoff_omitted)
+    with pytest.raises(AssertionError, match=r"leaves requests unserved: \['r1'\]"):
+        run_scenario(config)
+
+
+def test_request_in_two_selected_plans_stops_run(monkeypatch):
+    config = line_config(fleet_size=2, demand_requests=(req("r1", "A", "B", 10),))
+
+    def both_serve(problem):
+        # Every shuttle takes its plan for the one request.
+        selected = {plan.vehicle: plan for plan in problem.plan_set.plans if plan.requests}
+        assert len(selected) == 2
+        return DispatchSolution(selected=selected, missed=frozenset(), objective=0)
+
+    monkeypatch.setattr(simulator, "solve_dispatch", both_serve)
+    with pytest.raises(AssertionError, match="request r1 dispatched twice"):
+        run_scenario(config)
+
+
+def test_execution_realizes_priced_waiting():
+    # One shuttle, every request placed by the first tick and a penalty
+    # no plan beats: the single pass commits the one plan for all of
+    # them, and the waits the run realizes must add up to its price,
+    # including sequences that come back to a stop.
+    rng = random.Random(7)
+    checked = revisits = 0
+    for _ in range(300):
+        network = make_grid_network(rng, rng.randint(3, 6))
+        ids = network.stop_ids()
+        demand = []
+        for i in range(rng.randint(1, 4)):
+            pickup, dropoff = rng.sample(ids, 2)
+            demand.append(req(f"r{i}", pickup, dropoff, rng.randint(0, 30), rng.randint(1, 2)))
+        start = rng.choice(ids)
+        capacity = rng.choice([2, 3, 8])
+        priced = optimal_sequence(ShuttleState("s000", start, 30, capacity=capacity),
+                                  demand, network)
+        if priced is None:
+            continue
+        cost, sequence = priced
+        config = ScenarioConfig(horizon=36_000, fleet_size=1, network=network,
+                                fleet_start=(start,), shuttle_capacity=capacity,
+                                max_requests_per_plan=len(demand), max_outstanding=None,
+                                miss_penalty=10**9, max_defer=30_000,
+                                demand_requests=tuple(demand))
+        records = run_scenario(config).records
+        assert {rec.status for rec in records} == {"completed"}
+        assert sum(rec.waiting for rec in records) == cost
+        checked += 1
+        revisits += len(set(sequence)) < len(sequence)
+    assert checked > 200 and revisits > 50
 
 
 # -- fixed-route arithmetic -------------------------------------------------------
