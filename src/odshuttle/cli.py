@@ -15,6 +15,9 @@ Subcommands:
   a demand CSV.
 * ``fleetcalc <routes-file> [--shuttles N]`` -- minimum fixed-route
   fleet, plus the cost change if replaced by N shuttles.
+
+A malformed or unreadable input ends the command with one
+``odshuttle: <message>`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 
 from . import fileio
 from .enumeration import enumerate_plans
+from .errors import OdshuttleError
 from .reporting import compare, comparison_csv, comparison_text, summarize
 from .simulator import cost_reduction, min_fleet_fixed_routes, run_baseline, run_scenario, sweep_fleet_sizes
 from .solver import DispatchProblem, solve_dispatch
@@ -161,8 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a bad or unreadable input is reported in one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OdshuttleError, OSError) as err:
+        print(f"odshuttle: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,10 +4,14 @@ Builds every (vehicle, request-subset) plan with subset size up to the
 ride-sharing cap, priced by its marginal waiting: the cost of the
 vehicle's :func:`odshuttle.costing.optimal_sequence` with the subset
 minus the cost without it, so committed requests never double-bill.
-Every vehicle always carries its empty plan (cost 0), so the dispatch
-program's one-plan-per-vehicle constraint stays satisfiable.  Plans with
-no capacity-respecting sequence are dropped rather than kept at infinite
-cost; unserved requests are covered by the miss variables instead.
+Each vehicle's plans start with its empty plan, at cost 0, and no
+other plan of it is empty; every plan covers only the given requests.
+This is the input contract :func:`odshuttle.solver.solve_dispatch`
+checks, and it keeps the one-plan-per-vehicle constraint satisfiable.
+A vehicle whose committed work alone has no feasible sequence gets its
+empty plan only.  Plans with no capacity-respecting sequence are dropped
+rather than kept at infinite cost; unserved requests are covered by the
+miss variables instead.
 
 Plan order is canonical: vehicles by id, subsets by size then
 lexicographic request ids.
@@ -78,24 +82,22 @@ def enumerate_plans(
         )
 
     plans: list[AssignmentPlan] = []
-    per_vehicle: dict[str, list[int]] = {}
+    per_vehicle: dict[str, tuple[int, ...]] = {}
     for v in shuttles:
-        indices: list[int] = []
         base = optimal_sequence(v, frozenset(), network, per_passenger)
-        base_cost = base[0] if base is not None else None
-        base_seq = base[1] if base is not None else ()
-
-        indices.append(len(plans))
+        base_cost, base_seq = base if base is not None else (0, ())
+        indices = [len(plans)]
         plans.append(AssignmentPlan(vehicle=v.id, requests=frozenset(), cost=0, sequence=base_seq))
 
-        committed = len(v.pending_pickups) + len(v.pending_dropoffs)
+        # With no feasible sequence for its committed work alone, a vehicle
+        # gets its empty plan only.
+        largest = min(max_new_requests, len(requests)) if base is not None else 0
+        if max_outstanding is not None:
+            committed = len(v.pending_pickups) + len(v.pending_dropoffs)
+            largest = min(largest, max_outstanding - committed)
         infeasible: list[frozenset] = []
-        for k in range(1, min(max_new_requests, len(requests)) + 1):
-            if max_outstanding is not None and committed + k > max_outstanding:
-                break
+        for k in range(1, largest + 1):
             for subset in combinations(requests, k):
-                if base_cost is None:
-                    continue
                 group = frozenset(subset)
                 # A capacity-infeasible subset stays infeasible with more riders.
                 if any(bad <= group for bad in infeasible):

@@ -16,11 +16,11 @@ Scenario config sections::
                  max_requests_per_tick / bin_seconds <int> ;
                  max_outstanding <int|none> ; waiting_per_passenger <bool> ;
                  fleet_start <stop> ... (shuttles cycle through the list)
-    [network]    mode euclidean|manhattan|graph ; speed <m/s> ;
-                 stop <id> <x> <y> ; link <from> <to> <seconds>
+    [network]    mode euclidean|manhattan|graph ; speed <m/s> (metric modes) ;
+                 stop <id> <x> <y> ; link <from> <to> <seconds> (graph mode)
     [region]     member <id> ... ; gateway <id>
     [demand]     file <path> (pre-generated demand CSV, relative to the
-                 config) or a profile: rate <start> <end> <per_hour>,
+                 config) or a profile, not both: rate <start> <end> <per_hour>,
                  mix <intra> <outbound> <inbound>,
                  member_weight/gateway_weight <id> <w>, seed <n>
                  (profile seed 0 inherits the scenario seed)
@@ -216,7 +216,8 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
     """Build a ``[network]`` section; scenario configs and instances share it.
 
     Each check names the line at fault: the repeated ``stop``, the
-    ``mode`` or ``speed`` line, or the ``link``.
+    ``mode`` or ``speed`` line, or the ``link``.  Graph mode takes no
+    ``speed`` and metric modes take no ``link``.
     """
     if not rows["mode"]:
         raise ParseError(path, end, "network section never declared a mode")
@@ -231,6 +232,8 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
         stops[row.args[0]] = Stop(*row.args)
     speed_row = rows["speed"][-1] if rows["speed"] else None
     if mode == GRAPH:
+        if rows["speed"]:
+            raise ParseError(path, rows["speed"][0].line, "graph mode takes no speed")
         for row in rows["link"]:
             a, b, seconds = row.args
             for stop in (a, b):
@@ -360,6 +363,11 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
     demand_types: dict[str, str] = {}
     profile = None
     if demand["file"]:
+        profile_lines = [row.line for key, found in demand.items() if key != "file"
+                         for row in found]
+        if profile_lines:
+            raise ParseError(path, min(profile_lines),
+                             "[demand] takes a file or a profile, not both")
         line_no = demand["file"][-1].line
         target = Path(base_dir or ".") / _last(demand["file"])
         try:

@@ -50,6 +50,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .demand import DemandProfile, generate_demand
 from .enumeration import enumerate_plans
@@ -242,7 +243,9 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
     visits = {vid: deque() for vid in order}
     busy = dict.fromkeys(order, 0)
 
-    queue: dict[str, TripRequest] = {}  # placed, not yet committed
+    # Placed, not yet committed.  Requests join in demand order, (time, id),
+    # and leave without reordering the rest, so the queue stays in that order.
+    queue: dict[str, TripRequest] = {}
     arrivals: list[tuple[int, str]] = []  # heap of (time, shuttle id), one leg per shuttle
 
     def start_leg(vid: str, stop: StopId, now: int, pickups, dropoffs):
@@ -280,14 +283,13 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
             start_leg(vid, stop, depart, pickups, dropoffs)
 
     def dispatch(now: int):
-        for rid in sorted(queue):
-            if now - queue[rid].request_time > config.max_defer:
+        for rid, r in list(queue.items()):
+            if now - r.request_time > config.max_defer:
                 records[rid].status = "abandoned"
                 del queue[rid]
         if not queue:
             return
-        batch = sorted(queue.values(), key=lambda r: (r.request_time, r.id))
-        batch = batch[: config.max_requests_per_tick]
+        batch = list(islice(queue.values(), config.max_requests_per_tick))
         fleet = []
         for vid in order:
             state = states[vid]

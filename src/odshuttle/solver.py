@@ -14,10 +14,12 @@ the lowest undecided request, missed or served by one plan, so the search
 is as deep as the request count, not the fleet size.  Vehicles whose
 plan lists agree rank by rank on (requests, cost) form one class and are
 branched on once, however many there are; a class's chosen plans go to
-its highest-id members.  Each vehicle's place in the plan-index tuple
-only ever compares indices of that vehicle's own plans, so this is the
-smallest tuple among the class's permutations and the tie-break above
-holds unchanged.
+its highest-id members, and vehicles never touched take their first
+plan, the empty one, which keeps the tie-break above.
+
+Input contract, as :func:`odshuttle.enumeration.enumerate_plans` builds
+it: each vehicle's lowest-index plan is its only empty plan, at cost 0,
+and every plan covers only the problem's requests.
 """
 
 from __future__ import annotations
@@ -51,56 +53,50 @@ class DispatchProblem:
 
 
 def _prepare(problem: DispatchProblem):
-    """Index requests as bits and plans per vehicle; validates empty plans exist."""
+    """Index requests as bits and plans per vehicle; checks the input contract."""
     req_ids = [r.id for r in problem.requests]
     bit_of = {rid: 1 << i for i, rid in enumerate(req_ids)}
     vehicles = sorted(problem.plan_set.per_vehicle)
     plans = problem.plan_set.plans
     per_vehicle: list[list[int]] = []
+    masks = [0] * len(plans)
     for v in vehicles:
         indices = sorted(problem.plan_set.per_vehicle[v])
-        if not any(not plans[i].requests for i in indices):
-            raise ValueError(f"vehicle {v} has no empty plan; the program would be infeasible")
+        if not indices:
+            raise ValueError(f"vehicle {v} has no plans; the program would be infeasible")
+        if plans[indices[0]].requests or plans[indices[0]].cost:
+            raise ValueError(f"vehicle {v}: its first plan must be the empty plan at cost 0")
+        for i in indices[1:]:
+            mask = 0
+            for r in plans[i].requests:
+                if r.id not in bit_of:
+                    raise ValueError(f"vehicle {v}: a plan covers {r.id}, not in the problem")
+                mask |= bit_of[r.id]
+            if not mask:
+                raise ValueError(f"vehicle {v}: a plan after its first is empty")
+            masks[i] = mask
         per_vehicle.append(indices)
-    masks: list[int | None] = []
-    for plan in plans:
-        mask = 0
-        for r in plan.requests:
-            b = bit_of.get(r.id)
-            if b is None:
-                mask = None  # plan covers a request not in this problem
-                break
-            mask |= b
-        masks.append(mask)
     penalties = [problem.penalty(rid) for rid in req_ids]
     return req_ids, vehicles, per_vehicle, masks, penalties
 
 
-def _assemble(problem, vehicles, chosen, req_ids, covered_mask, objective) -> DispatchSolution:
-    plans = problem.plan_set.plans
-    selected = {v: plans[i] for v, i in zip(vehicles, chosen)}
-    missed = frozenset(rid for i, rid in enumerate(req_ids) if not covered_mask & (1 << i))
-    return DispatchSolution(selected=selected, missed=missed, objective=objective)
-
-
-def _selection(path, idle, idle_rank, members, per_vehicle) -> list[int]:
+def _selection(path, members, per_vehicle) -> list[int]:
     """Plan index per vehicle for a search path of (class, rank) choices.
 
-    Each class's ranks, padded with its idle rank, go to its members in
-    ascending order: the smallest plan-index tuple among the class's
-    permutations, since a vehicle's indices only compare with its own.
+    Every vehicle starts from its first plan; each class's chosen ranks,
+    sorted ascending, go to its highest-id members.  Rank 0 is every
+    vehicle's smallest index, so this is the smallest plan-index tuple
+    among the class's permutations.
     """
     ranks_of: dict[int, list[int]] = {}
     while path is not None:
         c, rank, path = path
         ranks_of.setdefault(c, []).append(rank)
-    chosen = list(idle)
+    chosen = [indices[0] for indices in per_vehicle]
     for c, ranks in ranks_of.items():
         ranks.sort()
-        below = sum(1 for rank in ranks if rank < idle_rank[c])
         team = members[c]
-        slots = team[:below] + team[len(team) - len(ranks) + below:]
-        for pos, rank in zip(slots, ranks):
+        for pos, rank in zip(team[len(team) - len(ranks):], ranks):
             chosen[pos] = per_vehicle[pos][rank]
     return chosen
 
@@ -108,11 +104,12 @@ def _selection(path, idle, idle_rank, members, per_vehicle) -> list[int]:
 def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     """Provably optimal plan selection via branch and bound over requests.
 
+    Plans breaking the module's input contract raise ``ValueError``.
     The search settles the lowest undecided request at each step: missed,
     or served by a plan (whose lowest request it is) of a vehicle class
     with a member still free.  Which members serve is decided only at a
-    leaf, by :func:`_selection`; vehicles never touched take their idle
-    plan, the cheapest empty one.
+    leaf, by :func:`_selection`; vehicles never touched take their first
+    plan, the empty one.
 
     A node is cut when its cost plus a lower bound exceeds the incumbent
     (strictly, so every tie is still reached): each undecided request
@@ -127,32 +124,18 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     n_req = len(req_ids)
     full = (1 << n_req) - 1
 
-    class_of: dict[tuple, int] = {}
-    members: list[list[int]] = []  # vehicle positions per class, ascending id
+    teams: dict[tuple, list[int]] = {}
     for pos, indices in enumerate(per_vehicle):
-        c = class_of.setdefault(tuple([(masks[i], plans[i].cost) for i in indices]), len(members))
-        if c == len(members):
-            members.append([])
-        members[c].append(pos)
+        teams.setdefault(tuple([(masks[i], plans[i].cost) for i in indices]), []).append(pos)
+    members = list(teams.values())  # vehicle positions per class, ascending id
 
-    # Plans as (extra cost over the idle plan, class, rank, mask); shares
-    # of that extra bound each request's cost from below.
-    idle_rank: list[int] = []
-    idle = [0] * len(vehicles)
-    base = 0
+    # Served plans (ranks >= 1) as (cost, class, rank, mask); their shares
+    # bound each request's cost from below.
     share = list(penalties)
     served: list[tuple[int, int, int, int]] = []
-    for key, c in class_of.items():
-        idle_cost, rank0 = min((cost, rank) for rank, (mask, cost) in enumerate(key) if mask == 0)
-        idle_rank.append(rank0)
-        for pos in members[c]:
-            idle[pos] = per_vehicle[pos][rank0]
-        base += idle_cost * len(members[c])
-        for rank, (mask, cost) in enumerate(key):
-            if not mask:
-                continue
-            extra = cost - idle_cost
-            per = extra // mask.bit_count()
+    for c, key in enumerate(teams):
+        for rank, (mask, cost) in enumerate(key[1:], 1):
+            per = cost // mask.bit_count()
             m = mask
             while m:
                 low = m & -m
@@ -160,14 +143,14 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
                 if per < share[r]:
                     share[r] = per
                 m ^= low
-            served.append((extra, c, rank, mask))
+            served.append((cost, c, rank, mask))
 
     # Branches per lowest request bit, best first by cost net of the
     # penalties they save; class -1 is the miss branch.
     branches: list[list[tuple]] = [
         [(0, -1, -1, 1 << r, penalties[r], share[r])] for r in range(n_req)
     ]
-    for extra, c, rank, mask in served:
+    for cost, c, rank, mask in served:
         saved = floor = 0
         m = mask
         while m:
@@ -176,18 +159,18 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
             saved += penalties[r]
             floor += share[r]
             m ^= low
-        branches[(mask & -mask).bit_length() - 1].append((extra - saved, c, rank, mask, extra, floor))
+        branches[(mask & -mask).bit_length() - 1].append((cost - saved, c, rank, mask, cost, floor))
     for options in branches:
         options.sort()
 
     # The all-missed leaf is the first incumbent.
-    best_cost = base + sum(penalties)
+    best_cost = sum(penalties)
     best_mask = full
     best_path = None
     best_sel = None
     # (decided, missed, cost, floor of the undecided, path); a path is a
     # linked tuple (class, rank, parent) of the plans chosen so far.
-    stack = [(0, 0, base, sum(share), None)]
+    stack = [(0, 0, 0, sum(share), None)]
     while stack:
         decided, missed, cost, rest, path = stack.pop()
         if cost + rest > best_cost:
@@ -195,9 +178,9 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
         if decided == full:
             n_missed, best_missed = missed.bit_count(), best_mask.bit_count()
             if cost == best_cost and n_missed == best_missed:
-                sel = _selection(path, idle, idle_rank, members, per_vehicle)
+                sel = _selection(path, members, per_vehicle)
                 if best_sel is None:
-                    best_sel = _selection(best_path, idle, idle_rank, members, per_vehicle)
+                    best_sel = _selection(best_path, members, per_vehicle)
                 if sel < best_sel:
                     best_mask, best_path, best_sel = missed, path, sel
             elif cost < best_cost or n_missed < best_missed:
@@ -220,8 +203,10 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
         stack += children
 
     if best_sel is None:
-        best_sel = _selection(best_path, idle, idle_rank, members, per_vehicle)
-    return _assemble(problem, vehicles, best_sel, req_ids, full & ~best_mask, best_cost)
+        best_sel = _selection(best_path, members, per_vehicle)
+    selected = {v: plans[i] for v, i in zip(vehicles, best_sel)}
+    missed = frozenset(rid for i, rid in enumerate(req_ids) if best_mask >> i & 1)
+    return DispatchSolution(selected=selected, missed=missed, objective=best_cost)
 
 
 def check_solution(problem: DispatchProblem, solution: DispatchSolution) -> list[str]:

@@ -4,8 +4,9 @@ These deliberately share no search machinery with the package: the
 sequencing oracle is a plain exhaustive recursion over every
 precedence-feasible stop ordering, with no pruning, no bound, and no
 shortcutting of drop-off tails, and the dispatch oracle tries every
-one-plan-per-vehicle selection, borrowing only the solver's indexing
-(``_prepare``) and result assembly (``_assemble``).  Slow but unarguable.
+one-plan-per-vehicle selection, sharing no code with the solver: it
+indexes the requests and builds its solution itself.  Slow but
+unarguable.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 from odshuttle.errors import InstanceTooLargeError
-from odshuttle.solver import DispatchProblem, _assemble, _prepare
+from odshuttle.solver import DispatchProblem
 from odshuttle.types import DispatchSolution
 
 
@@ -107,15 +108,22 @@ def shortest_path_by_enumeration(stops, links, a, b, max_hops=None):
 
 def brute_force_dispatch(problem: DispatchProblem, guard: int = 10**6) -> DispatchSolution:
     """Testing oracle: try every one-plan-per-vehicle selection outright."""
-    req_ids, vehicles, per_vehicle, masks, penalties = _prepare(problem)
     plans = problem.plan_set.plans
+    vehicles = sorted(problem.plan_set.per_vehicle)
+    per_vehicle = [sorted(problem.plan_set.per_vehicle[v]) for v in vehicles]
     combos = 1
     for indices in per_vehicle:
         combos *= len(indices)
     if combos > guard:
         raise InstanceTooLargeError(f"{combos} plan selections exceed the {guard} guard")
 
-    n_req = len(req_ids)
+    req_ids = [r.id for r in problem.requests]
+    bit_of = {rid: 1 << i for i, rid in enumerate(req_ids)}
+    masks = [0] * len(plans)
+    for i, plan in enumerate(plans):
+        for r in plan.requests:
+            masks[i] |= bit_of[r.id]
+    penalties = [problem.penalty(rid) for rid in req_ids]
     best_key = None
     best_state = None
     for selection in product(*per_vehicle):
@@ -123,24 +131,24 @@ def brute_force_dispatch(problem: DispatchProblem, guard: int = 10**6) -> Dispat
         cost = 0
         ok = True
         for i in selection:
-            mask = masks[i]
-            if mask is None or mask & covered:
+            if masks[i] & covered:
                 ok = False
                 break
-            covered |= mask
+            covered |= masks[i]
             cost += plans[i].cost
         if not ok:
             continue
-        missed = 0
-        for r in range(n_req):
-            if not covered & (1 << r):
-                cost += penalties[r]
-                missed += 1
-        key = (cost, missed)
+        missed = [r for r in range(len(req_ids)) if not covered & (1 << r)]
+        cost += sum(penalties[r] for r in missed)
+        key = (cost, len(missed))
         if best_key is None or key < best_key:
             # product() runs in lexicographic index order, so the first
             # hit of a (cost, missed) value is the tie-broken optimum.
             best_key = key
-            best_state = (selection, covered, cost)
-    selection, covered, objective = best_state
-    return _assemble(problem, vehicles, selection, req_ids, covered, objective)
+            best_state = (selection, missed)
+    selection, missed = best_state
+    return DispatchSolution(
+        selected={v: plans[i] for v, i in zip(vehicles, selection)},
+        missed=frozenset(req_ids[r] for r in missed),
+        objective=best_key[0],
+    )

@@ -124,3 +124,58 @@ def test_fleetcalc_retired_routes(capsys):
     out = capsys.readouterr().out
     assert "minimum fixed-route fleet: 8" in out
     assert "37.5% cost reduction" in out
+
+
+TWINS_INSTANCE = """\
+[params]
+max_requests_per_plan 2
+
+[network]
+mode euclidean
+speed 10
+stop A 0 0
+stop B 500 0
+stop C 1000 0
+
+[fleet]
+shuttle s1 A 0 4
+shuttle s2 A 0 4
+
+[requests]
+request r1 0 A B 1
+request r2 0 B C 1
+penalty r2 0
+"""
+
+
+def test_solve_twins_serve_from_highest_id_and_report_missed(tmp_path, capsys):
+    # Identical shuttles form one class: the higher id serves r1, the other
+    # keeps its first (empty) plan; r2 costs nothing to miss.
+    path = tmp_path / "twins.txt"
+    path.write_text(TWINS_INSTANCE)
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "objective 0",
+        "vehicle s1 cost 0 requests - sequence -",
+        "vehicle s2 cost 0 requests r1 sequence A,B",
+        "missed r2 0",
+    ]
+
+
+def test_bad_config_reported_in_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_CFG.replace("member A B C D", "member A B C Z"))
+    line_no = SMALL_CFG.splitlines().index("member A B C D") + 1
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"odshuttle: {path}:{line_no}: unknown stop 'Z'"]
+    assert "Traceback" not in err
+
+
+def test_missing_config_reported_in_one_line(tmp_path, capsys):
+    path = tmp_path / "absent.cfg"
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("odshuttle: ") and str(path) in err
+    assert "Traceback" not in err

@@ -282,6 +282,11 @@ def test_instance_rejects_bad_reference(line, message):
                  "bin_seconds 30", id="bin-seconds"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "dispatch_interval 30",
                  "max_outstanding 0", id="max-outstanding"),
+    pytest.param(fileio.parse_scenario_text,
+                 SCENARIO_TEXT.replace("[demand]\n", "[demand]\nfile demand.csv\n"),
+                 "rate 0 900 40.0", "rate 0 600 20.0", id="demand-file-and-profile"),
+    pytest.param(fileio.parse_instance_text, GRAPH_INSTANCE_TEXT, "# toy network", "speed 9.0",
+                 id="graph-speed"),
 ])
 def test_section_error_names_offending_line(parse, text, old, new):
     lines = text.splitlines()

@@ -86,6 +86,23 @@ def test_carried_over_request_served_later():
     assert records["r2"].waiting > records["r1"].waiting
 
 
+def test_batch_takes_oldest_queued_requests(monkeypatch):
+    # Beyond max_requests_per_tick, a pass takes the queue's first requests
+    # in (request_time, id) order, whatever their ids.
+    batches = []
+    enumerate_plans = simulator.enumerate_plans
+
+    def recording_enumerate(shuttles, requests, *args, **kwargs):
+        batches.append(sorted(r.id for r in requests))
+        return enumerate_plans(shuttles, requests, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "enumerate_plans", recording_enumerate)
+    demand = (req("r3", "A", "B", 0), req("r2", "A", "C", 10), req("r1", "A", "D", 10),
+              req("r0", "B", "C", 20))
+    run_scenario(line_config(demand_requests=demand, max_requests_per_tick=2))
+    assert batches[0] == ["r1", "r3"]
+
+
 def test_stale_requests_abandoned():
     # max_outstanding 1 forces one commitment at a time; the far request
     # keeps losing the dispatch race until it exceeds max_defer.

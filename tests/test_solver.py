@@ -57,15 +57,24 @@ def test_zero_penalties_allow_zero_objective():
     assert brute_force_dispatch(problem).objective == 0
 
 
-def test_malformed_problem_vehicle_without_empty_plan():
-    problem = simple_problem()
-    r = problem.requests[0]
-    only_nonempty = PlanSet(
-        plans=(AssignmentPlan(vehicle="v00", requests={r}, cost=10),),
-        per_vehicle={"v00": (0,)},
-    )
-    broken = DispatchProblem(requests=problem.requests, plan_set=only_nonempty)
-    with pytest.raises(ValueError):
+EMPTY, SERVE = simple_problem().plan_set.plans
+STRAY = AssignmentPlan(vehicle="v00", cost=10, requests=SERVE.requests | {
+    TripRequest(id="r99", pickup="A", dropoff="B", request_time=0)})
+
+
+@pytest.mark.parametrize("plans", [
+    pytest.param((SERVE,), id="no-empty-plan"),
+    pytest.param((SERVE, EMPTY), id="empty-plan-last"),
+    pytest.param((replace(EMPTY, cost=5), SERVE), id="empty-plan-at-cost-5"),
+    pytest.param((EMPTY, SERVE, EMPTY), id="two-empty-plans"),
+    pytest.param((EMPTY, SERVE, STRAY), id="request-outside-problem"),
+])
+def test_malformed_problem_vehicle_without_empty_plan(plans):
+    # The solver's input contract: the first plan is the only empty one, at
+    # cost 0, and plans cover only the problem's requests.
+    plan_set = PlanSet(plans=plans, per_vehicle={"v00": tuple(range(len(plans)))})
+    broken = DispatchProblem(requests=simple_problem().requests, plan_set=plan_set)
+    with pytest.raises(ValueError, match="vehicle v00"):
         solve_dispatch(broken)
 
 
@@ -97,29 +106,12 @@ def test_matches_brute_force_on_random_instances():
                {v: p.request_ids for v, p in brute.selected.items()}
 
 
-def reversed_plans(problem):
-    """The same program with each vehicle's plans listed last to first."""
-    plans, per_vehicle = [], {}
-    for v in sorted(problem.plan_set.per_vehicle):
-        own = problem.plan_set.vehicle_plans(v)[::-1]
-        per_vehicle[v] = tuple(range(len(plans), len(plans) + len(own)))
-        plans += own
-    plan_set = PlanSet(plans=plans, per_vehicle=per_vehicle)
-    return DispatchProblem(requests=problem.requests, plan_set=plan_set,
-                           miss_penalty=problem.miss_penalty)
-
-
-@pytest.mark.parametrize("empty_plan_last", [False, True])
-def test_matches_brute_force_with_identical_shuttles(empty_plan_last):
+def test_matches_brute_force_with_identical_shuttles():
     # Twins share a vehicle class in the search; the oracle knows no classes.
-    # With the empty plan ranked last, a class's chosen plans rank below it
-    # and go to its lowest-id members instead.
     rng = random.Random(2024)
     classed = 0
     for _ in range(300):
         problem = random_dispatch_problem(rng, max_vehicles=5, twins=True)
-        if empty_plan_last:
-            problem = reversed_plans(problem)
         fast = solve_dispatch(problem)
         brute = brute_force_dispatch(problem)
         assert fast.objective == brute.objective
