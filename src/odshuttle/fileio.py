@@ -50,7 +50,8 @@ region's stops and a demand file's stops -- must reach every other, or
 the load fails at the unreachable stop's ``stop`` line; stops only the
 walking baseline uses need no links.
 
-Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type.
+Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type,
+where a trip_type is empty or one of intra, outbound and inbound.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import NamedTuple
 
 from .demand import DemandProfile, check_drawable
 from .errors import ConfigError, ParseError
-from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork
+from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork, TripType
 from .simulator import FixedRoute, ScenarioConfig, TripRecord
 from .solver import DispatchProblem, DEFAULT_MISS_PENALTY
 from .types import DispatchSolution, ShuttleState, Stop, TripRequest
@@ -283,6 +284,7 @@ def _check_stops(network: TravelNetwork, path: str, line_no: int, *stops) -> Non
 # -- demand ---------------------------------------------------------------------
 
 DEMAND_HEADER = ["id", "request_time", "pickup", "dropoff", "passengers", "trip_type"]
+TRIP_TYPES = tuple(t.value for t in TripType)
 
 
 def parse_demand_csv(text: str, network: TravelNetwork,
@@ -307,6 +309,9 @@ def parse_demand_csv(text: str, network: TravelNetwork,
         seen.add(req.id)
         requests.append(req)
         if row.get("trip_type"):
+            if row["trip_type"] not in TRIP_TYPES:
+                raise ParseError(path, reader.line_num, f"unknown trip type {row['trip_type']!r}"
+                                 f" (expected one of {', '.join(TRIP_TYPES)})")
             types[req.id] = row["trip_type"]
     return requests, types
 
@@ -590,8 +595,9 @@ def write_solution_text(problem: DispatchProblem, solution: DispatchSolution) ->
 
 def write_plans_text(plan_set) -> str:
     out = ["index vehicle cost requests sequence"]
-    for i, plan in enumerate(plan_set.plans):
-        ids = ",".join(plan.request_ids) or "-"
-        seq = ",".join(plan.sequence) or "-"
-        out.append(f"{i} {plan.vehicle} {plan.cost} {ids} {seq}")
+    for vid, plans in plan_set.per_vehicle.items():
+        for plan in plans:
+            ids = ",".join(plan.request_ids) or "-"
+            seq = ",".join(plan.sequence) or "-"
+            out.append(f"{len(out) - 1} {vid} {plan.cost} {ids} {seq}")
     return "\n".join(out) + "\n"

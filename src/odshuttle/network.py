@@ -62,7 +62,6 @@ class TravelNetwork:
         self.index: dict[StopId, int] = {stop: i for i, stop in enumerate(self.ids)}
         self._rows: list[list[int | None] | None] = [None] * len(self.ids)
         self._adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
-        self.links: tuple[tuple[StopId, StopId, int], ...] = ()
 
         if mode in (EUCLIDEAN, MANHATTAN):
             if speed is None or speed <= 0:
@@ -70,16 +69,12 @@ class TravelNetwork:
             if links:
                 raise ValueError(f"{mode} mode takes no links")
         elif mode == GRAPH:
-            cleaned = []
             for a, b, seconds in links or ():
                 if a not in self.stops or b not in self.stops:
                     raise UnknownStopError(f"link {a}->{b}: unknown stop")
                 if seconds < 0:
                     raise ValueError(f"link {a}->{b}: negative traversal time")
-                seconds = int(math.ceil(seconds))
-                cleaned.append((a, b, seconds))
-                self._adj[self.index[a]].append((self.index[b], seconds))
-            self.links = tuple(cleaned)
+                self._adj[self.index[a]].append((self.index[b], int(math.ceil(seconds))))
         else:
             raise ValueError(f"unknown network mode {mode!r}")
 

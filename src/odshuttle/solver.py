@@ -4,8 +4,8 @@ The program selects exactly one assignment plan per vehicle and marks
 each request either served (by exactly one selected plan) or missed,
 minimizing total miss penalties plus plan waiting costs.  The solver
 returns the tie-broken optimum: lowest objective, then fewest missed
-requests, then lexicographically smallest plan-index tuple in vehicle-id
-order.
+requests, then lexicographically smallest tuple of plan ranks (positions
+in each vehicle's list) in vehicle-id order, the order of ``plans``.
 
 No external MILP dependency: instances are per-region and per-interval,
 so an iterative branch and bound over requests, with a coverage-aware
@@ -18,8 +18,8 @@ its highest-id members, and vehicles never touched take their first
 plan, the empty one, which keeps the tie-break above.
 
 Input contract, as :func:`odshuttle.enumeration.enumerate_plans` builds
-it: each vehicle's lowest-index plan is its only empty plan, at cost 0,
-and every plan covers only the problem's requests.
+it: each vehicle's first plan is its only empty plan, at cost 0, and
+every plan covers only the problem's requests.
 """
 
 from __future__ import annotations
@@ -53,51 +53,47 @@ class DispatchProblem:
 
 
 def _prepare(problem: DispatchProblem):
-    """Index requests as bits and plans per vehicle; checks the input contract."""
+    """Index requests as bits and each vehicle's plans as masks; checks the input contract."""
     req_ids = [r.id for r in problem.requests]
     bit_of = {rid: 1 << i for i, rid in enumerate(req_ids)}
-    vehicles = sorted(problem.plan_set.per_vehicle)
-    plans = problem.plan_set.plans
-    per_vehicle: list[list[int]] = []
-    masks = [0] * len(plans)
-    for v in vehicles:
-        indices = sorted(problem.plan_set.per_vehicle[v])
-        if not indices:
+    masks: list[list[int]] = []
+    for v, plans in problem.plan_set.per_vehicle.items():
+        if not plans:
             raise ValueError(f"vehicle {v} has no plans; the program would be infeasible")
-        if plans[indices[0]].requests or plans[indices[0]].cost:
+        if plans[0].requests or plans[0].cost:
             raise ValueError(f"vehicle {v}: its first plan must be the empty plan at cost 0")
-        for i in indices[1:]:
+        vehicle_masks = [0]
+        for plan in plans[1:]:
             mask = 0
-            for r in plans[i].requests:
+            for r in plan.requests:
                 if r.id not in bit_of:
                     raise ValueError(f"vehicle {v}: a plan covers {r.id}, not in the problem")
                 mask |= bit_of[r.id]
             if not mask:
                 raise ValueError(f"vehicle {v}: a plan after its first is empty")
-            masks[i] = mask
-        per_vehicle.append(indices)
+            vehicle_masks.append(mask)
+        masks.append(vehicle_masks)
     penalties = [problem.penalty(rid) for rid in req_ids]
-    return req_ids, vehicles, per_vehicle, masks, penalties
+    return req_ids, masks, penalties
 
 
-def _selection(path, members, per_vehicle) -> list[int]:
-    """Plan index per vehicle for a search path of (class, rank) choices.
+def _selection(path, members, n_vehicles) -> list[int]:
+    """Plan rank per vehicle, in vehicle-id order, for a path of (class, rank) choices.
 
-    Every vehicle starts from its first plan; each class's chosen ranks,
-    sorted ascending, go to its highest-id members.  Rank 0 is every
-    vehicle's smallest index, so this is the smallest plan-index tuple
-    among the class's permutations.
+    Every vehicle starts from rank 0, its empty plan; each class's chosen
+    ranks, sorted ascending, go to its highest-id members.  This is the
+    smallest rank tuple among the class's permutations.
     """
     ranks_of: dict[int, list[int]] = {}
     while path is not None:
         c, rank, path = path
         ranks_of.setdefault(c, []).append(rank)
-    chosen = [indices[0] for indices in per_vehicle]
+    chosen = [0] * n_vehicles
     for c, ranks in ranks_of.items():
         ranks.sort()
         team = members[c]
         for pos, rank in zip(team[len(team) - len(ranks):], ranks):
-            chosen[pos] = per_vehicle[pos][rank]
+            chosen[pos] = rank
     return chosen
 
 
@@ -116,17 +112,17 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     costs at least the cheaper of its miss penalty and the smallest
     per-request share (plan cost over subset size, rounded down) of any
     plan covering it.  Leaves are ranked by objective, then fewest
-    missed, then plan-index tuple in vehicle-id order, as in the
+    missed, then plan-rank tuple in vehicle-id order, as in the
     brute-force oracle of the test suite.
     """
-    req_ids, vehicles, per_vehicle, masks, penalties = _prepare(problem)
-    plans = problem.plan_set.plans
+    req_ids, masks, penalties = _prepare(problem)
+    per_vehicle = problem.plan_set.per_vehicle
     n_req = len(req_ids)
     full = (1 << n_req) - 1
 
     teams: dict[tuple, list[int]] = {}
-    for pos, indices in enumerate(per_vehicle):
-        teams.setdefault(tuple([(masks[i], plans[i].cost) for i in indices]), []).append(pos)
+    for pos, (plans, vehicle_masks) in enumerate(zip(per_vehicle.values(), masks)):
+        teams.setdefault(tuple(zip(vehicle_masks, [p.cost for p in plans])), []).append(pos)
     members = list(teams.values())  # vehicle positions per class, ascending id
 
     # Served plans (ranks >= 1) as (cost, class, rank, mask); their shares
@@ -178,9 +174,9 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
         if decided == full:
             n_missed, best_missed = missed.bit_count(), best_mask.bit_count()
             if cost == best_cost and n_missed == best_missed:
-                sel = _selection(path, members, per_vehicle)
+                sel = _selection(path, members, len(masks))
                 if best_sel is None:
-                    best_sel = _selection(best_path, members, per_vehicle)
+                    best_sel = _selection(best_path, members, len(masks))
                 if sel < best_sel:
                     best_mask, best_path, best_sel = missed, path, sel
             elif cost < best_cost or n_missed < best_missed:
@@ -203,8 +199,8 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
         stack += children
 
     if best_sel is None:
-        best_sel = _selection(best_path, members, per_vehicle)
-    selected = {v: plans[i] for v, i in zip(vehicles, best_sel)}
+        best_sel = _selection(best_path, members, len(masks))
+    selected = {v: plans[rank] for (v, plans), rank in zip(per_vehicle.items(), best_sel)}
     missed = frozenset(rid for i, rid in enumerate(req_ids) if best_mask >> i & 1)
     return DispatchSolution(selected=selected, missed=missed, objective=best_cost)
 
@@ -212,22 +208,18 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
 def check_solution(problem: DispatchProblem, solution: DispatchSolution) -> list[str]:
     """Independent feasibility and objective audit; empty list means ok."""
     violations: list[str] = []
-    plans = problem.plan_set.plans
-    vehicles = sorted(problem.plan_set.per_vehicle)
-    if sorted(solution.selected) != vehicles:
+    per_vehicle = problem.plan_set.per_vehicle
+    if sorted(solution.selected) != list(per_vehicle):
         violations.append("selected plans do not cover each vehicle exactly once")
     request_ids = {r.id for r in problem.requests}
 
     coverage: dict[str, int] = {rid: 0 for rid in request_ids}
     recomputed = 0
-    for v in vehicles:
+    for v, plans in per_vehicle.items():
         plan = solution.selected.get(v)
         if plan is None:
             continue
-        if plan.vehicle != v:
-            violations.append(f"vehicle {v} selected a plan belonging to {plan.vehicle}")
-        bucket = [plans[i] for i in problem.plan_set.per_vehicle.get(v, ())]
-        if plan not in bucket:
+        if plan not in plans:
             violations.append(f"vehicle {v} selected a plan outside its candidate set")
         recomputed += plan.cost
         for r in plan.requests:

@@ -101,15 +101,15 @@ class ShuttleState:
 
 @dataclass(frozen=True)
 class AssignmentPlan:
-    """One column of the dispatch program: a vehicle plus a request subset.
+    """One column of the dispatch program: a request subset for a vehicle.
 
-    ``cost`` is the marginal passenger waiting (seconds) of adding
+    It names no vehicle: its owner is the vehicle whose plan list holds
+    it.  ``cost`` is the marginal passenger waiting (seconds) of adding
     ``requests`` to the vehicle's existing commitments; ``sequence`` is
     the stop ordering that realizes it, covering the vehicle's old and
     new work.  The empty plan (no new requests) always costs 0.
     """
 
-    vehicle: str
     requests: frozenset[TripRequest]
     cost: int
     sequence: tuple[StopId, ...] = ()
@@ -118,7 +118,7 @@ class AssignmentPlan:
         object.__setattr__(self, "requests", frozenset(self.requests))
         object.__setattr__(self, "sequence", tuple(self.sequence))
         if self.cost < 0:
-            raise ValueError(f"plan for {self.vehicle}: cost must be >= 0")
+            raise ValueError("plan cost must be >= 0")
 
     @property
     def request_ids(self) -> tuple[str, ...]:

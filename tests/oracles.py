@@ -108,47 +108,44 @@ def shortest_path_by_enumeration(stops, links, a, b, max_hops=None):
 
 def brute_force_dispatch(problem: DispatchProblem, guard: int = 10**6) -> DispatchSolution:
     """Testing oracle: try every one-plan-per-vehicle selection outright."""
-    plans = problem.plan_set.plans
-    vehicles = sorted(problem.plan_set.per_vehicle)
-    per_vehicle = [sorted(problem.plan_set.per_vehicle[v]) for v in vehicles]
+    per_vehicle = problem.plan_set.per_vehicle
     combos = 1
-    for indices in per_vehicle:
-        combos *= len(indices)
+    for plans in per_vehicle.values():
+        combos *= len(plans)
     if combos > guard:
         raise InstanceTooLargeError(f"{combos} plan selections exceed the {guard} guard")
 
     req_ids = [r.id for r in problem.requests]
     bit_of = {rid: 1 << i for i, rid in enumerate(req_ids)}
-    masks = [0] * len(plans)
-    for i, plan in enumerate(plans):
-        for r in plan.requests:
-            masks[i] |= bit_of[r.id]
+    options = [[(plan, sum(bit_of[r.id] for r in plan.requests)) for plan in plans]
+               for plans in per_vehicle.values()]
     penalties = [problem.penalty(rid) for rid in req_ids]
     best_key = None
     best_state = None
-    for selection in product(*per_vehicle):
+    for selection in product(*options):
         covered = 0
         cost = 0
         ok = True
-        for i in selection:
-            if masks[i] & covered:
+        for plan, mask in selection:
+            if mask & covered:
                 ok = False
                 break
-            covered |= masks[i]
-            cost += plans[i].cost
+            covered |= mask
+            cost += plan.cost
         if not ok:
             continue
         missed = [r for r in range(len(req_ids)) if not covered & (1 << r)]
         cost += sum(penalties[r] for r in missed)
         key = (cost, len(missed))
         if best_key is None or key < best_key:
-            # product() runs in lexicographic index order, so the first
-            # hit of a (cost, missed) value is the tie-broken optimum.
+            # product() runs through each vehicle's plans in list order,
+            # vehicles in id order, so the first hit of a (cost, missed)
+            # value is the tie-broken optimum.
             best_key = key
             best_state = (selection, missed)
     selection, missed = best_state
     return DispatchSolution(
-        selected={v: plans[i] for v, i in zip(vehicles, selection)},
+        selected={v: plan for v, (plan, _) in zip(per_vehicle, selection)},
         missed=frozenset(req_ids[r] for r in missed),
         objective=best_key[0],
     )

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,11 @@ def test_solve_bundled_instance(tmp_path, capsys):
     assert plan_lines[0] == "index vehicle cost requests sequence"
     # two vehicles x (empty + 4 singles + C(4,2) pairs), all feasible here
     assert len(plan_lines) == 1 + 2 * (1 + 4 + 6)
+    # Both files in full: any change to them is a change of solve's output.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "bba3df49537443aac26437667eda93b7affdf272e83cb800c81e80d62b199967"
+    assert hashlib.sha256(plans.read_bytes()).hexdigest() == \
+        "eeb56402422d405caf83dda32bae88bc8400a3ccfb9f8cfb35e927070194f2d8"
 
 
 def test_gen_demand_round_trip(small_cfg, tmp_path):

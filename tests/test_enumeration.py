@@ -45,10 +45,10 @@ def test_no_requests_yields_only_empty_plans(line_network):
 
 def test_every_vehicle_has_empty_plan(line_network):
     plans = enumerate_plans(shuttles_at(line_network, 2), requests_on(line_network, 2), 2, line_network)
-    for v, indices in plans.per_vehicle.items():
-        empties = [i for i in indices if not plans.plans[i].requests]
+    for candidates in plans.per_vehicle.values():
+        empties = [p for p in candidates if not p.requests]
         assert len(empties) == 1
-        assert plans.plans[empties[0]].cost == 0
+        assert empties[0].cost == 0
 
 
 def test_capacity_infeasible_plan_absent(line_network):
@@ -65,11 +65,15 @@ def test_capacity_infeasible_plan_absent(line_network):
 
 
 def test_indices_partition_exactly(line_network):
-    plans = enumerate_plans(shuttles_at(line_network, 3), requests_on(line_network, 3), 2, line_network)
-    seen = []
-    for indices in plans.per_vehicle.values():
-        seen.extend(indices)
-    assert sorted(seen) == list(range(len(plans.plans)))
+    # A plan's index in ``plans`` is its vehicle's offset plus its rank.
+    shuttles = shuttles_at(line_network, 3)
+    plans = enumerate_plans(shuttles[::-1], requests_on(line_network, 3), 2, line_network)
+    assert list(plans.per_vehicle) == [v.id for v in shuttles]
+    offset = 0
+    for candidates in plans.per_vehicle.values():
+        assert plans.plans[offset:offset + len(candidates)] == candidates
+        offset += len(candidates)
+    assert offset == len(plans.plans)
 
 
 def test_costs_match_fresh_costing_calls():
@@ -79,24 +83,29 @@ def test_costs_match_fresh_costing_calls():
     requests = requests_on(net, 4)
     plans = enumerate_plans(shuttles, requests, 2, net)
     by_id = {v.id: v for v in shuttles}
-    for p in plans.plans:
-        v = by_id[p.vehicle]
-        with_new = optimal_sequence(v, p.requests, net)
-        base = optimal_sequence(v, frozenset(), net)
-        assert (p.cost, p.sequence) == (with_new[0] - base[0], with_new[1])
+    for vid, candidates in plans.per_vehicle.items():
+        v = by_id[vid]
+        for p in candidates:
+            with_new = optimal_sequence(v, p.requests, net)
+            base = optimal_sequence(v, frozenset(), net)
+            assert (p.cost, p.sequence) == (with_new[0] - base[0], with_new[1])
 
 
 def test_canonical_plan_ordering(line_network):
     plans = enumerate_plans(shuttles_at(line_network, 2), requests_on(line_network, 3), 2, line_network)
-    keys = [(p.vehicle, len(p.requests), p.request_ids) for p in plans.plans]
+    keys = [(vid, len(p.requests), p.request_ids)
+            for vid, candidates in plans.per_vehicle.items() for p in candidates]
     assert keys == sorted(keys)
 
 
 def test_guard_rejects_oversized_instances(line_network):
+    # 2 x (1 + 70 + C(70, 2) + C(70, 3)) = 114,452 plans at most, over the
+    # 100,000 guard; the bound is checked before any sequencing.
     with pytest.raises(InstanceTooLargeError) as err:
-        enumerate_plans(shuttles_at(line_network, 4), requests_on(line_network, 4), 2,
-                        line_network, max_plans=10)
-    assert "4 vehicles" in str(err.value)
+        enumerate_plans(shuttles_at(line_network, 2), requests_on(line_network, 70), 3,
+                        line_network)
+    assert "2 vehicles x 70 requests with cap 3 yields up to 114452 plans (guard 100000)" \
+        in str(err.value)
 
 
 def test_max_outstanding_skips_overloaded_vehicles(line_network):
@@ -107,8 +116,8 @@ def test_max_outstanding_skips_overloaded_vehicles(line_network):
     requests = requests_on(line_network, 2)
     plans = enumerate_plans([loaded, fresh], requests, 2, line_network, max_outstanding=4)
     # Loaded shuttle (3 committed) may take at most one more request.
-    loaded_sizes = {len(plans.plans[i].requests) for i in plans.per_vehicle["v00"]}
-    fresh_sizes = {len(plans.plans[i].requests) for i in plans.per_vehicle["v01"]}
+    loaded_sizes = {len(p.requests) for p in plans.per_vehicle["v00"]}
+    fresh_sizes = {len(p.requests) for p in plans.per_vehicle["v01"]}
     assert loaded_sizes == {0, 1}
     assert fresh_sizes == {0, 1, 2}
 

@@ -91,7 +91,8 @@ def _parse_with_line(parse, text, line):
 def test_graph_network_link_times():
     _, _, net, _ = fileio.parse_instance_text(GRAPH_INSTANCE_TEXT)
     assert net.stop_ids() == ["A", "B", "C"]
-    assert net.links == (("A", "B", 10), ("B", "A", 10), ("B", "C", 20), ("C", "B", 20))
+    for a, b, seconds in [("A", "B", 10), ("B", "A", 10), ("B", "C", 20), ("C", "B", 20)]:
+        assert net.travel_time(a, b) == seconds
     assert net.travel_time("A", "C") == 30
 
 
@@ -130,8 +131,9 @@ def test_demand_round_trip():
 
 
 def test_demand_rejects_bad_rows():
-    # A bad number, a stop missing from the network, a repeated id.
-    for row in ["r1,x,A,B,1,", "r1,5,A,Z,1,", "r0,5,B,A,1,"]:
+    # A bad number, a stop missing from the network, a repeated id, an
+    # undeclared trip type.
+    for row in ["r1,x,A,B,1,", "r1,5,A,Z,1,", "r0,5,B,A,1,", "r1,5,A,B,1,banana"]:
         bad = f"id,request_time,pickup,dropoff,passengers,trip_type\nr0,0,A,B,1,\n{row}\n"
         with pytest.raises(ParseError) as err:
             fileio.parse_demand_csv(bad, DEMAND_NETWORK, path="demand.csv")

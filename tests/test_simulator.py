@@ -307,9 +307,9 @@ def test_overloading_plan_stops_run_at_that_visit(monkeypatch):
 
     def overloading(shuttles, requests, *args, **kwargs):
         (shuttle,) = shuttles
-        plans = (AssignmentPlan(shuttle.id, frozenset(), 0),
-                 AssignmentPlan(shuttle.id, frozenset(requests), 0, ("A", "B")))
-        return PlanSet(plans=plans, per_vehicle={shuttle.id: (0, 1)})
+        plans = (AssignmentPlan(frozenset(), 0),
+                 AssignmentPlan(frozenset(requests), 0, ("A", "B")))
+        return PlanSet({shuttle.id: plans})
 
     monkeypatch.setattr(simulator, "enumerate_plans", overloading)
     with pytest.raises(ValueError, match="exceeds capacity"):
@@ -321,9 +321,9 @@ def test_plan_that_omits_a_dropoff_stops_run(monkeypatch):
 
     def dropoff_omitted(shuttles, requests, *args, **kwargs):
         (shuttle,) = shuttles
-        plans = (AssignmentPlan(shuttle.id, frozenset(), 0),
-                 AssignmentPlan(shuttle.id, frozenset(requests), 0, ("A",)))
-        return PlanSet(plans=plans, per_vehicle={shuttle.id: (0, 1)})
+        plans = (AssignmentPlan(frozenset(), 0),
+                 AssignmentPlan(frozenset(requests), 0, ("A",)))
+        return PlanSet({shuttle.id: plans})
 
     monkeypatch.setattr(simulator, "enumerate_plans", dropoff_omitted)
     with pytest.raises(AssertionError, match=r"leaves requests unserved: \['r1'\]"):
@@ -335,7 +335,8 @@ def test_request_in_two_selected_plans_stops_run(monkeypatch):
 
     def both_serve(problem):
         # Every shuttle takes its plan for the one request.
-        selected = {plan.vehicle: plan for plan in problem.plan_set.plans if plan.requests}
+        selected = {v: plan for v, plans in problem.plan_set.per_vehicle.items()
+                    for plan in plans if plan.requests}
         assert len(selected) == 2
         return DispatchSolution(selected=selected, missed=frozenset(), objective=0)
 

@@ -20,10 +20,10 @@ def simple_problem(plan_cost=50, penalty=1000, line_network=None):
     v = ShuttleState(id="v00", heading_stop="A", arrival_time=0, capacity=4)
     r = TripRequest(id="r00", pickup="B", dropoff="C", request_time=0)
     plans = (
-        AssignmentPlan(vehicle="v00", requests=frozenset(), cost=0),
-        AssignmentPlan(vehicle="v00", requests={r}, cost=plan_cost, sequence=("B", "C")),
+        AssignmentPlan(requests=frozenset(), cost=0),
+        AssignmentPlan(requests={r}, cost=plan_cost, sequence=("B", "C")),
     )
-    plan_set = PlanSet(plans=plans, per_vehicle={"v00": (0, 1)})
+    plan_set = PlanSet({"v00": plans})
     return DispatchProblem(requests=(r,), plan_set=plan_set, miss_penalty={"r00": penalty})
 
 
@@ -58,7 +58,7 @@ def test_zero_penalties_allow_zero_objective():
 
 
 EMPTY, SERVE = simple_problem().plan_set.plans
-STRAY = AssignmentPlan(vehicle="v00", cost=10, requests=SERVE.requests | {
+STRAY = AssignmentPlan(cost=10, requests=SERVE.requests | {
     TripRequest(id="r99", pickup="A", dropoff="B", request_time=0)})
 
 
@@ -72,7 +72,7 @@ STRAY = AssignmentPlan(vehicle="v00", cost=10, requests=SERVE.requests | {
 def test_malformed_problem_vehicle_without_empty_plan(plans):
     # The solver's input contract: the first plan is the only empty one, at
     # cost 0, and plans cover only the problem's requests.
-    plan_set = PlanSet(plans=plans, per_vehicle={"v00": tuple(range(len(plans)))})
+    plan_set = PlanSet({"v00": plans})
     broken = DispatchProblem(requests=simple_problem().requests, plan_set=plan_set)
     with pytest.raises(ValueError, match="vehicle v00"):
         solve_dispatch(broken)
@@ -118,8 +118,8 @@ def test_matches_brute_force_with_identical_shuttles():
         assert fast.missed == brute.missed
         assert fast.selected == brute.selected
         assert check_solution(problem, fast) == []
-        lists = [tuple((p.request_ids, p.cost) for p in problem.plan_set.vehicle_plans(v))
-                 for v in problem.plan_set.per_vehicle]
+        lists = [tuple((p.request_ids, p.cost) for p in plans)
+                 for plans in problem.plan_set.per_vehicle.values()]
         classed += len(set(lists)) < len(lists)
     assert classed > 100
 
@@ -148,13 +148,10 @@ def test_thousand_identical_shuttles_solve_like_eight():
     small = DispatchProblem(requests=tuple(requests),
                             plan_set=enumerate_plans(shuttles, requests, 3, network),
                             miss_penalty={r.id: 1200 for r in requests})
-    template = small.plan_set.vehicle_plans("v0000")
-    plans, per_vehicle = [], {}
-    for i in range(1000):
-        per_vehicle[f"v{i:04d}"] = tuple(range(len(plans), len(plans) + len(template)))
-        plans += [replace(p, vehicle=f"v{i:04d}") for p in template]
+    # Plans name no vehicle, so the 1,000 shuttles share v0000's list.
+    template = small.plan_set.per_vehicle["v0000"]
     large = DispatchProblem(requests=small.requests,
-                            plan_set=PlanSet(plans=plans, per_vehicle=per_vehicle),
+                            plan_set=PlanSet({f"v{i:04d}": template for i in range(1000)}),
                             miss_penalty=small.miss_penalty)
     solution = solve_dispatch(large)
     assert check_solution(large, solution) == []
@@ -259,7 +256,7 @@ def test_check_solution_flags_wrong_objective():
 
 def test_check_solution_flags_foreign_plan():
     problem = simple_problem()
-    foreign = AssignmentPlan(vehicle="v00", requests=frozenset(), cost=0, sequence=("C",))
+    foreign = AssignmentPlan(requests=frozenset(), cost=0, sequence=("C",))
     doctored = DispatchSolution(selected={"v00": foreign}, missed=frozenset({"r00"}),
                                 objective=1000)
     assert any("candidate set" in v for v in check_solution(problem, doctored))
