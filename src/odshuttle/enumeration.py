@@ -13,6 +13,10 @@ work alone has no feasible sequence gets its empty plan only.  Plans with
 no capacity-respecting sequence are dropped rather than kept at infinite
 cost; unserved requests are covered by the miss variables instead.
 
+Plans name no vehicle and depend only on the vehicle's state (heading
+stop, arrival time, committed pickups and riders, capacity), so vehicles
+of equal state are sequenced once and share one plan tuple object.
+
 Plan order is canonical: vehicles by id, subsets by size then
 lexicographic request ids.
 """
@@ -26,7 +30,7 @@ from itertools import chain, combinations
 from .costing import optimal_sequence
 from .errors import InstanceTooLargeError
 from .network import TravelNetwork
-from .types import AssignmentPlan
+from .types import AssignmentPlan, ShuttleState
 
 MAX_PLANS = 100_000
 
@@ -35,8 +39,9 @@ MAX_PLANS = 100_000
 class PlanSet:
     """Each vehicle's candidate plans, empty plan first, in vehicle-id order.
 
-    ``plans`` is every vehicle's list concatenated in that order; a plan's
-    index there is its vehicle's offset plus its rank in the list.
+    Vehicles of equal state map to the same tuple object.  ``plans`` is
+    every vehicle's list concatenated in that order; a plan's index there
+    is its vehicle's offset plus its rank in the list.
     """
 
     per_vehicle: dict[str, tuple[AssignmentPlan, ...]]
@@ -81,8 +86,16 @@ def enumerate_plans(
             f"{max_new_requests} yields up to {bound} plans (guard {MAX_PLANS})"
         )
 
-    per_vehicle: dict[str, tuple[AssignmentPlan, ...]] = {}
+    # Each group of equal states is sequenced at its lowest-id member, in
+    # that member's order, so an error names the vehicle it would name were
+    # every vehicle sequenced on its own.
+    groups: dict[tuple, list[ShuttleState]] = {}
     for v in shuttles:
+        groups.setdefault((v.heading_stop, v.arrival_time, v.pending_pickups,
+                           v.pending_dropoffs, v.capacity), []).append(v)
+    per_vehicle: dict[str, tuple[AssignmentPlan, ...]] = {}
+    for members in groups.values():
+        v = members[0]
         base = optimal_sequence(v, frozenset(), network, per_passenger)
         base_cost, base_seq = base if base is not None else (0, ())
         plans = [AssignmentPlan(requests=frozenset(), cost=0, sequence=base_seq)]
@@ -106,5 +119,7 @@ def enumerate_plans(
                     continue
                 total, seq = found
                 plans.append(AssignmentPlan(requests=group, cost=total - base_cost, sequence=seq))
-        per_vehicle[v.id] = tuple(plans)
+        shared = tuple(plans)
+        for member in members:
+            per_vehicle[member.id] = shared
     return PlanSet(per_vehicle)

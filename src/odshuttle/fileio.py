@@ -37,18 +37,20 @@ optional ``penalty <id> <cost>``).  Requests claimed by a
 Route files (for ``fleetcalc``) hold ``route`` lines outside any section.
 
 References are checked at load time too: every stop a request, shuttle,
-region line or demand row names must be in the network, a weighted stop
+region line, scenario ``route`` line or demand row names must be in the
+network (route files have no network to check against), a weighted stop
 must be a region member or gateway, and every shuttle or request a
 ``committed_*`` or ``penalty`` line names must be defined.  A value
 rejected when its section is built (a repeated stop, an unknown mode, a
 stop both member and gateway, an overlapping rate piece, a mix that does
-not sum to 1, a setting out of range) is reported at its own line, not
-the file's last.  A demand profile the region cannot draw from fails at
-its ``mix`` line (the first ``rate`` line without a mix or a region).  In
-graph mode every stop a shuttle may be sent to -- the start stops, the
-region's stops and a demand file's stops -- must reach every other, or
-the load fails at the unreachable stop's ``stop`` line; stops only the
-walking baseline uses need no links.
+not sum to 1, a setting out of range, an instance's
+``max_requests_per_plan`` below 1 or a negative miss penalty) is reported
+at its own line, not the file's last.  A demand profile the region cannot
+draw from fails at its ``mix`` line (the first ``rate`` line without a mix
+or a region).  In graph mode every stop a shuttle may be sent to -- the
+start stops, the region's stops and a demand file's stops -- must reach
+every other, or the load fails at the unreachable stop's ``stop`` line;
+stops only the walking baseline uses need no links.
 
 Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type,
 where a trip_type is empty or one of intra, outbound and inbound.
@@ -342,6 +344,8 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
 
     for row in scenario["fleet_start"]:
         _check_stops(network, path, row.line, *row.args)
+    for row in rows["baseline"]["route"]:
+        _check_stops(network, path, row.line, *row.args[4:])
     region = None
     if region_rows["member"] or region_rows["gateway"]:
         kind_of: dict[str, str] = {}
@@ -450,6 +454,10 @@ def parse_instance_text(text: str, path="<instance>"):
     rows, end = _lines(text, path, _INSTANCE)
     network = _network(rows["network"], path, end)
     fleet = rows["fleet"]
+    for key, least in (("max_requests_per_plan", 1), ("miss_penalty", 0)):
+        for row in rows["params"][key]:
+            if row.args[0] < least:
+                raise ParseError(path, row.line, f"{key} must be >= {least}")
     params = {
         "max_requests_per_plan": _last(rows["params"]["max_requests_per_plan"], 3),
         "miss_penalty": _last(rows["params"]["miss_penalty"], DEFAULT_MISS_PENALTY),
@@ -471,6 +479,8 @@ def parse_instance_text(text: str, path="<instance>"):
         rid, cost = row.args
         if rid not in requests:
             raise ParseError(path, row.line, f"penalty for undefined request {rid}")
+        if cost < 0:
+            raise ParseError(path, row.line, f"penalty for {rid} must be >= 0")
         penalties[rid] = cost
 
     shuttle_rows: dict[str, _Row] = {}

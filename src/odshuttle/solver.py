@@ -15,7 +15,10 @@ is as deep as the request count, not the fleet size.  Vehicles whose
 plan lists agree rank by rank on (requests, cost) form one class and are
 branched on once, however many there are; a class's chosen plans go to
 its highest-id members, and vehicles never touched take their first
-plan, the empty one, which keeps the tie-break above.
+plan, the empty one, which keeps the tie-break above.  Each distinct plan
+tuple object is masked and keyed once, however many vehicles share it;
+the class rule still compares content, so equal lists held as separate
+tuples merge too.
 
 Input contract, as :func:`odshuttle.enumeration.enumerate_plans` builds
 it: each vehicle's first plan is its only empty plan, at cost 0, and
@@ -53,11 +56,20 @@ class DispatchProblem:
 
 
 def _prepare(problem: DispatchProblem):
-    """Index requests as bits and each vehicle's plans as masks; checks the input contract."""
+    """Index requests as bits and each vehicle's plans as masks; checks the input contract.
+
+    A plan tuple shared by several vehicles is checked and masked once, at
+    its lowest-id vehicle, and its mask list is shared alike.
+    """
     req_ids = [r.id for r in problem.requests]
     bit_of = {rid: 1 << i for i, rid in enumerate(req_ids)}
     masks: list[list[int]] = []
+    done: dict[int, list[int]] = {}  # id() of a plan tuple -> its masks
     for v, plans in problem.plan_set.per_vehicle.items():
+        shared = done.get(id(plans))
+        if shared is not None:
+            masks.append(shared)
+            continue
         if not plans:
             raise ValueError(f"vehicle {v} has no plans; the program would be infeasible")
         if plans[0].requests or plans[0].cost:
@@ -73,6 +85,7 @@ def _prepare(problem: DispatchProblem):
                 raise ValueError(f"vehicle {v}: a plan after its first is empty")
             vehicle_masks.append(mask)
         masks.append(vehicle_masks)
+        done[id(plans)] = vehicle_masks
     penalties = [problem.penalty(rid) for rid in req_ids]
     return req_ids, masks, penalties
 
@@ -121,8 +134,13 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     full = (1 << n_req) - 1
 
     teams: dict[tuple, list[int]] = {}
+    team_of: dict[int, list[int]] = {}  # id() of a plan tuple -> its class's members
     for pos, (plans, vehicle_masks) in enumerate(zip(per_vehicle.values(), masks)):
-        teams.setdefault(tuple(zip(vehicle_masks, [p.cost for p in plans])), []).append(pos)
+        team = team_of.get(id(plans))
+        if team is None:
+            key = tuple(zip(vehicle_masks, [p.cost for p in plans]))
+            team = team_of[id(plans)] = teams.setdefault(key, [])
+        team.append(pos)
     members = list(teams.values())  # vehicle positions per class, ascending id
 
     # Served plans (ranks >= 1) as (cost, class, rank, mask); their shares

@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -23,6 +24,18 @@ def make_grid_network(rng, n_stops, extent=2000.0, speed=10.0):
             Stop(f"n{i:02d}", round(rng.uniform(0, extent), 1), round(rng.uniform(0, extent), 1))
         )
     return TravelNetwork.euclidean(stops, speed=speed)
+
+
+def idle_fleet_instance(n_shuttles):
+    """``n_shuttles`` identical idle shuttles (cap 3) and eight requests on an 8-stop grid."""
+    rng = random.Random(31)
+    network = make_grid_network(rng, 8)
+    ids = network.stop_ids()
+    requests = [TripRequest(id=f"r{i}", pickup=ids[i], dropoff=ids[(i + 3) % 8],
+                            request_time=rng.randint(0, 100)) for i in range(8)]
+    shuttles = [ShuttleState(id=f"v{i:04d}", heading_stop=ids[0], arrival_time=0, capacity=3)
+                for i in range(n_shuttles)]
+    return network, requests, shuttles
 
 
 # Size table for randomized sequencing instances: (new, committed-pickup,

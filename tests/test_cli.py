@@ -185,3 +185,13 @@ def test_missing_config_reported_in_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("odshuttle: ") and str(path) in err
     assert "Traceback" not in err
+
+
+def test_out_of_range_instance_value_reported_in_one_line(tmp_path, capsys):
+    text = (SCENARIOS / "instance_small.txt").read_text()
+    path = tmp_path / "bad.txt"
+    path.write_text(text.replace("miss_penalty 3600", "miss_penalty -1"))
+    line_no = text.splitlines().index("miss_penalty 3600") + 1
+    assert main(["solve", str(path), "--out", str(tmp_path / "solution.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"odshuttle: {path}:{line_no}: miss_penalty must be >= 0"]

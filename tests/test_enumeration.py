@@ -1,13 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from odshuttle import enumeration
 from odshuttle.costing import optimal_sequence
 from odshuttle.enumeration import enumerate_plans, plan_count_bound
 from odshuttle.errors import InstanceTooLargeError
 from odshuttle.types import ShuttleState, TripRequest
 
-from conftest import make_grid_network
+from conftest import idle_fleet_instance, make_grid_network
 from oracles import exhaustive_best_sequence
 
 
@@ -138,3 +140,85 @@ def test_sequences_serve_every_request_pickup_first():
                     dropped.add(r)
         assert picked == set(p.requests)
         assert dropped == set(p.requests)
+
+
+def random_fleet(rng):
+    """Shuttles mixing idle twins at shared stops, moving and loaded ones, and
+    one whose committed work alone is infeasible; plus the open requests."""
+    net = make_grid_network(rng, rng.randint(4, 7))
+    ids = net.stop_ids()
+
+    def request(rid, passengers=1):
+        a = rng.choice(ids)
+        b = rng.choice([s for s in ids if s != a])
+        return TripRequest(id=rid, pickup=a, dropoff=b, request_time=rng.randint(0, 100),
+                           passengers=passengers)
+
+    shuttles = []
+    for i in range(rng.randint(1, 8)):
+        vid = f"v{i:02d}"
+        kind = rng.random()
+        if shuttles and kind < 0.4:
+            shuttles.append(replace(rng.choice(shuttles), id=vid))
+        elif kind < 0.95:
+            # Few places and times, so states differing in one field meet.
+            work = [request(f"c{i}{k}") for k in range(rng.choice([0, 0, 1, 2]))]
+            split = rng.randint(0, len(work))
+            shuttles.append(ShuttleState(id=vid, heading_stop=rng.choice(ids[:2]),
+                                         arrival_time=rng.choice([0, 0, 40]),
+                                         capacity=rng.choice([2, 3]),
+                                         pending_pickups=work[:split],
+                                         pending_dropoffs=work[split:]))
+        else:
+            # A party of two promised to a one-seat shuttle: no feasible sequence.
+            shuttles.append(ShuttleState(id=vid, heading_stop=ids[0], arrival_time=0, capacity=1,
+                                         pending_pickups=[request(f"c{i}", passengers=2)]))
+    requests = [request(f"r{i}", passengers=rng.choice([1, 1, 2])) for i in range(rng.randint(0, 5))]
+    return net, shuttles, requests
+
+
+def test_fleet_plans_match_each_shuttle_alone():
+    rng = random.Random(2024)
+    for _ in range(150):
+        net, shuttles, requests = random_fleet(rng)
+        cap = rng.randint(1, 3)
+        options = {"max_outstanding": rng.choice([None, 1, 2, 3]),
+                   "per_passenger": rng.random() < 0.5}
+        fleet = enumerate_plans(shuttles, requests, cap, net, **options)
+        for v in shuttles:
+            alone = enumerate_plans([v], requests, cap, net, **options)
+            assert fleet.per_vehicle[v.id] == alone.per_vehicle[v.id]
+
+
+def test_equal_states_share_one_plan_tuple(line_network):
+    shuttles = shuttles_at(line_network, 3)
+    moving = ShuttleState(id="v03", heading_stop="A", arrival_time=30, capacity=8)
+    plans = enumerate_plans(shuttles + [moving], requests_on(line_network, 3), 2, line_network)
+    shared = plans.per_vehicle["v00"]
+    assert plans.per_vehicle["v01"] is shared and plans.per_vehicle["v02"] is shared
+    assert plans.per_vehicle["v03"] is not shared
+
+
+def test_shared_state_error_names_lowest_id(line_network):
+    r = TripRequest(id="r00", pickup="B", dropoff="C", request_time=0)
+    twins = [ShuttleState(id=vid, heading_stop="A", arrival_time=0, pending_pickups={r})
+             for vid in ("v07", "v03")]
+    with pytest.raises(ValueError, match="committed to shuttle v03: r00"):
+        enumerate_plans(twins, [r], 1, line_network)
+
+
+def test_identical_shuttles_sequence_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return optimal_sequence(*args)
+
+    monkeypatch.setattr(enumeration, "optimal_sequence", counted)
+    network, requests, shuttles = idle_fleet_instance(1000)
+    enumerate_plans(shuttles[:1], requests, 3, network)
+    assert len(calls) == 93  # the empty subset and every subset of 1 to 3 of 8 requests
+    calls.clear()
+    plans = enumerate_plans(shuttles, requests, 3, network)
+    assert len(calls) == 93
+    assert len(plans.plans) == 93_000

@@ -253,6 +253,23 @@ def test_instance_rejects_bad_reference(line, message):
     assert message in text
 
 
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param("max_requests_per_plan 2", "max_requests_per_plan 0",
+                 "max_requests_per_plan must be >= 1", id="max-requests-per-plan"),
+    pytest.param("miss_penalty 900", "miss_penalty -1", "miss_penalty must be >= 0",
+                 id="miss-penalty"),
+    pytest.param("penalty r002 50", "penalty r002 -5", "penalty for r002 must be >= 0",
+                 id="request-penalty"),
+])
+def test_instance_value_out_of_range_names_its_line(old, new, message):
+    lines = INSTANCE_TEXT.splitlines()
+    line_no = lines.index(old) + 1
+    lines[line_no - 1] = new
+    with pytest.raises(ParseError) as err:
+        fileio.parse_instance_text("\n".join(lines) + "\n", path="bad.txt")
+    assert str(err.value) == f"bad.txt:{line_no}: {message}"
+
+
 @pytest.mark.parametrize("parse, text, old, new", [
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "stop C 1000 0", "stop A 1000 0",
                  id="duplicate-stop"),
@@ -426,6 +443,7 @@ def test_wrong_arity_is_a_parse_error(fmt, section, key, count):
     "[demand]\nrate 0 10.5 3",
     "[bogus]",
     "[baseline]\nroute r2 20 10 sideways A B",
+    "[baseline]\nroute r2 20 10 two_way A Z",
     "[region]\nmember D",
     "[demand]\nmember_weight G1 2.0",
     "[demand]\ngateway_weight A 2.0",

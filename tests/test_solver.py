@@ -9,7 +9,7 @@ from odshuttle.network import TravelNetwork
 from odshuttle.solver import DispatchProblem, check_solution, solve_dispatch
 from odshuttle.types import AssignmentPlan, DispatchSolution, ShuttleState, Stop, TripRequest
 
-from conftest import make_grid_network, random_dispatch_problem
+from conftest import idle_fleet_instance, make_grid_network, random_dispatch_problem
 from oracles import brute_force_dispatch
 
 
@@ -157,6 +157,20 @@ def test_thousand_identical_shuttles_solve_like_eight():
     assert check_solution(large, solution) == []
     assert solution.objective == solve_dispatch(small).objective
     assert sum(1 for p in solution.selected.values() if p.requests) <= 8
+
+
+def test_thousand_enumerated_shuttles_solve_like_eight():
+    network, requests, shuttles = idle_fleet_instance(1000)
+    penalties = {r.id: 1200 for r in requests}
+
+    def problem(fleet):
+        return DispatchProblem(requests=tuple(requests), miss_penalty=penalties,
+                               plan_set=enumerate_plans(fleet, requests, 3, network))
+
+    large = problem(shuttles)
+    solution = solve_dispatch(large)
+    assert check_solution(large, solution) == []
+    assert solution.objective == solve_dispatch(problem(shuttles[:8])).objective
 
 
 def test_objective_never_exceeds_missing_everything():
