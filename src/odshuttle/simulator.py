@@ -36,7 +36,10 @@ a new ``ShuttleState``, so its checks (capacity among them) run at every
 visit, and a sequence that runs out while requests are still owed stops
 the run.  A moving shuttle finishes its current leg before any new
 sequence takes effect.  Idle shuttles hold position and are shown to the
-dispatcher as arriving "now".
+dispatcher as arriving "now": a copy of the state with only
+``arrival_time`` changed (``ShuttleState.retimed``).  That copy is the
+one change that re-runs no checks, as none of them reads the time and
+an idle shuttle owes nothing.
 
 The baseline models the fixed-route alternative analytically: walk to
 the nearest served stop, wait for the next scheduled departure
@@ -97,7 +100,9 @@ def min_fleet_fixed_routes(routes) -> int:
 def cost_reduction(buses: int, shuttles: int) -> float:
     """Percent operating-cost change replacing ``buses`` with ``shuttles``."""
     if buses <= 0:
-        raise ValueError("buses must be positive")
+        raise ConfigError("buses must be positive", "buses")
+    if shuttles < 0:
+        raise ConfigError("shuttles must be >= 0", "shuttles")
     return (buses - shuttles) / buses * 100.0
 
 
@@ -294,8 +299,7 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
         for vid in order:
             state = states[vid]
             if not visits[vid]:  # idle: standing at its stop now
-                state = ShuttleState(vid, state.heading_stop, now, state.pending_pickups,
-                                     state.pending_dropoffs, capacity)
+                state = state.retimed(now)
             fleet.append(state)
         plan_set = enumerate_plans(
             fleet,

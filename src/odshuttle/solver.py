@@ -15,10 +15,17 @@ is as deep as the request count, not the fleet size.  Vehicles whose
 plan lists agree rank by rank on (requests, cost) form one class and are
 branched on once, however many there are; a class's chosen plans go to
 its highest-id members, and vehicles never touched take their first
-plan, the empty one, which keeps the tie-break above.  Each distinct plan
-tuple object is masked and keyed once, however many vehicles share it;
-the class rule still compares content, so equal lists held as separate
-tuples merge too.
+plan, the empty one, which keeps the tie-break above.
+
+Setup is one pass over the vehicles.  For each distinct plan tuple
+object, however many vehicles share it, that pass checks the input
+contract, masks the plans, keys the vehicle's class by (mask, cost) per
+rank and lowers the per-request shares of the bound.  The class rule
+compares that content, so equal lists held as separate tuples merge too.
+A program with one request skips the search: it is an argmin.  The
+cheapest plan serving the request wins, on a cost tie the highest-id
+vehicle's, then that vehicle's lowest rank; it is selected when its cost
+is at most the request's penalty, else the request is missed.
 
 Input contract, as :func:`odshuttle.enumeration.enumerate_plans` builds
 it: each vehicle's first plan is its only empty plan, at cost 0, and
@@ -55,41 +62,6 @@ class DispatchProblem:
         return self.miss_penalty.get(request_id, DEFAULT_MISS_PENALTY)
 
 
-def _prepare(problem: DispatchProblem):
-    """Index requests as bits and each vehicle's plans as masks; checks the input contract.
-
-    A plan tuple shared by several vehicles is checked and masked once, at
-    its lowest-id vehicle, and its mask list is shared alike.
-    """
-    req_ids = [r.id for r in problem.requests]
-    bit_of = {rid: 1 << i for i, rid in enumerate(req_ids)}
-    masks: list[list[int]] = []
-    done: dict[int, list[int]] = {}  # id() of a plan tuple -> its masks
-    for v, plans in problem.plan_set.per_vehicle.items():
-        shared = done.get(id(plans))
-        if shared is not None:
-            masks.append(shared)
-            continue
-        if not plans:
-            raise ValueError(f"vehicle {v} has no plans; the program would be infeasible")
-        if plans[0].requests or plans[0].cost:
-            raise ValueError(f"vehicle {v}: its first plan must be the empty plan at cost 0")
-        vehicle_masks = [0]
-        for plan in plans[1:]:
-            mask = 0
-            for r in plan.requests:
-                if r.id not in bit_of:
-                    raise ValueError(f"vehicle {v}: a plan covers {r.id}, not in the problem")
-                mask |= bit_of[r.id]
-            if not mask:
-                raise ValueError(f"vehicle {v}: a plan after its first is empty")
-            vehicle_masks.append(mask)
-        masks.append(vehicle_masks)
-        done[id(plans)] = vehicle_masks
-    penalties = [problem.penalty(rid) for rid in req_ids]
-    return req_ids, masks, penalties
-
-
 def _selection(path, members, n_vehicles) -> list[int]:
     """Plan rank per vehicle, in vehicle-id order, for a path of (class, rank) choices.
 
@@ -110,11 +82,20 @@ def _selection(path, members, n_vehicles) -> list[int]:
     return chosen
 
 
+def _solution(per_vehicle, req_ids, ranks, missed: int, objective: int) -> DispatchSolution:
+    """Each vehicle's plan of the given rank, in vehicle-id order; ``missed`` is a request bit mask."""
+    selected = {v: plans[rank] for (v, plans), rank in zip(per_vehicle.items(), ranks)}
+    return DispatchSolution(selected=selected, objective=objective,
+                            missed=frozenset(rid for i, rid in enumerate(req_ids) if missed >> i & 1))
+
+
 def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     """Provably optimal plan selection via branch and bound over requests.
 
-    Plans breaking the module's input contract raise ``ValueError``.
-    The search settles the lowest undecided request at each step: missed,
+    Plans breaking the module's input contract raise ``ValueError``,
+    before anything is decided.  A one-request program is then solved as
+    the argmin the module describes; any other is searched.  The search
+    settles the lowest undecided request at each step: missed,
     or served by a plan (whose lowest request it is) of a vehicle class
     with a member still free.  Which members serve is decided only at a
     leaf, by :func:`_selection`; vehicles never touched take their first
@@ -128,36 +109,77 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     missed, then plan-rank tuple in vehicle-id order, as in the
     brute-force oracle of the test suite.
     """
-    req_ids, masks, penalties = _prepare(problem)
+    req_ids = [r.id for r in problem.requests]
+    bit_of = {rid: 1 << i for i, rid in enumerate(req_ids)}
+    penalties = [problem.penalty(rid) for rid in req_ids]
     per_vehicle = problem.plan_set.per_vehicle
+    n_vehicles = len(per_vehicle)
     n_req = len(req_ids)
     full = (1 << n_req) - 1
 
-    teams: dict[tuple, list[int]] = {}
+    # One pass over the vehicles, doing its work once per distinct plan
+    # tuple object, at the lowest-id vehicle holding it: check the input
+    # contract, key the list by (mask, cost) per rank and put the vehicle in
+    # the class of that key.  A new class lowers each request's share and
+    # lists its served plans (ranks >= 1) as (cost, class, rank, mask).
+    teams: dict[tuple, list[int]] = {}  # class key -> vehicle positions, ascending id
     team_of: dict[int, list[int]] = {}  # id() of a plan tuple -> its class's members
-    for pos, (plans, vehicle_masks) in enumerate(zip(per_vehicle.values(), masks)):
-        team = team_of.get(id(plans))
-        if team is None:
-            key = tuple(zip(vehicle_masks, [p.cost for p in plans]))
-            team = team_of[id(plans)] = teams.setdefault(key, [])
-        team.append(pos)
-    members = list(teams.values())  # vehicle positions per class, ascending id
-
-    # Served plans (ranks >= 1) as (cost, class, rank, mask); their shares
-    # bound each request's cost from below.
     share = list(penalties)
     served: list[tuple[int, int, int, int]] = []
-    for c, key in enumerate(teams):
-        for rank, (mask, cost) in enumerate(key[1:], 1):
-            per = cost // mask.bit_count()
-            m = mask
-            while m:
-                low = m & -m
-                r = low.bit_length() - 1
-                if per < share[r]:
-                    share[r] = per
-                m ^= low
-            served.append((cost, c, rank, mask))
+    for pos, (v, plans) in enumerate(per_vehicle.items()):
+        team = team_of.get(id(plans))
+        if team is None:
+            if not plans:
+                raise ValueError(f"vehicle {v} has no plans; the program would be infeasible")
+            if plans[0].requests or plans[0].cost:
+                raise ValueError(f"vehicle {v}: its first plan must be the empty plan at cost 0")
+            key = [(0, 0)]
+            for plan in plans[1:]:
+                mask = 0
+                for r in plan.requests:
+                    bit = bit_of.get(r.id)
+                    if bit is None:
+                        raise ValueError(f"vehicle {v}: a plan covers {r.id}, not in the problem")
+                    mask |= bit
+                if not mask:
+                    raise ValueError(f"vehicle {v}: a plan after its first is empty")
+                key.append((mask, plan.cost))
+            key = tuple(key)
+            team = teams.get(key)
+            if team is None:
+                c = len(teams)
+                team = teams[key] = []
+                for rank, (mask, cost) in enumerate(key[1:], 1):
+                    per = cost // mask.bit_count()
+                    m = mask
+                    while m:
+                        low = m & -m
+                        r = low.bit_length() - 1
+                        if per < share[r]:
+                            share[r] = per
+                        m ^= low
+                    served.append((cost, c, rank, mask))
+            team_of[id(plans)] = team
+        team.append(pos)
+    members = list(teams.values())
+
+    if n_req == 1:
+        # Every served plan serves the request.  The cheapest wins; on a
+        # cost tie the highest-id vehicle, then its lowest rank, which gives
+        # the smallest rank tuple.  Missing the request wins only when it
+        # costs strictly less, as serving then misses fewer.  A class's
+        # highest-id member stands for it; its ranks come in ascending order.
+        best = None  # (cost, vehicle position, rank)
+        for cost, c, rank, _ in served:
+            if cost <= penalties[0]:
+                pos = members[c][-1]
+                if best is None or cost < best[0] or cost == best[0] and pos > best[1]:
+                    best = (cost, pos, rank)
+        ranks = [0] * n_vehicles
+        if best is None:
+            return _solution(per_vehicle, req_ids, ranks, 1, penalties[0])
+        ranks[best[1]] = best[2]
+        return _solution(per_vehicle, req_ids, ranks, 0, best[0])
 
     # Branches per lowest request bit, best first by cost net of the
     # penalties they save; class -1 is the miss branch.
@@ -192,9 +214,9 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
         if decided == full:
             n_missed, best_missed = missed.bit_count(), best_mask.bit_count()
             if cost == best_cost and n_missed == best_missed:
-                sel = _selection(path, members, len(masks))
+                sel = _selection(path, members, n_vehicles)
                 if best_sel is None:
-                    best_sel = _selection(best_path, members, len(masks))
+                    best_sel = _selection(best_path, members, n_vehicles)
                 if sel < best_sel:
                     best_mask, best_path, best_sel = missed, path, sel
             elif cost < best_cost or n_missed < best_missed:
@@ -217,10 +239,8 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
         stack += children
 
     if best_sel is None:
-        best_sel = _selection(best_path, members, len(masks))
-    selected = {v: plans[rank] for (v, plans), rank in zip(per_vehicle.items(), best_sel)}
-    missed = frozenset(rid for i, rid in enumerate(req_ids) if best_mask >> i & 1)
-    return DispatchSolution(selected=selected, missed=missed, objective=best_cost)
+        best_sel = _selection(best_path, members, n_vehicles)
+    return _solution(per_vehicle, req_ids, best_sel, best_mask, best_cost)
 
 
 def check_solution(problem: DispatchProblem, solution: DispatchSolution) -> list[str]:

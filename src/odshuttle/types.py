@@ -80,8 +80,10 @@ class ShuttleState:
 
     def __post_init__(self):
         # Accept any iterable for the two request sets.
-        object.__setattr__(self, "pending_pickups", frozenset(self.pending_pickups))
-        object.__setattr__(self, "pending_dropoffs", frozenset(self.pending_dropoffs))
+        if type(self.pending_pickups) is not frozenset:
+            object.__setattr__(self, "pending_pickups", frozenset(self.pending_pickups))
+        if type(self.pending_dropoffs) is not frozenset:
+            object.__setattr__(self, "pending_dropoffs", frozenset(self.pending_dropoffs))
         if not self.id:
             raise ValueError("shuttle id must be non-empty")
         if self.capacity < 1:
@@ -97,6 +99,25 @@ class ShuttleState:
     def onboard(self) -> int:
         """Passengers currently riding: everyone picked up and not yet dropped off."""
         return sum(r.passengers for r in self.pending_dropoffs)
+
+    def retimed(self, arrival_time: int) -> ShuttleState:
+        """This state arriving at ``arrival_time`` instead, equal to the constructor's.
+
+        None of the constructor's checks reads the arrival time, so the copy
+        skips them.  It sets the fields one by one, in declaration order, as
+        the generated ``__init__`` does: copying ``__dict__`` wholesale would
+        give both states a materialized dict, which makes every attribute
+        read on them (sequencing reads many) about twice as slow.
+        """
+        copy = object.__new__(type(self))
+        put = object.__setattr__
+        put(copy, "id", self.id)
+        put(copy, "heading_stop", self.heading_stop)
+        put(copy, "arrival_time", arrival_time)
+        put(copy, "pending_pickups", self.pending_pickups)
+        put(copy, "pending_dropoffs", self.pending_dropoffs)
+        put(copy, "capacity", self.capacity)
+        return copy
 
 
 @dataclass(frozen=True)
@@ -115,8 +136,10 @@ class AssignmentPlan:
     sequence: tuple[StopId, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "requests", frozenset(self.requests))
-        object.__setattr__(self, "sequence", tuple(self.sequence))
+        if type(self.requests) is not frozenset:
+            object.__setattr__(self, "requests", frozenset(self.requests))
+        if type(self.sequence) is not tuple:
+            object.__setattr__(self, "sequence", tuple(self.sequence))
         if self.cost < 0:
             raise ValueError("plan cost must be >= 0")
 

@@ -92,25 +92,35 @@ def random_costing_instance(rng):
 
 
 def random_dispatch_problem(rng, max_vehicles=4, max_requests=8, max_cap=3, max_combos=120_000,
-                            twins=False):
+                            twins=False, overloaded=False, one_class=False):
     """Random dispatch instance sized so the brute-force oracle stays tractable.
 
     With ``twins``, about half the shuttles after the first copy the state
     of an earlier one under a new id (committed work renamed alike).
+
+    With ``overloaded``, one or two shuttles are free and take at least
+    five requests between them; every other shuttle already owes as many
+    requests as ``max_outstanding`` allows, so its only plan is the empty
+    one.  With ``one_class``, three or more shuttles all copy the first
+    one's state, so their plan lists agree rank by rank: one large class.
     """
+    import math
     from dataclasses import replace
 
     from odshuttle.enumeration import enumerate_plans
     from odshuttle.solver import DispatchProblem
 
     while True:
-        n_vehicles = rng.randint(1, max_vehicles)
-        n_requests = rng.randint(0, max_requests)
+        if overloaded:
+            n_free = rng.randint(1, 2)
+            n_vehicles = n_free + rng.randint(0, max_vehicles)
+            n_requests = rng.randint(max(5, 3 * n_free), max(5, 3 * n_free, max_requests))
+        else:
+            n_vehicles = rng.randint(3 if one_class else 1, max_vehicles)
+            n_requests = rng.randint(0, max_requests)
         cap = rng.randint(1, max_cap)
-        import math
-
         per_vehicle = sum(math.comb(n_requests, k) for k in range(0, min(cap, n_requests) + 1))
-        if per_vehicle**n_vehicles <= max_combos:
+        if per_vehicle ** (n_free if overloaded else n_vehicles) <= max_combos:
             break
 
     network = make_grid_network(rng, rng.randint(4, 8))
@@ -128,8 +138,18 @@ def random_dispatch_problem(rng, max_vehicles=4, max_requests=8, max_cap=3, max_
                                     request_time=rng.randint(0, 100)))
     shuttles = []
     for i in range(n_vehicles):
-        if twins and shuttles and rng.random() < 0.5:
-            twin = rng.choice(shuttles)
+        if overloaded and i >= n_free:
+            owed = set()
+            for k in range(cap):
+                a, b = pick_pair()
+                owed.add(TripRequest(id=f"cv{i}-{k}", pickup=a, dropoff=b,
+                                     request_time=rng.randint(0, 50)))
+            shuttles.append(ShuttleState(id=f"v{i:02d}", heading_stop=rng.choice(ids),
+                                         arrival_time=rng.randint(0, 60),
+                                         pending_pickups=owed, capacity=8))
+            continue
+        if shuttles and (one_class or twins and rng.random() < 0.5):
+            twin = shuttles[0] if one_class else rng.choice(shuttles)
             shuttles.append(replace(
                 twin, id=f"v{i:02d}",
                 pending_pickups={replace(r, id=f"cv{i}") for r in twin.pending_pickups},
@@ -153,6 +173,7 @@ def random_dispatch_problem(rng, max_vehicles=4, max_requests=8, max_cap=3, max_
                 capacity=rng.choice([2, 3, 8]),
             )
         )
-    plan_set = enumerate_plans(shuttles, requests, cap, network)
+    plan_set = enumerate_plans(shuttles, requests, cap, network,
+                               max_outstanding=cap if overloaded else None)
     penalties = {r.id: rng.choice([0, 50, 200, 1000, 3600]) for r in requests}
     return DispatchProblem(requests=tuple(requests), plan_set=plan_set, miss_penalty=penalties)

@@ -132,6 +132,14 @@ def test_fleetcalc_retired_routes(capsys):
     assert "37.5% cost reduction" in out
 
 
+def test_fleetcalc_negative_shuttles_reported_in_one_line(capsys):
+    code = main(["fleetcalc", str(SCENARIOS / "routes_retired.txt"), "--shuttles", "-3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "cost reduction" not in captured.out
+    assert captured.err.splitlines() == ["odshuttle: shuttles must be >= 0"]
+
+
 TWINS_INSTANCE = """\
 [params]
 max_requests_per_plan 2

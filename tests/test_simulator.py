@@ -407,8 +407,11 @@ def test_cost_reduction_values():
     assert cost_reduction(8, 8) == 0.0
     assert cost_reduction(4, 1) == 75.0
     assert cost_reduction(4, 5) == -25.0
+    assert cost_reduction(8, 0) == 100.0
     with pytest.raises(ValueError):
         cost_reduction(0, 1)
+    with pytest.raises(ValueError, match="shuttles"):
+        cost_reduction(8, -3)
 
 
 # -- baseline ---------------------------------------------------------------------

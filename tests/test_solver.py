@@ -62,13 +62,16 @@ STRAY = AssignmentPlan(cost=10, requests=SERVE.requests | {
     TripRequest(id="r99", pickup="A", dropoff="B", request_time=0)})
 
 
-@pytest.mark.parametrize("plans", [
+MALFORMED = [
     pytest.param((SERVE,), id="no-empty-plan"),
     pytest.param((SERVE, EMPTY), id="empty-plan-last"),
     pytest.param((replace(EMPTY, cost=5), SERVE), id="empty-plan-at-cost-5"),
     pytest.param((EMPTY, SERVE, EMPTY), id="two-empty-plans"),
     pytest.param((EMPTY, SERVE, STRAY), id="request-outside-problem"),
-])
+]
+
+
+@pytest.mark.parametrize("plans", MALFORMED)
 def test_malformed_problem_vehicle_without_empty_plan(plans):
     # The solver's input contract: the first plan is the only empty one, at
     # cost 0, and plans cover only the problem's requests.
@@ -76,6 +79,68 @@ def test_malformed_problem_vehicle_without_empty_plan(plans):
     broken = DispatchProblem(requests=simple_problem().requests, plan_set=plan_set)
     with pytest.raises(ValueError, match="vehicle v00"):
         solve_dispatch(broken)
+
+
+@pytest.mark.parametrize("plans", MALFORMED)
+def test_malformed_plans_rejected_in_one_request_program(plans):
+    # A one-request program is decided without the search, but only after
+    # every vehicle's list is checked: a well-formed vehicle that could
+    # serve the request comes first, and the malformed one still raises.
+    plan_set = PlanSet({"v00": (EMPTY, SERVE), "v01": plans})
+    broken = DispatchProblem(requests=simple_problem().requests, plan_set=plan_set)
+    assert len(broken.requests) == 1
+    with pytest.raises(ValueError, match="vehicle v01"):
+        solve_dispatch(broken)
+
+
+def random_one_request_problem(rng):
+    """A hand-built one-request program with frequent ties.
+
+    Each vehicle gets zero to three plans serving the request, with costs
+    from a short list, or the very tuple of an earlier vehicle.  Every
+    plan has its own sequence, so equal plans tell their ranks apart.
+    """
+    r = TripRequest(id="r00", pickup="A", dropoff="B", request_time=0)
+    lists: list[tuple] = []
+    per_vehicle = {}
+    for i in range(rng.randint(1, 5)):
+        if lists and rng.random() < 0.3:
+            plans = rng.choice(lists)
+        else:
+            plans = (AssignmentPlan(requests=frozenset(), cost=0, sequence=(f"e{i}",)),) + tuple(
+                AssignmentPlan(requests=frozenset({r}), cost=rng.choice([0, 10, 50, 50, 100]),
+                               sequence=(f"s{i}", f"p{rank}"))
+                for rank in range(1, 1 + rng.choice([0, 1, 1, 2, 3])))
+            lists.append(plans)
+        per_vehicle[f"v{i:02d}"] = plans
+    return DispatchProblem(requests=(r,), plan_set=PlanSet(per_vehicle),
+                           miss_penalty={"r00": rng.choice([0, 10, 50, 100])})
+
+
+def test_one_request_programs_match_brute_force():
+    rng = random.Random(1201)
+    seen = dict.fromkeys(["vehicle-tie", "twins", "two-serving-plans", "cost-equals-penalty",
+                          "penalty-0", "no-serving-plan"], 0)
+    for _ in range(600):
+        problem = random_one_request_problem(rng)
+        fast = solve_dispatch(problem)
+        brute = brute_force_dispatch(problem)
+        assert fast.objective == brute.objective
+        assert fast.missed == brute.missed
+        assert fast.selected == brute.selected
+        assert check_solution(problem, fast) == []
+
+        lists = list(problem.plan_set.per_vehicle.values())
+        cheapest = [min((p.cost for p in plans[1:]), default=None) for plans in lists]
+        costs = [c for c in cheapest if c is not None]
+        penalty = problem.penalty("r00")
+        seen["vehicle-tie"] += len(costs) > 1 and costs.count(min(costs)) > 1
+        seen["twins"] += len({id(plans) for plans in lists}) < len(lists)
+        seen["two-serving-plans"] += any(len(plans) > 2 for plans in lists)
+        seen["cost-equals-penalty"] += bool(costs) and min(costs) == penalty
+        seen["penalty-0"] += penalty == 0
+        seen["no-serving-plan"] += not costs
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 def test_single_vehicle_closed_form():
@@ -122,6 +187,40 @@ def test_matches_brute_force_with_identical_shuttles():
                  for plans in problem.plan_set.per_vehicle.values()]
         classed += len(set(lists)) < len(lists)
     assert classed > 100
+
+
+def test_matches_brute_force_on_overloaded_programs():
+    # One or two free shuttles against five to eight requests; the rest
+    # can take nothing.  Most requests must be missed.
+    rng = random.Random(3131)
+    missed = 0
+    for _ in range(100):
+        problem = random_dispatch_problem(rng, overloaded=True)
+        fast = solve_dispatch(problem)
+        brute = brute_force_dispatch(problem)
+        assert fast.objective == brute.objective
+        assert fast.missed == brute.missed
+        assert fast.selected == brute.selected
+        assert check_solution(problem, fast) == []
+        free = sum(len(plans) > 1 for plans in problem.plan_set.per_vehicle.values())
+        assert free <= 2 < len(problem.requests)
+        missed += len(fast.missed)
+    assert missed > 120
+
+
+def test_matches_brute_force_with_one_large_class():
+    rng = random.Random(4141)
+    for _ in range(100):
+        problem = random_dispatch_problem(rng, max_vehicles=6, max_combos=30_000, one_class=True)
+        fast = solve_dispatch(problem)
+        brute = brute_force_dispatch(problem)
+        assert fast.objective == brute.objective
+        assert fast.missed == brute.missed
+        assert fast.selected == brute.selected
+        assert check_solution(problem, fast) == []
+        lists = {tuple((p.request_ids, p.cost) for p in plans)
+                 for plans in problem.plan_set.per_vehicle.values()}
+        assert len(lists) == 1 and len(problem.plan_set.per_vehicle) >= 3
 
 
 def test_identical_idle_shuttles_serve_from_highest_id(line_network):

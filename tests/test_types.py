@@ -1,6 +1,6 @@
 import pytest
 
-from odshuttle.types import ShuttleState, Stop, TripRequest
+from odshuttle.types import AssignmentPlan, ShuttleState, Stop, TripRequest
 
 
 def test_request_rejects_equal_endpoints():
@@ -42,3 +42,26 @@ def test_shuttle_rejects_overlapping_pending_sets():
     with pytest.raises(ValueError):
         ShuttleState(id="v1", heading_stop="A", arrival_time=0,
                      pending_pickups={r}, pending_dropoffs={r})
+
+
+def test_retimed_state_equals_constructed_state():
+    # The simulator shows idle shuttles to the dispatcher this way, without
+    # re-running the constructor; the copy must be indistinguishable.
+    r = TripRequest(id="r1", pickup="A", dropoff="B", request_time=0)
+    for owed in ({}, {"pending_pickups": {r}}, {"pending_dropoffs": {r}}):
+        v = ShuttleState(id="v1", heading_stop="A", arrival_time=30, capacity=4, **owed)
+        moved = v.retimed(90)
+        built = ShuttleState(id="v1", heading_stop="A", arrival_time=90, capacity=4, **owed)
+        assert moved == built and hash(moved) == hash(built)
+        assert moved.arrival_time == 90 and v.arrival_time == 30
+        assert moved.retimed(30) == v
+
+
+def test_value_objects_still_freeze_any_iterable():
+    r = TripRequest(id="r1", pickup="A", dropoff="B", request_time=0)
+    v = ShuttleState(id="v1", heading_stop="A", arrival_time=0, pending_pickups=[r],
+                     pending_dropoffs=set())
+    assert type(v.pending_pickups) is frozenset and type(v.pending_dropoffs) is frozenset
+    plan = AssignmentPlan(requests=[r], cost=5, sequence=["A", "B"])
+    assert plan.requests == frozenset({r}) and plan.sequence == ("A", "B")
+    assert hash(plan) == hash(AssignmentPlan(requests=frozenset({r}), cost=5, sequence=("A", "B")))
