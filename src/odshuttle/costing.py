@@ -12,16 +12,12 @@ enough for the simulator's per-tick fan-out.
 A branch is cut when its waiting so far plus a lower bound on the
 waiting still to come exceeds the incumbent.  The bound charges each
 outstanding pickup j, from a node that leaves stop s at time t,
-``max(0, t + tt(s, pickup_j) - 1 - request_time_j)`` (times party size
+``max(0, t + tt(s, pickup_j) - request_time_j)`` (times party size
 when weighting per passenger).  The bound never overestimates, so the
-search stays exact: any chain of legs from s to pickup_j takes at least
-``tt(s, pickup_j) - 1`` seconds, and idling for a future-dated request
-only adds time.  Graph times are
-shortest paths, so there the chain takes at least ``tt`` itself; the
-second of slack is for euclidean and manhattan times, whose rounding up
-of float distances can make a detour one second shorter than the direct
-leg (never more, for times far below 2**50 s).  The cut is strict
-(``>``), so every sequence that ties the optimum is still reached and the
+search stays exact: travel times are shortest paths, so any chain of
+legs from s to pickup_j takes at least ``tt(s, pickup_j)``, and idling
+for a future-dated request only adds time.  The cut is strict (``>``),
+so every sequence that ties the optimum is still reached and the
 tie-break below holds.
 
 Two behaviors beyond the basic search:
@@ -162,7 +158,7 @@ def optimal_sequence(
                     best_w, best_seq = w, seq
                 continue
             # Each outstanding pickup j is reached no earlier than
-            # depart + tt(s, pickup_j) - 1 (see the module docstring).
+            # depart + tt(s, pickup_j) (see the module docstring).
             bound = w
             bits = rest
             while bits:
@@ -171,7 +167,7 @@ def optimal_sequence(
                 leg = row_s[pick_stop[j]]
                 if leg is None:
                     raise UnreachableStopError(f"no path from {ids[s]} to {ids[pick_stop[j]]}")
-                late = depart + leg - 1 - due[j]
+                late = depart + leg - due[j]
                 if late > 0:
                     bound += late * weight[j]
                 bits ^= low

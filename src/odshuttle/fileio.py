@@ -233,7 +233,6 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
         if row.args[0] in stops:
             raise ParseError(path, row.line, f"duplicate stop id {row.args[0]}")
         stops[row.args[0]] = Stop(*row.args)
-    speed_row = rows["speed"][-1] if rows["speed"] else None
     if mode == GRAPH:
         if rows["speed"]:
             raise ParseError(path, rows["speed"][0].line, "graph mode takes no speed")
@@ -244,16 +243,17 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
                     raise ParseError(path, row.line, f"link names unknown stop {stop!r}")
             if seconds < 0:
                 raise ParseError(path, row.line, f"link {a}->{b}: negative traversal time")
-    elif mode in (EUCLIDEAN, MANHATTAN):
-        if speed_row is None or speed_row.args[0] <= 0:
-            raise ParseError(path, (speed_row or mode_row).line,
-                             f"{mode} mode needs a positive speed (m/s)")
-        if rows["link"]:
-            raise ParseError(path, rows["link"][0].line, f"{mode} mode takes no links")
-    else:
+        return TravelNetwork.graph(stops.values(), [row.args for row in rows["link"]])
+    if mode not in (EUCLIDEAN, MANHATTAN):
         raise ParseError(path, mode_row.line, f"unknown network mode {mode!r}")
-    return TravelNetwork(stops.values(), mode, speed=_last(rows["speed"]),
-                         links=[row.args for row in rows["link"]])
+    speed_row = rows["speed"][-1] if rows["speed"] else None
+    if speed_row is None or speed_row.args[0] <= 0:
+        raise ParseError(path, (speed_row or mode_row).line,
+                         f"{mode} mode needs a positive speed (m/s)")
+    if rows["link"]:
+        raise ParseError(path, rows["link"][0].line, f"{mode} mode takes no links")
+    make = TravelNetwork.euclidean if mode == EUCLIDEAN else TravelNetwork.manhattan
+    return make(stops.values(), speed_row.args[0])
 
 
 def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:
@@ -424,7 +424,7 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
         settings = {**scenario, "walk_speed": rows["baseline"]["walk_speed"]}
         lines = [settings[name][-1].line for name in err.fields if settings.get(name)]
         raise ParseError(path, lines[0] if lines else end, f"bad scenario: {err}") from None
-    if network.mode == GRAPH:
+    if rows["network"]["mode"][-1].args[0] == GRAPH:
         # Every stop a shuttle may be sent to must reach every other, or the
         # run dies at the first leg that needs the missing path.
         stops = set(config.start_stops())

@@ -1,22 +1,23 @@
 """Travel-time oracle between stops, region membership and trip typing.
 
-Three network modes:
+A network is a directed graph of links with traversal seconds, and the
+travel time between two stops is the shortest-path time (Dijkstra), so
+the triangle inequality holds exactly.  The three constructors differ
+only in their links:
 
-* ``euclidean`` / ``manhattan`` -- travel time is metric distance over a
-  constant shuttle speed, rounded up to whole seconds.  Rounding the
-  float distance up can make a detour one second shorter than the
-  direct trip, so the triangle inequality holds only to within 1 s.
-* ``graph`` -- directed links with traversal seconds; travel time is the
-  shortest-path time (Dijkstra), so the triangle inequality holds by
-  construction.
+* ``euclidean`` / ``manhattan`` -- a link between every ordered pair of
+  stops, its time the metric distance over a constant shuttle speed
+  rounded up to whole seconds.  Rounding up can make a leg one second
+  longer than a detour through a third stop; the shortest path takes
+  the detour's time.
+* ``graph`` -- the links given, with unlinked pairs possibly unreachable.
 
 Stops are numbered by sorted id (``index``/``ids``), so comparing index
 sequences orders them as the id sequences would.  Travel times live in
 one ``list`` row per source stop, indexed by destination and filled on
-first use (:meth:`TravelNetwork.row`); graph mode fills a row with one
-Dijkstra run and marks unreachable stops ``None``.  Networks are
-immutable after construction and filling a row is idempotent, so
-concurrent readers are fine.
+first use by one Dijkstra run (:meth:`TravelNetwork.row`), which marks
+unreachable stops ``None``.  Networks are immutable after construction
+and filling a row is idempotent, so concurrent readers are fine.
 """
 
 from __future__ import annotations
@@ -43,52 +44,50 @@ class TripType(Enum):
 
 
 class TravelNetwork:
-    """Immutable stop set plus a travel-time oracle.
+    """Immutable stop set plus a shortest-path travel-time oracle.
 
     Use the :meth:`euclidean`, :meth:`manhattan` or :meth:`graph`
     constructors rather than ``__init__`` directly.
     """
 
-    def __init__(self, stops, mode: str, speed: float | None = None, links=None):
+    def __init__(self, stops, links):
         stop_list = list(stops)
         ids = [s.id for s in stop_list]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate stop ids: {', '.join(dupes)}")
         self.stops: dict[StopId, Stop] = {s.id: s for s in stop_list}
-        self.mode = mode
-        self.speed = speed
         self.ids: tuple[StopId, ...] = tuple(sorted(self.stops))
         self.index: dict[StopId, int] = {stop: i for i, stop in enumerate(self.ids)}
         self._rows: list[list[int | None] | None] = [None] * len(self.ids)
         self._adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
-
-        if mode in (EUCLIDEAN, MANHATTAN):
-            if speed is None or speed <= 0:
-                raise ValueError(f"{mode} mode needs a positive speed (m/s)")
-            if links:
-                raise ValueError(f"{mode} mode takes no links")
-        elif mode == GRAPH:
-            for a, b, seconds in links or ():
-                if a not in self.stops or b not in self.stops:
-                    raise UnknownStopError(f"link {a}->{b}: unknown stop")
-                if seconds < 0:
-                    raise ValueError(f"link {a}->{b}: negative traversal time")
-                self._adj[self.index[a]].append((self.index[b], int(math.ceil(seconds))))
-        else:
-            raise ValueError(f"unknown network mode {mode!r}")
+        for a, b, seconds in links:
+            if a not in self.stops or b not in self.stops:
+                raise UnknownStopError(f"link {a}->{b}: unknown stop")
+            if seconds < 0:
+                raise ValueError(f"link {a}->{b}: negative traversal time")
+            self._adj[self.index[a]].append((self.index[b], int(math.ceil(seconds))))
 
     @classmethod
     def euclidean(cls, stops, speed: float) -> "TravelNetwork":
-        return cls(stops, EUCLIDEAN, speed=speed)
+        return cls._metric(stops, speed, lambda a, b: math.hypot(a.x - b.x, a.y - b.y))
 
     @classmethod
     def manhattan(cls, stops, speed: float) -> "TravelNetwork":
-        return cls(stops, MANHATTAN, speed=speed)
+        return cls._metric(stops, speed, lambda a, b: abs(a.x - b.x) + abs(a.y - b.y))
 
     @classmethod
     def graph(cls, stops, links) -> "TravelNetwork":
-        return cls(stops, GRAPH, links=links)
+        return cls(stops, links)
+
+    @classmethod
+    def _metric(cls, stops, speed: float, distance) -> "TravelNetwork":
+        """The complete graph of ceil'd ``distance / speed`` legs."""
+        if not speed > 0:
+            raise ValueError(f"a metric network needs a positive speed (m/s), not {speed}")
+        stops = list(stops)
+        return cls(stops, [(a.id, b.id, math.ceil(distance(a, b) / speed))
+                           for a in stops for b in stops if a is not b])
 
     def has_stop(self, stop: StopId) -> bool:
         return stop in self.stops
@@ -115,17 +114,8 @@ class TravelNetwork:
         """
         row = self._rows[source]
         if row is None:
-            row = self._rows[source] = self._fill(source)
+            row = self._rows[source] = self._shortest_paths(source)
         return row
-
-    def _fill(self, source: int) -> list[int | None]:
-        if self.mode == GRAPH:
-            return self._shortest_paths(source)
-        a = self.stops[self.ids[source]]
-        points = [self.stops[stop] for stop in self.ids]
-        if self.mode == EUCLIDEAN:
-            return [math.ceil(math.hypot(a.x - b.x, a.y - b.y) / self.speed) for b in points]
-        return [math.ceil((abs(a.x - b.x) + abs(a.y - b.y)) / self.speed) for b in points]
 
     def _shortest_paths(self, source: int) -> list[int | None]:
         dist: list[int | None] = [None] * len(self.ids)

@@ -77,8 +77,8 @@ class FixedRoute:
         object.__setattr__(self, "served_stops", tuple(self.served_stops))
         if self.one_way_minutes <= 0:
             raise ValueError(f"route {self.name}: one-way time must be positive")
-        if self.headway_minutes <= 0:
-            raise ValueError(f"route {self.name}: headway must be positive")
+        if self.headway_minutes * 60 < 1:  # the baseline times departures in whole seconds
+            raise ValueError(f"route {self.name}: headway must be at least 1 s")
         if self.shape not in ("two_way", "circular"):
             raise ValueError(f"route {self.name}: shape must be two_way or circular")
         if len(self.served_stops) != len(set(self.served_stops)):

@@ -233,10 +233,10 @@ def test_result_independent_of_input_ordering(line_network):
 # -- the search's lower bound ---------------------------------------------------
 #
 # The search prunes on waiting accrued plus, per outstanding pickup, the
-# lateness of a direct drive there less one second.  These instances keep
-# at least three pickups outstanding so that the bound prunes, and use
-# metric networks whose ceil'd times break the triangle inequality by a
-# second (see test_network) as well as shortest-path graphs.
+# lateness of a direct drive there.  These instances keep at least three
+# pickups outstanding so that the bound prunes, and use metric networks,
+# whose ceil'd legs a detour can beat by a second before the network takes
+# the shortest path (see test_network), as well as graphs.
 
 
 def _bound_network(rng):
@@ -249,7 +249,7 @@ def _bound_network(rng):
                   for _ in range(2 * n)]
         return TravelNetwork.graph(stops, links)
     if rng.random() < 0.5:
-        # On one line, where ceil'd detours most often beat the direct time.
+        # On one line, where ceil'd detours most often beat the raw leg.
         x = round(rng.uniform(0, 400), 1)
         points = [(x, round(rng.uniform(0, 400), 1)) for _ in range(5)]
     else:
@@ -288,13 +288,14 @@ def test_bound_matches_oracle_with_outstanding_pickups():
         for per_passenger in (False, True):
             got = optimal_sequence(shuttle, new, network, per_passenger)
             want = exhaustive_best_sequence(shuttle, new, network, per_passenger)
-            assert got == want, f"instance {i} ({network.mode}, per_passenger={per_passenger})"
+            assert got == want, f"instance {i} (per_passenger={per_passenger})"
 
 
 def test_bound_keeps_lexicographic_tie_on_ceiled_detour():
-    # (s4, s0, s1, s2, s3) and (s4, s1, s2, s0, s3) both cost 7463 s.  From
-    # s0 the direct time to s2 is 3018 s, one more than via s1 (1647 + 1370),
-    # so a bound without the one-second slack cuts the smaller sequence.
+    # (s4, s0, s1, s2, s3) and (s4, s1, s2, s0, s3) both cost 7463 s.  The
+    # raw leg s0 -> s2 is 3018 s, one more than via s1 (1647 + 1370); a bound
+    # reading it would cut the smaller sequence.  The network's s0 -> s2 time
+    # is the detour's 3017 s, so the bound stays exact and the tie holds.
     stops = [Stop("s0", 189.5, 337.6), Stop("s1", 189.5, 172.9), Stop("s2", 189.5, 35.9),
              Stop("s3", 189.5, 208.5), Stop("s4", 189.5, 395.6)]
     net = TravelNetwork.euclidean(stops, speed=0.1)

@@ -7,7 +7,8 @@ from odshuttle import enumeration
 from odshuttle.costing import optimal_sequence
 from odshuttle.enumeration import enumerate_plans, plan_count_bound
 from odshuttle.errors import InstanceTooLargeError
-from odshuttle.types import ShuttleState, TripRequest
+from odshuttle.network import TravelNetwork
+from odshuttle.types import ShuttleState, Stop, TripRequest
 
 from conftest import idle_fleet_instance, make_grid_network
 from oracles import exhaustive_best_sequence
@@ -51,6 +52,24 @@ def test_every_vehicle_has_empty_plan(line_network):
         empties = [p for p in candidates if not p.requests]
         assert len(empties) == 1
         assert empties[0].cost == 0
+
+
+def test_pickup_on_a_ceiled_detour_costs_nothing_extra():
+    # The raw leg A -> C (3506 s) is one second longer than via B (2830 +
+    # 675).  The shuttle owes r1 at C; r2 waits at B, on the way, from
+    # 2830 s.  Travel times are shortest paths, so the committed drive
+    # already takes the detour and r2 adds no waiting: its plan costs 0,
+    # never -1.
+    net = TravelNetwork.euclidean([Stop("A", 336.8, 140.7), Stop("B", 110.4, 310.5),
+                                   Stop("C", 56.4, 351.0)], speed=0.1)
+    r1 = TripRequest(id="r1", pickup="C", dropoff="A", request_time=0)
+    r2 = TripRequest(id="r2", pickup="B", dropoff="A", request_time=2830)
+    v = ShuttleState(id="v1", heading_stop="A", arrival_time=0, pending_pickups={r1}, capacity=4)
+    plans = enumerate_plans([v], [r2], 1, net)
+    assert [(p.requests, p.cost) for p in plans.per_vehicle["v1"]] == [
+        (frozenset(), 0), (frozenset({r2}), 0)]
+    assert optimal_sequence(v, [], net) == (3505, ("C", "A"))
+    assert optimal_sequence(v, [r2], net) == (3505, ("B", "C", "A"))
 
 
 def test_capacity_infeasible_plan_absent(line_network):

@@ -397,6 +397,10 @@ def test_routes_file():
         fileio.parse_routes_text("route a 30 35 sideways\n")
     with pytest.raises(ParseError):
         fileio.parse_routes_text("# nothing\n")
+    # 0.004 min rounds to a 0 s headway, which no timetable can keep.
+    message, line_no = _parse_with_line(fileio.parse_routes_text, "route a 30 35 two_way\n",
+                                        "route b 30 0.004 two_way")
+    assert f"bad.txt:{line_no}: route b: headway must be at least 1 s" in message
 
 
 # -- malformed lines, generated from the grammar tables --------------------------
@@ -444,6 +448,7 @@ def test_wrong_arity_is_a_parse_error(fmt, section, key, count):
     "[bogus]",
     "[baseline]\nroute r2 20 10 sideways A B",
     "[baseline]\nroute r2 20 10 two_way A Z",
+    "[baseline]\nroute r2 30 0.004 two_way A B",
     "[region]\nmember D",
     "[demand]\nmember_weight G1 2.0",
     "[demand]\ngateway_weight A 2.0",

@@ -153,3 +153,24 @@ def test_fuzz_demand_csv(tmp_path, capsys):
             continue
         run_capped(loaded, text)
     assert 30 < failed < 300
+
+
+def test_fuzz_route_files(tmp_path, capsys):
+    rng = random.Random(20261021)
+    source = (SCENARIOS / "routes_retired.txt").read_text()
+    failed = 0
+    for _ in range(300):
+        text = mutate(rng, source)
+        path = tmp_path / "routes.txt"
+        path.write_text(text)
+        try:
+            fileio.parse_routes_text(text, str(path))
+        except Exception as err:
+            assert_package_error(err, text)
+            assert_reported(*run_cli(["fleetcalc", str(path)], capsys, text), text)
+            failed += 1
+            continue
+        code, err = run_cli(["fleetcalc", str(path), "--shuttles", "5"], capsys, text)
+        if code:
+            assert_reported(code, err, text)
+    assert 30 < failed < 300

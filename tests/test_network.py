@@ -1,13 +1,18 @@
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 
+from odshuttle import fileio
 from odshuttle.errors import UnknownStopError, UnreachableStopError
 from odshuttle.network import Region, TravelNetwork, TripType, classify_trip
 from odshuttle.types import Stop, TripRequest
 
 from oracles import shortest_path_by_enumeration
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_travel_time_identity(line_network):
@@ -106,8 +111,17 @@ def test_all_pairs_disconnected_graph_raises():
         _all_pairs(net, net.stop_ids())
 
 
-# Ceil'd metric times can exceed a detour's by one second, never more;
-# the sequencing search's lower bound relies on this one-second slack.
+# A ceil'd metric leg can be one second longer than a detour through a
+# third stop.  Metric networks are closed under shortest paths, so the
+# travel time takes the detour and the triangle inequality holds exactly;
+# the sequencing search's lower bound relies on that.
+
+
+def _raw_leg(mode, p, q, speed):
+    """A metric leg rounded up to whole seconds, before any detour."""
+    (px, py), (qx, qy) = p, q
+    distance = math.hypot(px - qx, py - qy) if mode == "euclidean" else abs(px - qx) + abs(py - qy)
+    return math.ceil(distance / speed)
 
 
 @pytest.mark.parametrize("make, a, b, c", [
@@ -119,7 +133,8 @@ def test_all_pairs_disconnected_graph_raises():
 def test_ceiled_metric_detour_can_save_one_second(make, a, b, c):
     net = make([Stop("a", *a), Stop("b", *b), Stop("c", *c)], speed=0.1)
     tt = net.travel_time
-    assert tt("a", "c") == tt("a", "b") + tt("b", "c") + 1
+    assert tt("a", "c") == tt("a", "b") + tt("b", "c")
+    assert tt("a", "c") == _raw_leg(make.__name__, a, c, 0.1) - 1
 
 
 @pytest.mark.parametrize("make", [TravelNetwork.euclidean, TravelNetwork.manhattan])
@@ -139,9 +154,29 @@ def test_ceiled_metric_detour_saves_at_most_one_second(make):
         net = make([Stop(f"s{i}", x, y) for i, (x, y) in enumerate(points)], speed=0.1)
         m = _all_pairs(net, net.stop_ids())
         for a, b, c in itertools.product(net.stop_ids(), repeat=3):
-            assert m[a, c] <= m[a, b] + m[b, c] + 1
-            savings.add(m[a, c] - m[a, b] - m[b, c])
-    assert 1 in savings  # the slack is needed, not just allowed
+            assert m[a, c] <= m[a, b] + m[b, c]
+        for (a, p), (c, q) in itertools.product(enumerate(points), repeat=2):
+            savings.add(_raw_leg(make.__name__, p, q, 0.1) - m[f"s{a}", f"s{c}"])
+    assert savings == {0, 1}  # the closure lowers some legs, and by one second only
+
+
+@pytest.mark.parametrize("name, speed", [("lowridership.cfg", 9.0), ("peakdemand.cfg", 7.0)])
+def test_bundled_networks_have_no_shorter_detour(name, speed):
+    # The bundled outputs and the benchmark fingerprints were recorded with
+    # raw ceil'd legs; they hold while no bundled leg has a faster detour.
+    text = (SCENARIOS / name).read_text()
+    assert "mode euclidean" in text.splitlines() and f"speed {speed}" in text.splitlines()
+    net = fileio.parse_scenario_text(text, name).network
+    points = {stop.id: (stop.x, stop.y) for stop in net.stops.values()}
+    for a, b in itertools.product(net.stop_ids(), repeat=2):
+        assert net.travel_time(a, b) == _raw_leg("euclidean", points[a], points[b], speed), (a, b)
+
+
+@pytest.mark.parametrize("make", [TravelNetwork.euclidean, TravelNetwork.manhattan])
+@pytest.mark.parametrize("speed", [0, -2.5])
+def test_metric_network_rejects_non_positive_speed(make, speed):
+    with pytest.raises(ValueError, match="positive speed"):
+        make([Stop("A", 0, 0), Stop("B", 3, 4)], speed=speed)
 
 
 # -- region / classification -------------------------------------------------
