@@ -3,8 +3,12 @@
 Arrivals follow a non-homogeneous Poisson process over a piecewise-
 constant hourly rate, realized by thinning: candidate arrivals are drawn
 at the peak rate and accepted with probability rate(t)/peak.  Each
-accepted arrival draws a trip type from the configured mix and samples
-endpoints from spatial weights so that the request classifies as drawn.
+accepted arrival rolls the configured mix for an origin set and a
+destination set -- members to members (intra-region), members to
+gateways (outbound) or gateways to members (inbound) -- then draws its
+pickup from the origins and its drop-off from the destinations other
+than the pickup, both by the spatial weights.  The trip type is not
+kept: :func:`~odshuttle.network.classify_trip` reads it off the stops.
 
 Everything is driven by one ``random.Random(seed)`` with a fixed draw
 order, so a seed fully determines the request list.
@@ -15,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .network import Region, TripType
+from .network import Region
 from .types import TripRequest
 
 RATE_EPS = 1e-12
@@ -30,14 +34,13 @@ class DemandProfile:
     pieces are fine); gaps between pieces mean zero demand.  ``mix``
     orders as (intra-region, outbound connector, inbound connector) and
     must sum to 1.  Stop weights default to uniform over the region's
-    sets.
+    sets; a stop weighted 0 is never drawn.
     """
 
     rates: tuple[tuple[int, int, float], ...]
     mix: tuple[float, float, float] = (1.0, 0.0, 0.0)
     member_weights: dict[str, float] = field(default_factory=dict)
     gateway_weights: dict[str, float] = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(tuple(p) for p in self.rates))
@@ -58,6 +61,8 @@ class DemandProfile:
             raise ValueError("mix needs three non-negative fractions")
         if abs(sum(self.mix) - 1.0) > 1e-9:
             raise ValueError(f"mix fractions sum to {sum(self.mix)}, not 1")
+        if any(w < 0 for w in [*self.member_weights.values(), *self.gateway_weights.values()]):
+            raise ValueError("stop weights must be >= 0")
 
     def rate_at(self, t: float) -> float:
         for start, end, per_hour in self.rates:
@@ -70,7 +75,8 @@ class DemandProfile:
 
 
 def _weighted_choice(rng: random.Random, items: list[str], weights: dict[str, float]) -> str:
-    if not weights:
+    """One of ``items`` with odds by weight (1 when unlisted); one ``rng.random()`` call."""
+    if not weights:  # uniform: the same pick as the loop below, without summing
         return items[int(rng.random() * len(items)) % len(items)]
     total = sum(weights.get(s, 1.0) for s in items)
     target = rng.random() * total
@@ -85,26 +91,31 @@ def _weighted_choice(rng: random.Random, items: list[str], weights: dict[str, fl
 def check_drawable(profile: DemandProfile, region: Region) -> None:
     """Raise ``ValueError`` when a nonzero mix fraction has no stops to draw
     from: intra trips need two member stops, connectors a member stop and
-    a gateway."""
+    a gateway, counting only stops with a positive weight."""
     intra, outbound, inbound = profile.mix
-    if intra > 0 and len(region.member_stops) < 2:
-        raise ValueError("intra-region demand needs at least two member stops")
-    if (outbound > 0 or inbound > 0) and not (region.member_stops and region.gateway_stations):
-        raise ValueError("connector demand needs member stops and gateway stations")
+    members = [s for s in region.member_stops if profile.member_weights.get(s, 1.0) > 0]
+    gateways = [s for s in region.gateway_stations if profile.gateway_weights.get(s, 1.0) > 0]
+    if intra > 0 and len(members) < 2:
+        raise ValueError("intra-region demand needs two member stops of positive weight")
+    if (outbound > 0 or inbound > 0) and not (members and gateways):
+        raise ValueError("connector demand needs a member stop and a gateway of positive weight")
 
 
-def generate_demand(profile: DemandProfile, region: Region, horizon: int) -> list[TripRequest]:
+def generate_demand(profile: DemandProfile, region: Region, horizon: int,
+                    seed: int) -> list[TripRequest]:
     """Materialize a request list over [0, horizon), sorted by request time.
 
     Raises ``ValueError`` when the region cannot supply the mix
     (:func:`check_drawable`).
     """
     check_drawable(profile, region)
-    members = sorted(region.member_stops)
-    gateways = sorted(region.gateway_stations)
-    intra, outbound, inbound = profile.mix
+    members = (sorted(region.member_stops), profile.member_weights)
+    gateways = (sorted(region.gateway_stations), profile.gateway_weights)
+    intra, outbound, _ = profile.mix
+    # The origin and destination sets of each trip kind: intra, outbound, inbound.
+    kinds = ((members, members), (members, gateways), (gateways, members))
 
-    rng = random.Random(profile.seed)
+    rng = random.Random(seed)
     peak = profile.peak_rate()
     requests: list[TripRequest] = []
     if peak <= RATE_EPS or horizon <= 0:
@@ -112,41 +123,17 @@ def generate_demand(profile: DemandProfile, region: Region, horizon: int) -> lis
 
     peak_per_second = peak / 3600.0
     t = 0.0
-    n = 0
     while True:
         t += rng.expovariate(peak_per_second)
         if t >= horizon:
             break
         if rng.random() * peak > profile.rate_at(t):
             continue  # thinned out
-        roll = rng.random()
-        if roll < intra:
-            trip_type = TripType.INTRA_REGION
-        elif roll < intra + outbound:
-            trip_type = TripType.OUTBOUND_CONNECTOR
-        else:
-            trip_type = TripType.INBOUND_CONNECTOR
-
-        if trip_type is TripType.INTRA_REGION:
-            pickup = _weighted_choice(rng, members, profile.member_weights)
-            rest = [s for s in members if s != pickup]
-            dropoff = _weighted_choice(rng, rest, profile.member_weights)
-        elif trip_type is TripType.OUTBOUND_CONNECTOR:
-            pickup = _weighted_choice(rng, members, profile.member_weights)
-            dropoff = _weighted_choice(rng, gateways, profile.gateway_weights)
-        else:
-            pickup = _weighted_choice(rng, gateways, profile.gateway_weights)
-            dropoff = _weighted_choice(rng, members, profile.member_weights)
-
-        n += 1
-        requests.append(
-            TripRequest(
-                id=f"r{n:06d}",
-                pickup=pickup,
-                dropoff=dropoff,
-                request_time=int(t),
-                passengers=1,
-            )
-        )
-    requests.sort(key=lambda r: (r.request_time, r.id))
+        roll = rng.random()  # intra below intra, outbound below intra + outbound, else inbound
+        origins, (stops, weights) = kinds[(roll >= intra) + (roll >= intra + outbound)]
+        pickup = _weighted_choice(rng, *origins)
+        dropoff = _weighted_choice(rng, [s for s in stops if s != pickup], weights)
+        # Arrivals come in time order, so the list is sorted by (time, id).
+        requests.append(TripRequest(id=f"r{len(requests) + 1:06d}", pickup=pickup,
+                                    dropoff=dropoff, request_time=int(t), passengers=1))
     return requests

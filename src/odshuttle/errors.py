@@ -22,6 +22,19 @@ class ConfigError(OdshuttleError, ValueError):
         super().__init__(message)
 
 
+class LegTimeError(OdshuttleError, ValueError):
+    """A metric network cannot time its legs: the speed is not positive,
+    or a leg is not a finite number of seconds.
+
+    ``stops`` names the leg's two stops when their distance alone
+    overflows, and is empty when the speed is at fault.
+    """
+
+    def __init__(self, message, *stops):
+        self.stops = stops
+        super().__init__(message)
+
+
 class UnknownStopError(OdshuttleError, KeyError):
     """A stop id does not resolve in the travel network."""
 

@@ -22,8 +22,8 @@ Scenario config sections::
     [demand]     file <path> (pre-generated demand CSV, relative to the
                  config) or a profile, not both: rate <start> <end> <per_hour>,
                  mix <intra> <outbound> <inbound>,
-                 member_weight/gateway_weight <id> <w>, seed <n>
-                 (profile seed 0 inherits the scenario seed)
+                 member_weight/gateway_weight <id> <weight >= 0>
+                 (the ``[scenario]`` seed seeds the profile's draw)
     [baseline]   walk_speed <m/s> ;
                  route <name> <one_way_min> <headway_min> <two_way|circular> <stop> ...
 
@@ -43,14 +43,18 @@ must be a region member or gateway, and every shuttle or request a
 ``committed_*`` or ``penalty`` line names must be defined.  A value
 rejected when its section is built (a repeated stop, an unknown mode, a
 stop both member and gateway, an overlapping rate piece, a mix that does
-not sum to 1, a setting out of range, an instance's
-``max_requests_per_plan`` below 1 or a negative miss penalty) is reported
-at its own line, not the file's last.  A demand profile the region cannot
-draw from fails at its ``mix`` line (the first ``rate`` line without a mix
-or a region).  In graph mode every stop a shuttle may be sent to -- the
-start stops, the region's stops and a demand file's stops -- must reach
-every other, or the load fails at the unreachable stop's ``stop`` line;
-stops only the walking baseline uses need no links.
+not sum to 1, a negative stop weight, a setting out of range, an
+instance's ``max_requests_per_plan`` below 1 or a negative miss penalty)
+is reported at its own line, not the file's last.  So is a time that is
+not a finite number of seconds: a metric leg fails at its ``speed`` line,
+or at the later ``stop`` line of a pair whose distance overflows; a walk
+at the ``walk_speed`` line; a ride or headway at the ``route`` line.  A
+demand profile the region cannot draw from, counting only stops with a
+positive weight, fails at its ``mix`` line (the first ``rate`` line
+without a mix or a region).  In graph mode every stop a shuttle may be
+sent to -- the start stops, the region's stops and a demand file's
+stops -- must reach every other, or the load fails at the unreachable
+stop's ``stop`` line; stops only the walking baseline uses need no links.
 
 Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type,
 where a trip_type is empty or one of intra, outbound and inbound.
@@ -65,7 +69,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .demand import DemandProfile, check_drawable
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, LegTimeError, ParseError
 from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork, TripType
 from .simulator import FixedRoute, ScenarioConfig, TripRecord
 from .solver import DispatchProblem, DEFAULT_MISS_PENALTY
@@ -136,7 +140,6 @@ _SCENARIO = {
         "mix": _args(_real, _real, _real),
         "member_weight": _args(str, _real),
         "gateway_weight": _args(str, _real),
-        "seed": _args(int),
     },
     "baseline": {"walk_speed": _args(_real), **_ROUTE},
 }
@@ -219,7 +222,9 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
     """Build a ``[network]`` section; scenario configs and instances share it.
 
     Each check names the line at fault: the repeated ``stop``, the
-    ``mode`` or ``speed`` line, or the ``link``.  Graph mode takes no
+    ``mode`` or ``speed`` line, or the ``link``; a metric leg that is not
+    a finite number of seconds names the ``speed`` line, or the later
+    ``stop`` line of a pair whose distance overflows.  Graph mode takes no
     ``speed`` and metric modes take no ``link``.
     """
     if not rows["mode"]:
@@ -246,14 +251,17 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
         return TravelNetwork.graph(stops.values(), [row.args for row in rows["link"]])
     if mode not in (EUCLIDEAN, MANHATTAN):
         raise ParseError(path, mode_row.line, f"unknown network mode {mode!r}")
-    speed_row = rows["speed"][-1] if rows["speed"] else None
-    if speed_row is None or speed_row.args[0] <= 0:
-        raise ParseError(path, (speed_row or mode_row).line,
-                         f"{mode} mode needs a positive speed (m/s)")
+    if not rows["speed"]:
+        raise ParseError(path, mode_row.line, f"{mode} mode needs a positive speed (m/s)")
     if rows["link"]:
         raise ParseError(path, rows["link"][0].line, f"{mode} mode takes no links")
     make = TravelNetwork.euclidean if mode == EUCLIDEAN else TravelNetwork.manhattan
-    return make(stops.values(), speed_row.args[0])
+    speed_row = rows["speed"][-1]
+    try:
+        return make(stops.values(), speed_row.args[0])
+    except LegTimeError as err:  # at the speed line, or the later line of the stops at fault
+        lines = [row.line for row in rows["stop"] if row.args[0] in err.stops]
+        raise ParseError(path, max(lines, default=speed_row.line), str(err)) from None
 
 
 def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:
@@ -363,10 +371,12 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
     for kind in ("member", "gateway"):
         allowed = _all(region_rows[kind])
         for row in demand[f"{kind}_weight"]:
-            stop, _ = row.args
+            stop, weight = row.args
             if stop not in allowed:
                 raise ParseError(path, row.line,
                                  f"{kind}_weight names {stop!r}, which is not a region {kind}")
+            if weight < 0:
+                raise ParseError(path, row.line, f"{kind}_weight {stop}: weight must be >= 0")
 
     demand_requests = None
     demand_types: dict[str, str] = {}
@@ -399,7 +409,6 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
             mix=mix.args,
             member_weights=dict(row.args for row in demand["member_weight"]),
             gateway_weights=dict(row.args for row in demand["gateway_weight"]),
-            seed=_last(demand["seed"], 0),
         )
         if region is None:
             raise ParseError(path, first_rate, "a demand profile needs a [region] to draw from")

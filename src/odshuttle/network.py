@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import UnknownStopError, UnreachableStopError
+from .errors import LegTimeError, UnknownStopError, UnreachableStopError
 from .types import Stop, StopId, TripRequest
 
 EUCLIDEAN = "euclidean"
@@ -82,12 +82,21 @@ class TravelNetwork:
 
     @classmethod
     def _metric(cls, stops, speed: float, distance) -> "TravelNetwork":
-        """The complete graph of ceil'd ``distance / speed`` legs."""
+        """The complete graph of ceil'd ``distance / speed`` legs.
+
+        Raises :class:`LegTimeError` (a ``ValueError``) for a speed that is
+        not positive or a leg that is not a finite number of seconds.
+        """
         if not speed > 0:
-            raise ValueError(f"a metric network needs a positive speed (m/s), not {speed}")
+            raise LegTimeError(f"a metric network needs a positive speed (m/s), not {speed}")
         stops = list(stops)
-        return cls(stops, [(a.id, b.id, math.ceil(distance(a, b) / speed))
-                           for a in stops for b in stops if a is not b])
+        legs = [(a, b, distance(a, b) / speed) for a in stops for b in stops if a is not b]
+        for a, b, seconds in legs:
+            if not math.isfinite(seconds):
+                at_fault = (a.id, b.id) if math.isinf(distance(a, b)) else ()
+                raise LegTimeError(f"leg {a.id}->{b.id} at {speed} m/s is not a finite "
+                                   "number of seconds", *at_fault)
+        return cls(stops, [(a.id, b.id, seconds) for a, b, seconds in legs])
 
     def has_stop(self, stop: StopId) -> bool:
         return stop in self.stops

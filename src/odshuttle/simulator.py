@@ -75,10 +75,12 @@ class FixedRoute:
 
     def __post_init__(self):
         object.__setattr__(self, "served_stops", tuple(self.served_stops))
-        if self.one_way_minutes <= 0:
-            raise ValueError(f"route {self.name}: one-way time must be positive")
-        if self.headway_minutes * 60 < 1:  # the baseline times departures in whole seconds
-            raise ValueError(f"route {self.name}: headway must be at least 1 s")
+        # The baseline rides up to len(stops) - 1 segments of the one-way time.
+        longest_ride = self.one_way_minutes * 60.0 * max(len(self.served_stops) - 1, 1)
+        if not 0 < longest_ride < math.inf:
+            raise ValueError(f"route {self.name}: one-way time must be positive and finite")
+        if not 1 <= self.headway_minutes * 60 < math.inf:  # departures run on whole seconds
+            raise ValueError(f"route {self.name}: headway must be at least 1 s and finite")
         if self.shape not in ("two_way", "circular"):
             raise ValueError(f"route {self.name}: shape must be two_way or circular")
         if len(self.served_stops) != len(set(self.served_stops)):
@@ -173,8 +175,12 @@ class ScenarioConfig:
             raise ConfigError("max_outstanding must be >= 1", "max_outstanding")
         if self.bin_seconds < 60:
             raise ConfigError("bin_seconds must be >= 60", "bin_seconds")
-        if self.walk_speed <= 0:
-            raise ConfigError("walk_speed must be positive", "walk_speed")
+        stops = self.network.stops.values()
+        longest_walk = max((math.hypot(a.x - b.x, a.y - b.y) for a in stops for b in stops),
+                           default=0.0)
+        if not (self.walk_speed > 0 and math.isfinite(longest_walk / self.walk_speed)):
+            raise ConfigError("walk_speed must be positive and time every walk between stops "
+                              "in a finite number of seconds", "walk_speed")
         for stop in self.fleet_start:
             if not self.network.has_stop(stop):
                 raise ConfigError(f"fleet start stop {stop} not in network", "fleet_start")
@@ -187,10 +193,7 @@ class ScenarioConfig:
             return []
         if self.region is None:
             raise ValueError("generating demand needs a region")
-        profile = self.demand_profile
-        if profile.seed == 0 and self.seed != 0:
-            profile = replace(profile, seed=self.seed)
-        return generate_demand(profile, self.region, self.horizon)
+        return generate_demand(self.demand_profile, self.region, self.horizon, self.seed)
 
     def start_stops(self) -> list[StopId]:
         if self.fleet_start:

@@ -32,7 +32,6 @@ member A B C D
 [demand]
 rate 0 1200 60.0
 mix 1.0 0.0 0.0
-seed 0
 
 [baseline]
 walk_speed 1.3
@@ -114,7 +113,7 @@ def test_gen_demand_round_trip(small_cfg, tmp_path):
     assert lines[0] == "id,request_time,pickup,dropoff,passengers,trip_type"
     assert len(lines) > 1
     # Feeding the generated file back reproduces the same simulation.
-    pinned = SMALL_CFG.replace("rate 0 1200 60.0\nmix 1.0 0.0 0.0\nseed 0",
+    pinned = SMALL_CFG.replace("rate 0 1200 60.0\nmix 1.0 0.0 0.0",
                                f"file {out.name}")
     fixed_cfg = tmp_path / "fixed.cfg"
     fixed_cfg.write_text(pinned)
@@ -184,6 +183,40 @@ def test_bad_config_reported_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.splitlines() == [f"odshuttle: {path}:{line_no}: unknown stop 'Z'"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edits, at", [
+    pytest.param({"route rbus1 30 35 two_way m10 m11 m12 m13 g01":
+                  "route rbus1 30 1e307 two_way m10 m11 m12 m13 g01"},
+                 "route rbus1 30 1e307 two_way m10 m11 m12 m13 g01", id="route-headway"),
+    pytest.param({"speed 9.0": "speed 1e-320"}, "speed 1e-320", id="speed"),
+    pytest.param({"stop m00 0 0": "stop m00 1e308 0", "stop m33 1800 1800": "stop m33 -1e308 0"},
+                 "stop m33 -1e308 0", id="stop"),
+    pytest.param({"walk_speed 1.3": "walk_speed 1e-320"}, "walk_speed 1e-320", id="walk-speed"),
+    pytest.param({"mix 0.7 0.2 0.1": "mix 0.7 0.2 0.1\nmember_weight m00 -100"},
+                 "member_weight m00 -100", id="negative-weight"),
+    pytest.param({"mix 0.7 0.2 0.1": "mix 0.7 0.2 0.1\ngateway_weight g01 0\ngateway_weight g02 0"},
+                 "mix 0.7 0.2 0.1", id="zero-gateway-weights"),
+    pytest.param({"mix 0.7 0.2 0.1": "mix 0.7 0.2 0.1\nseed 3"}, "seed 3", id="demand-seed"),
+])
+def test_bundled_config_edit_fails_at_load(tmp_path, capsys, edits, at):
+    lines = (SCENARIOS / "lowridership.cfg").read_text().splitlines()
+    text = "\n".join(edits.get(line, line) for line in lines) + "\n"
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["baseline", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"odshuttle: {path}:{text.splitlines().index(at) + 1}: ")
+
+
+def test_fleetcalc_overflowing_route_reported_in_one_line(tmp_path, capsys):
+    # 1e307 min is 6e308 s, past the largest float.
+    path = tmp_path / "routes.txt"
+    path.write_text("route r1 1e307 30 two_way a b\n")
+    assert main(["fleetcalc", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"odshuttle: {path}:1: route r1: one-way time must be positive and finite"]
 
 
 def test_missing_config_reported_in_one_line(tmp_path, capsys):

@@ -46,7 +46,6 @@ gateway G1
 [demand]
 rate 0 900 40.0
 mix 0.8 0.2 0.0
-seed 0
 
 [baseline]
 walk_speed 1.3
@@ -152,7 +151,6 @@ def test_scenario_parse_full():
     assert config.routes[0].name == "r1"
     assert config.routes[0].served_stops == ("A", "B", "C")
     assert config.fleet_start == ("A",)
-    # Profile seed 0 inherits the scenario seed at generation time.
     requests = config.resolve_requests()
     assert requests and all(r.request_time < 900 for r in requests)
 
@@ -163,7 +161,7 @@ def test_scenario_demand_file_relative(tmp_path):
     )
     (tmp_path / "demand.csv").write_text(demand)
     text = SCENARIO_TEXT.replace(
-        "rate 0 900 40.0\nmix 0.8 0.2 0.0\nseed 0", "file demand.csv"
+        "rate 0 900 40.0\nmix 0.8 0.2 0.0", "file demand.csv"
     )
     (tmp_path / "scenario.cfg").write_text(text)
     config = fileio.load_scenario(tmp_path / "scenario.cfg")
@@ -177,7 +175,7 @@ def test_scenario_demand_file_unknown_stop_names_row(tmp_path):
         "r1,3,A,B,1,intra\nr2,4,A,m99,1,intra\n"
     )
     text = SCENARIO_TEXT.replace(
-        "rate 0 900 40.0\nmix 0.8 0.2 0.0\nseed 0", "file demand.csv"
+        "rate 0 900 40.0\nmix 0.8 0.2 0.0", "file demand.csv"
     )
     (tmp_path / "scenario.cfg").write_text(text)
     with pytest.raises(ParseError) as err:
@@ -285,7 +283,7 @@ def test_instance_value_out_of_range_names_its_line(old, new, message):
                  id="gateway-is-member"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "rate 0 900 40.0", "rate 900 0 40.0",
                  id="rate-empty-interval"),
-    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "seed 0", "rate 600 1200 10",
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mix 0.8 0.2 0.0", "rate 600 1200 10",
                  id="rate-overlap"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mix 0.8 0.2 0.0", "mix 0.8 0.3 0.0",
                  id="mix-sum"),
@@ -323,11 +321,16 @@ def test_section_error_names_offending_line(parse, text, old, new):
     pytest.param({"member A B C": "member A", "mix 0.8 0.2 0.0": "mix 0.5 0.5 0"},
                  "mix 0.5 0.5 0", id="intra-one-member"),
     pytest.param({"gateway G1": ""}, "mix 0.8 0.2 0.0", id="connector-no-gateway"),
+    pytest.param({"mix 0.8 0.2 0.0": "mix 0.8 0.2 0.0\nmember_weight A 0\nmember_weight B 0"},
+                 "mix 0.8 0.2 0.0", id="intra-one-positive-member"),
+    pytest.param({"mix 0.8 0.2 0.0": "mix 0.8 0.2 0.0\ngateway_weight G1 0"},
+                 "mix 0.8 0.2 0.0", id="connector-no-positive-gateway"),
 ])
 def test_undrawable_demand_profile_fails_at_load(edits, at):
-    lines = [edits.get(line, line) for line in SCENARIO_TEXT.splitlines()]
+    text = "\n".join(edits.get(line, line) for line in SCENARIO_TEXT.splitlines()) + "\n"
+    lines = text.splitlines()
     with pytest.raises(ParseError) as err:
-        fileio.parse_scenario_text("\n".join(lines) + "\n", path="bad.txt")
+        fileio.parse_scenario_text(text, path="bad.txt")
     assert str(err.value).startswith(f"bad.txt:{lines.index(at) + 1}: ")
 
 
@@ -401,6 +404,10 @@ def test_routes_file():
     message, line_no = _parse_with_line(fileio.parse_routes_text, "route a 30 35 two_way\n",
                                         "route b 30 0.004 two_way")
     assert f"bad.txt:{line_no}: route b: headway must be at least 1 s" in message
+    # 1e307 min is 6e308 s, past the largest float.
+    message, line_no = _parse_with_line(fileio.parse_routes_text, "route a 30 35 two_way\n",
+                                        "route c 1e307 30 two_way")
+    assert f"bad.txt:{line_no}: route c: one-way time must be positive and finite" in message
 
 
 # -- malformed lines, generated from the grammar tables --------------------------
@@ -452,6 +459,12 @@ def test_wrong_arity_is_a_parse_error(fmt, section, key, count):
     "[region]\nmember D",
     "[demand]\nmember_weight G1 2.0",
     "[demand]\ngateway_weight A 2.0",
+    "[demand]\nmember_weight A -100",
+    "[demand]\nseed 3",
+    "[baseline]\nroute r2 30 1e307 two_way A B",
+    "[network]\nspeed 1e-320",
+    "[network]\nstop X 1e308 0\nstop Y -1e308 0",
+    "[baseline]\nwalk_speed 1e-320",
 ], ids=lambda line: line.replace("\n", " "))
 def test_scenario_malformed_line_names_file_and_line(line):
     message, line_no = _parse_with_line(fileio.parse_scenario_text, SCENARIO_TEXT, line)

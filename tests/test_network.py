@@ -179,6 +179,17 @@ def test_metric_network_rejects_non_positive_speed(make, speed):
         make([Stop("A", 0, 0), Stop("B", 3, 4)], speed=speed)
 
 
+@pytest.mark.parametrize("make", [TravelNetwork.euclidean, TravelNetwork.manhattan])
+@pytest.mark.parametrize("stops, speed, at_fault", [
+    pytest.param([Stop("A", 0, 0), Stop("B", 3, 4)], 1e-320, (), id="speed"),
+    pytest.param([Stop("A", 1e308, 0), Stop("B", -1e308, 0)], 9.0, ("A", "B"), id="distance"),
+])
+def test_metric_network_rejects_a_leg_that_overflows(make, stops, speed, at_fault):
+    with pytest.raises(ValueError, match="not a finite number of seconds") as err:
+        make(stops, speed=speed)
+    assert err.value.stops == at_fault
+
+
 # -- region / classification -------------------------------------------------
 
 REGION = Region(member_stops={"A", "B", "C"}, gateway_stations={"G1", "G2"})

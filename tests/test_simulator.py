@@ -64,7 +64,7 @@ def test_request_arriving_exactly_at_tick_is_dispatched_then():
 
 def test_identical_seeds_bit_identical_outputs():
     region = Region(member_stops={"A", "B", "C", "D"})
-    profile = DemandProfile(rates=((0, 900, 60.0),), seed=0)
+    profile = DemandProfile(rates=((0, 900, 60.0),))
     config = line_config(horizon=1200, fleet_size=2, region=region,
                          demand_requests=None, demand_profile=profile, seed=9)
     first = run_scenario(config)
@@ -121,9 +121,9 @@ def test_conservation_exact_on_random_scenarios():
     rng = random.Random(31)
     region = Region(member_stops={"A", "B", "C", "D"})
     for trial in range(6):
-        profile = DemandProfile(rates=((0, 1500, rng.choice([30.0, 80.0, 140.0])),),
-                                seed=rng.randint(1, 10_000))
-        config = line_config(horizon=1800, fleet_size=rng.randint(1, 3),
+        profile = DemandProfile(rates=((0, 1500, rng.choice([30.0, 80.0, 140.0])),))
+        seed = rng.randint(1, 10_000)
+        config = line_config(horizon=1800, seed=seed, fleet_size=rng.randint(1, 3),
                              shuttle_capacity=rng.choice([1, 2, 8]),
                              region=region, demand_requests=None,
                              demand_profile=profile, max_defer=rng.choice([200, 900]))
@@ -496,7 +496,7 @@ def test_baseline_same_boarding_and_alighting_walks():
 
 def test_sweep_single_size_matches_plain_run():
     region = Region(member_stops={"A", "B", "C", "D"})
-    profile = DemandProfile(rates=((0, 900, 40.0),), seed=0)
+    profile = DemandProfile(rates=((0, 900, 40.0),))
     config = line_config(horizon=1200, region=region, demand_requests=None,
                          demand_profile=profile, seed=4)
     swept = sweep_fleet_sizes(config, [1])
@@ -506,7 +506,7 @@ def test_sweep_single_size_matches_plain_run():
 
 def test_sweep_shares_demand_across_sizes():
     region = Region(member_stops={"A", "B", "C", "D"})
-    profile = DemandProfile(rates=((0, 900, 80.0),), seed=0)
+    profile = DemandProfile(rates=((0, 900, 80.0),))
     config = line_config(horizon=1800, region=region, demand_requests=None,
                          demand_profile=profile, seed=8, max_defer=1500)
     swept = sweep_fleet_sizes(config, [1, 3])
