@@ -16,6 +16,7 @@ order, so a seed fully determines the request list.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -34,7 +35,8 @@ class DemandProfile:
     pieces are fine); gaps between pieces mean zero demand.  ``mix``
     orders as (intra-region, outbound connector, inbound connector) and
     must sum to 1.  Stop weights default to uniform over the region's
-    sets; a stop weighted 0 is never drawn.
+    sets; a stop weighted 0 is never drawn.  Each set's weights must sum
+    to a finite number, or no draw could compare against the sum.
     """
 
     rates: tuple[tuple[int, int, float], ...]
@@ -63,6 +65,10 @@ class DemandProfile:
             raise ValueError(f"mix fractions sum to {sum(self.mix)}, not 1")
         if any(w < 0 for w in [*self.member_weights.values(), *self.gateway_weights.values()]):
             raise ValueError("stop weights must be >= 0")
+        for kind, weights in (("member", self.member_weights), ("gateway", self.gateway_weights)):
+            total = sum(weight for _, weight in sorted(weights.items()))  # a draw's order
+            if not math.isfinite(total):
+                raise ValueError(f"{kind} weights sum to {total}, not a finite number")
 
     def rate_at(self, t: float) -> float:
         for start, end, per_hour in self.rates:

@@ -19,6 +19,13 @@ of equal state are sequenced once and share one plan tuple object.
 
 Plan order is canonical: vehicles by id, subsets by size then
 lexicographic request ids.
+
+Most dispatch passes price subsets of zero or one request, so beyond its
+:func:`~odshuttle.costing.optimal_sequence` calls a pass builds little.
+One pass over the vehicles in id order sequences each state when its
+lowest-id vehicle is met and fills ``per_vehicle`` in that order.  Every
+vehicle with no committed work, or none it can serve, gets one shared
+empty plan.
 """
 
 from __future__ import annotations
@@ -30,9 +37,13 @@ from itertools import chain, combinations
 from .costing import optimal_sequence
 from .errors import InstanceTooLargeError
 from .network import TravelNetwork
-from .types import AssignmentPlan, ShuttleState
+from .types import AssignmentPlan, ShuttleState, TripRequest
 
 MAX_PLANS = 100_000
+
+_NO_REQUESTS: frozenset = frozenset()
+# The empty plan of every vehicle with no committed work, or none it can serve.
+_EMPTY_PLAN = AssignmentPlan(_NO_REQUESTS, 0, ())
 
 
 @dataclass(frozen=True)
@@ -86,40 +97,50 @@ def enumerate_plans(
             f"{max_new_requests} yields up to {bound} plans (guard {MAX_PLANS})"
         )
 
-    # Each group of equal states is sequenced at its lowest-id member, in
-    # that member's order, so an error names the vehicle it would name were
-    # every vehicle sequenced on its own.
-    groups: dict[tuple, list[ShuttleState]] = {}
-    for v in shuttles:
-        groups.setdefault((v.heading_stop, v.arrival_time, v.pending_pickups,
-                           v.pending_dropoffs, v.capacity), []).append(v)
+    cap = min(max_new_requests, len(requests))
+    # A group of equal states is sequenced when its lowest-id member is met,
+    # so an error names the vehicle it would name were every vehicle
+    # sequenced on its own.
+    plans_of: dict[tuple, tuple[AssignmentPlan, ...]] = {}
     per_vehicle: dict[str, tuple[AssignmentPlan, ...]] = {}
-    for members in groups.values():
-        v = members[0]
-        base = optimal_sequence(v, frozenset(), network, per_passenger)
-        base_cost, base_seq = base if base is not None else (0, ())
-        plans = [AssignmentPlan(requests=frozenset(), cost=0, sequence=base_seq)]
-
-        # With no feasible sequence for its committed work alone, a vehicle
-        # gets its empty plan only.
-        largest = min(max_new_requests, len(requests)) if base is not None else 0
-        if max_outstanding is not None:
-            committed = len(v.pending_pickups) + len(v.pending_dropoffs)
-            largest = min(largest, max_outstanding - committed)
-        infeasible: list[frozenset] = []
-        for k in range(1, largest + 1):
-            for subset in combinations(requests, k):
-                group = frozenset(subset)
-                # A capacity-infeasible subset stays infeasible with more riders.
-                if any(bad <= group for bad in infeasible):
-                    continue
-                found = optimal_sequence(v, group, network, per_passenger)
-                if found is None:
-                    infeasible.append(group)
-                    continue
-                total, seq = found
-                plans.append(AssignmentPlan(requests=group, cost=total - base_cost, sequence=seq))
-        shared = tuple(plans)
-        for member in members:
-            per_vehicle[member.id] = shared
+    for v in shuttles:
+        key = (v.heading_stop, v.arrival_time, v.pending_pickups, v.pending_dropoffs, v.capacity)
+        shared = plans_of.get(key)
+        if shared is None:
+            shared = plans_of[key] = _vehicle_plans(v, requests, cap, network, max_outstanding,
+                                                    per_passenger)
+        per_vehicle[v.id] = shared
     return PlanSet(per_vehicle)
+
+
+def _vehicle_plans(
+    v: ShuttleState,
+    requests: list[TripRequest],
+    cap: int,
+    network: TravelNetwork,
+    max_outstanding: int | None,
+    per_passenger: bool,
+) -> tuple[AssignmentPlan, ...]:
+    """``v``'s plans, empty plan first, for subsets of up to ``cap`` requests."""
+    base = optimal_sequence(v, _NO_REQUESTS, network, per_passenger)
+    # With no feasible sequence for its committed work alone, a vehicle gets
+    # its empty plan only.
+    if base is None:
+        return (_EMPTY_PLAN,)
+    base_cost, base_seq = base
+    plans = [AssignmentPlan(_NO_REQUESTS, 0, base_seq) if base_seq else _EMPTY_PLAN]
+    if max_outstanding is not None:
+        cap = min(cap, max_outstanding - len(v.pending_pickups) - len(v.pending_dropoffs))
+    infeasible: list[frozenset] = []
+    for k in range(1, cap + 1):
+        for subset in combinations(requests, k):
+            group = frozenset(subset)
+            # A capacity-infeasible subset stays infeasible with more riders.
+            if infeasible and any(bad <= group for bad in infeasible):
+                continue
+            found = optimal_sequence(v, group, network, per_passenger)
+            if found is None:
+                infeasible.append(group)
+            else:
+                plans.append(AssignmentPlan(group, found[0] - base_cost, found[1]))
+    return tuple(plans)

@@ -23,11 +23,12 @@ class ConfigError(OdshuttleError, ValueError):
 
 
 class LegTimeError(OdshuttleError, ValueError):
-    """A metric network cannot time its legs: the speed is not positive,
-    or a leg is not a finite number of seconds.
+    """A network cannot time its legs: a metric network's speed is not
+    positive, or a metric leg or a graph link is not a finite number of
+    seconds >= 0.
 
     ``stops`` names the leg's two stops when their distance alone
-    overflows, and is empty when the speed is at fault.
+    overflows or their link is at fault, and is empty when the speed is.
     """
 
     def __init__(self, message, *stops):

@@ -43,8 +43,9 @@ must be a region member or gateway, and every shuttle or request a
 ``committed_*`` or ``penalty`` line names must be defined.  A value
 rejected when its section is built (a repeated stop, an unknown mode, a
 stop both member and gateway, an overlapping rate piece, a mix that does
-not sum to 1, a negative stop weight, a setting out of range, an
-instance's ``max_requests_per_plan`` below 1 or a negative miss penalty)
+not sum to 1, a negative stop weight, a weight that makes its set's sum
+overflow, a setting out of range, an instance's ``max_requests_per_plan``
+below 1 or a negative miss penalty)
 is reported at its own line, not the file's last.  So is a time that is
 not a finite number of seconds: a metric leg fails at its ``speed`` line,
 or at the later ``stop`` line of a pair whose distance overflows; a walk
@@ -401,6 +402,18 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
         rates = [row.args for row in demand["rate"]]
         for i, row in enumerate(demand["rate"]):
             _demand_profile(path, row.line, rates=rates[:i + 1])
+        # So is the weight line that makes its set's sum overflow; a stop's
+        # last line is its weight.
+        for kind in ("member", "gateway"):
+            weights: dict[str, float] = {}
+            total = 0.0
+            for row in demand[f"{kind}_weight"]:
+                stop, weight = row.args
+                total += weight - weights.get(stop, 0.0)
+                weights[stop] = weight
+                if not math.isfinite(total):
+                    raise ParseError(path, row.line, f"bad demand profile: {kind} weights "
+                                     f"sum to {total}, not a finite number")
         first_rate = demand["rate"][0].line
         mix = demand["mix"][-1] if demand["mix"] else _Row(first_rate, (1.0, 0.0, 0.0))
         profile = _demand_profile(

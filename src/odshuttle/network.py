@@ -11,6 +11,8 @@ only in their links:
   longer than a detour through a third stop; the shortest path takes
   the detour's time.
 * ``graph`` -- the links given, with unlinked pairs possibly unreachable.
+  A link time that is not a finite number of seconds >= 0 raises
+  :class:`~odshuttle.errors.LegTimeError` naming the link.
 
 Stops are numbered by sorted id (``index``/``ids``), so comparing index
 sequences orders them as the id sequences would.  Travel times live in
@@ -64,8 +66,9 @@ class TravelNetwork:
         for a, b, seconds in links:
             if a not in self.stops or b not in self.stops:
                 raise UnknownStopError(f"link {a}->{b}: unknown stop")
-            if seconds < 0:
-                raise ValueError(f"link {a}->{b}: negative traversal time")
+            if not 0 <= seconds < math.inf:
+                raise LegTimeError(f"link {a}->{b}: traversal time {seconds} is not a finite "
+                                   "number of seconds >= 0", a, b)
             self._adj[self.index[a]].append((self.index[b], int(math.ceil(seconds))))
 
     @classmethod

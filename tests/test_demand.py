@@ -137,6 +137,18 @@ def test_negative_weight_rejected():
         flat_profile(10.0, gateway_weights={"G1": -1.0})
 
 
+def test_weights_whose_sum_overflows_rejected():
+    # Each weight is finite, but a draw would scale its random number by an
+    # infinite sum and never fall below a running total.
+    with pytest.raises(ValueError, match="member weights sum to inf"):
+        flat_profile(100.0, member_weights={"A": 1e308, "B": 1e308})
+    with pytest.raises(ValueError, match="gateway weights sum to inf"):
+        flat_profile(100.0, mix=(0.0, 1.0, 0.0), gateway_weights={"G1": 1e308, "G2": 1e308})
+    # The largest finite sums still draw.
+    profile = flat_profile(100.0, member_weights={"A": 8e307, "B": 8e307})
+    assert {r.pickup for r in generate_demand(profile, REGION, 3600, 1)} == {"A", "B"}
+
+
 @pytest.mark.parametrize("mix, weights", [
     pytest.param((1.0, 0.0, 0.0), {"member_weights": {"A": 0.0, "B": 0.0, "C": 0.0}},
                  id="intra-one-positive-member"),

@@ -8,7 +8,7 @@ from odshuttle.costing import optimal_sequence
 from odshuttle.enumeration import enumerate_plans, plan_count_bound
 from odshuttle.errors import InstanceTooLargeError
 from odshuttle.network import TravelNetwork
-from odshuttle.types import ShuttleState, Stop, TripRequest
+from odshuttle.types import AssignmentPlan, ShuttleState, Stop, TripRequest
 
 from conftest import idle_fleet_instance, make_grid_network
 from oracles import exhaustive_best_sequence
@@ -129,6 +129,15 @@ def test_guard_rejects_oversized_instances(line_network):
         in str(err.value)
 
 
+def test_guard_rejects_every_subset_of_too_many_requests(line_network):
+    # cap >= n: 7 x 2^14 = 114,688 plans, every subset of every size.
+    with pytest.raises(InstanceTooLargeError) as err:
+        enumerate_plans(shuttles_at(line_network, 7), requests_on(line_network, 14), 14,
+                        line_network)
+    assert "7 vehicles x 14 requests with cap 14 yields up to 114688 plans (guard 100000)" \
+        in str(err.value)
+
+
 def test_max_outstanding_skips_overloaded_vehicles(line_network):
     committed = {TripRequest(id=f"c{i}", pickup="B", dropoff="C", request_time=0) for i in range(3)}
     loaded = ShuttleState(id="v00", heading_stop="A", arrival_time=0, capacity=8,
@@ -207,6 +216,22 @@ def test_fleet_plans_match_each_shuttle_alone():
         for v in shuttles:
             alone = enumerate_plans([v], requests, cap, net, **options)
             assert fleet.per_vehicle[v.id] == alone.per_vehicle[v.id]
+        # Each plan keeps the plan contract: a frozenset, a tuple and a cost
+        # >= 0, equal to the plan the constructor builds from its fields.
+        for p in fleet.plans:
+            assert type(p.requests) is frozenset and type(p.sequence) is tuple
+            assert p.cost >= 0
+            assert p == AssignmentPlan(requests=p.requests, cost=p.cost, sequence=p.sequence)
+
+
+def test_subset_priced_below_its_base_is_rejected(monkeypatch, line_network):
+    def cheaper_with_requests(v, new_requests, network, per_passenger=False):
+        return (10, ("B",)) if not new_requests else (3, ("B", "C"))
+
+    monkeypatch.setattr(enumeration, "optimal_sequence", cheaper_with_requests)
+    with pytest.raises(ValueError, match="plan cost must be >= 0"):
+        enumerate_plans(shuttles_at(line_network, 1), requests_on(line_network, 1), 1,
+                        line_network)
 
 
 def test_equal_states_share_one_plan_tuple(line_network):

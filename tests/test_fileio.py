@@ -183,6 +183,17 @@ def test_scenario_demand_file_unknown_stop_names_row(tmp_path):
     assert f"{tmp_path / 'demand.csv'}:3: unknown stop 'm99'" in str(err.value)
 
 
+def test_demand_file_with_overflowing_weights_is_a_conflict():
+    # The weight sum is checked only for a profile, so a file beside weight
+    # lines fails as the conflict it is, at the first weight line.
+    text = SCENARIO_TEXT.replace("rate 0 900 40.0\nmix 0.8 0.2 0.0",
+                                 "file demand.csv\nmember_weight A 1e308\nmember_weight B 1e308")
+    with pytest.raises(ParseError) as err:
+        fileio.parse_scenario_text(text, path="bad.txt")
+    line_no = text.splitlines().index("member_weight A 1e308") + 1
+    assert f"bad.txt:{line_no}: [demand] takes a file or a profile, not both" in str(err.value)
+
+
 def test_scenario_unknown_keyword_rejected():
     with pytest.raises(ParseError):
         fileio.parse_scenario_text(SCENARIO_TEXT + "\n[scenario]\nbogus 1\n")
@@ -460,6 +471,7 @@ def test_wrong_arity_is_a_parse_error(fmt, section, key, count):
     "[demand]\nmember_weight G1 2.0",
     "[demand]\ngateway_weight A 2.0",
     "[demand]\nmember_weight A -100",
+    "[demand]\nmember_weight A 1e308\nmember_weight B 1e308",
     "[demand]\nseed 3",
     "[baseline]\nroute r2 30 1e307 two_way A B",
     "[network]\nspeed 1e-320",

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from odshuttle import fileio
-from odshuttle.errors import UnknownStopError, UnreachableStopError
+from odshuttle.errors import LegTimeError, UnknownStopError, UnreachableStopError
 from odshuttle.network import Region, TravelNetwork, TripType, classify_trip
 from odshuttle.types import Stop, TripRequest
 
@@ -250,6 +250,14 @@ def test_graph_rejects_negative_link():
     stops = [Stop("A", 0, 0), Stop("B", 1, 0)]
     with pytest.raises(ValueError):
         TravelNetwork.graph(stops, [("A", "B", -3)])
+
+
+@pytest.mark.parametrize("seconds", [math.inf, math.nan])
+def test_graph_rejects_a_link_time_that_is_not_finite(seconds):
+    stops = [Stop("a", 0, 0), Stop("b", 1, 0)]
+    with pytest.raises(LegTimeError, match="link a->b: .* not a finite number") as err:
+        TravelNetwork.graph(stops, [("a", "b", seconds)])
+    assert err.value.stops == ("a", "b")
 
 
 def test_graph_rejects_dangling_link():
