@@ -58,6 +58,11 @@ class TripRequest:
         if self.passengers < 1:
             raise ValueError(f"request {self.id}: passengers must be >= 1")
 
+    def __hash__(self):
+        # Equal requests have equal ids, and a str caches its own hash, so
+        # this is cheaper than the generated hash of all five fields.
+        return hash(self.id)
+
 
 @dataclass(frozen=True)
 class ShuttleState:

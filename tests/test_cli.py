@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import odshuttle
 from odshuttle.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -61,6 +65,24 @@ def test_simulate_deterministic_bytes(small_cfg, tmp_path):
     main(["simulate", str(small_cfg), "--out-dir", str(out2)])
     assert (out1 / "trips.csv").read_bytes() == (out2 / "trips.csv").read_bytes()
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["peakdemand.cfg", "lowridership.cfg"])
+def test_simulate_bytes_independent_of_hash_seed(scenario, tmp_path):
+    # Set iteration order follows PYTHONHASHSEED, which one process cannot
+    # vary; the written files must not depend on it.
+    src = Path(odshuttle.__file__).resolve().parent.parent
+    script = "import sys; from odshuttle.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", script, "simulate",
+                               str(SCENARIOS / scenario), "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes() for name in ("trips.csv", "summary.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_baseline_and_comparison(small_cfg, tmp_path):

@@ -305,31 +305,104 @@ def test_bound_keeps_lexicographic_tie_on_ceiled_detour():
     assert optimal_sequence(v, rs, net) == exhaustive_best_sequence(v, rs, net)
 
 
+# -- an idle shuttle pricing one request ---------------------------------------
+#
+# optimal_sequence answers this shape in closed form, without the search.
+# The oracle checks it on metric networks and on sparse graphs, where a
+# leg may be missing.
+
+
+def _idle_one_request(rng):
+    kind = rng.choice(("euclidean", "manhattan", "graph"))
+    n = rng.randint(3, 6)
+    stops = [Stop(f"s{i}", round(rng.uniform(0, 400), 1), round(rng.uniform(0, 400), 1))
+             for i in range(n)]
+    if kind == "graph":
+        links = [(*rng.sample([s.id for s in stops], 2), rng.randint(0, 300))
+                 for _ in range(rng.randint(n - 1, 2 * n))]
+        network = TravelNetwork.graph(stops, links)
+    else:
+        network = getattr(TravelNetwork, kind)(stops, speed=0.1)
+    pickup, dropoff = rng.sample(network.stop_ids(), 2)
+    heading = pickup if rng.random() < 0.2 else rng.choice(network.stop_ids())
+    r = req("r1", pickup, dropoff, t=rng.randint(0, 4000), pax=rng.choice((1, 1, 2, 3, 5)))
+    shuttle = idle(stop=heading, t=rng.randint(0, 2000), capacity=rng.choice((1, 2, 4)))
+    return shuttle, r, network
+
+
+def _priced(sequencer, shuttle, r, network, per_passenger):
+    try:
+        return sequencer(shuttle, {r}, network, per_passenger)
+    except UnreachableStopError as err:
+        return "unreachable", str(err)
+
+
+def test_idle_one_request_matches_oracle():
+    rng = random.Random(1616)
+    seen = set()
+    for i in range(600):
+        shuttle, r, network = _idle_one_request(rng)
+        for per_passenger in (False, True):
+            got = _priced(optimal_sequence, shuttle, r, network, per_passenger)
+            want = _priced(exhaustive_best_sequence, shuttle, r, network, per_passenger)
+            assert got == want, f"instance {i} (per_passenger={per_passenger})"
+            if shuttle.heading_stop == r.pickup:
+                seen.add("heading at pickup")
+            if got is None:
+                seen.add("over capacity")
+                legs = ((shuttle.heading_stop, r.pickup), (r.pickup, r.dropoff))
+                if any(network.row(network.index[a])[network.index[b]] is None for a, b in legs):
+                    seen.add("over capacity on a missing leg")
+            elif got[0] == "unreachable":
+                seen.add("unreachable leg")
+            elif got[0] == 0 and r.request_time > shuttle.arrival_time:
+                seen.add("future-dated")
+            elif per_passenger and r.passengers > 1 and got[0] > 0:
+                seen.add("per passenger")
+    assert seen == {"heading at pickup", "over capacity", "over capacity on a missing leg",
+                    "unreachable leg", "future-dated", "per passenger"}
+
+
 # -- lookup errors ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shuttle_at, requests, aboard", [
-    pytest.param("B", [("r1", "A", "B")], [], id="pickup-unreachable-from-shuttle"),
-    pytest.param("A", [("r1", "B", "A"), ("r2", "C", "A")], [], id="pickups-unreachable-between"),
-    pytest.param("A", [("r1", "B", "C")], [], id="dropoff-unreachable-from-pickup"),
-    pytest.param("B", [], [("o1", "A", "C")], id="dropoff-unreachable-from-shuttle"),
+# The search's bound may meet a different missing leg first than the
+# oracle does, so the message is pinned only where both name the same one.
+@pytest.mark.parametrize("shuttle_at, requests, aboard, message", [
+    pytest.param("B", [("r1", "A", "B")], [], "no path from B to A",
+                 id="pickup-unreachable-from-shuttle"),
+    pytest.param("A", [("r1", "B", "A"), ("r2", "C", "A")], [], None,
+                 id="pickups-unreachable-between"),
+    pytest.param("A", [("r1", "B", "C")], [], "no path from B to C",
+                 id="dropoff-unreachable-from-pickup"),
+    pytest.param("B", [], [("o1", "A", "C")], "no path from B to C",
+                 id="dropoff-unreachable-from-shuttle"),
 ])
-def test_unreachable_stop_raises(shuttle_at, requests, aboard):
+def test_unreachable_stop_raises(shuttle_at, requests, aboard, message):
     # One-way spokes out of A: nothing leads back, and B and C do not connect.
     stops = [Stop("A", 0, 0), Stop("B", 1, 0), Stop("C", 2, 0)]
     net = TravelNetwork.graph(stops, [("A", "B", 5), ("A", "C", 7)])
     rs = {req(rid, pickup, dropoff) for rid, pickup, dropoff in requests}
     riders = {req(rid, pickup, dropoff) for rid, pickup, dropoff in aboard}
     shuttle = idle(stop=shuttle_at, pending_dropoffs=riders)
-    with pytest.raises(UnreachableStopError):
+    with pytest.raises(UnreachableStopError) as want:
         exhaustive_best_sequence(shuttle, rs, net)
-    with pytest.raises(UnreachableStopError):
+    with pytest.raises(UnreachableStopError) as got:
         optimal_sequence(shuttle, rs, net)
+    if message is not None:
+        assert str(want.value) == str(got.value) == message
 
 
-@pytest.mark.parametrize("shuttle_at, pickup, dropoff", [
-    ("Z", "B", "C"), ("A", "Z", "C"), ("A", "B", "Z"),
+# Stops resolve heading first, then pickup, then drop-off: the first
+# unknown one is named.
+@pytest.mark.parametrize("shuttle_at, pickup, dropoff, named", [
+    pytest.param("Z", "B", "C", "Z", id="Z-B-C"),
+    pytest.param("A", "Z", "C", "Z", id="A-Z-C"),
+    pytest.param("A", "B", "Z", "Z", id="A-B-Z"),
+    pytest.param("Z", "Y", "X", "Z", id="Z-Y-X"),
+    pytest.param("A", "Y", "X", "Y", id="A-Y-X"),
 ])
-def test_unknown_stop_raises(line_network, shuttle_at, pickup, dropoff):
-    with pytest.raises(UnknownStopError):
+def test_unknown_stop_raises(line_network, shuttle_at, pickup, dropoff, named):
+    with pytest.raises(UnknownStopError) as err:
         optimal_sequence(idle(stop=shuttle_at), {req("r1", pickup, dropoff)}, line_network)
+    assert err.value.args == (named,)
