@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
 from .network import Region
 from .types import TripRequest
 
@@ -37,6 +38,8 @@ class DemandProfile:
     must sum to 1.  Stop weights default to uniform over the region's
     sets; a stop weighted 0 is never drawn.  Each set's weights must sum
     to a finite number, or no draw could compare against the sum.
+    A bad value raises ``ConfigError`` naming its field, or
+    ``(field, stop)`` for a negative weight.
     """
 
     rates: tuple[tuple[int, int, float], ...]
@@ -51,24 +54,28 @@ class DemandProfile:
         object.__setattr__(self, "gateway_weights", dict(self.gateway_weights))
         for start, end, per_hour in self.rates:
             if per_hour < 0:
-                raise ValueError(f"negative arrival rate on [{start}, {end})")
+                raise ConfigError(f"negative arrival rate on [{start}, {end})", "rates")
             if end <= start:
-                raise ValueError(f"empty rate interval [{start}, {end})")
+                raise ConfigError(f"empty rate interval [{start}, {end})", "rates")
         ordered = sorted(self.rates)
         for (start, end, _), (later, later_end, _) in zip(ordered, ordered[1:]):
             if later < end:
-                raise ValueError(f"rate intervals [{start}, {end}) and "
-                                 f"[{later}, {later_end}) overlap")
+                raise ConfigError(f"rate intervals [{start}, {end}) and "
+                                  f"[{later}, {later_end}) overlap", "rates")
         if len(self.mix) != 3 or any(f < 0 for f in self.mix):
-            raise ValueError("mix needs three non-negative fractions")
+            raise ConfigError("mix needs three non-negative fractions", "mix")
         if abs(sum(self.mix) - 1.0) > 1e-9:
-            raise ValueError(f"mix fractions sum to {sum(self.mix)}, not 1")
-        if any(w < 0 for w in [*self.member_weights.values(), *self.gateway_weights.values()]):
-            raise ValueError("stop weights must be >= 0")
-        for kind, weights in (("member", self.member_weights), ("gateway", self.gateway_weights)):
+            raise ConfigError(f"mix fractions sum to {sum(self.mix)}, not 1", "mix")
+        for kind in ("member", "gateway"):
+            name = f"{kind}_weights"
+            weights = getattr(self, name)
+            for stop, weight in weights.items():
+                if weight < 0:
+                    raise ConfigError(f"stop weights must be >= 0: {kind} {stop} has {weight}",
+                                      (name, stop))
             total = sum(weight for _, weight in sorted(weights.items()))  # a draw's order
             if not math.isfinite(total):
-                raise ValueError(f"{kind} weights sum to {total}, not a finite number")
+                raise ConfigError(f"{kind} weights sum to {total}, not a finite number", name)
 
     def rate_at(self, t: float) -> float:
         for start, end, per_hour in self.rates:

@@ -15,7 +15,8 @@ class ParseError(OdshuttleError):
 
 
 class ConfigError(OdshuttleError, ValueError):
-    """A scenario setting is out of range; ``fields`` names the settings at fault."""
+    """A value is out of range; ``fields`` names the keys at fault: a field, a
+    stop, or a ``(field, item)`` pair for a stop's weight or an item's position."""
 
     def __init__(self, message, *fields):
         self.fields = fields
@@ -28,11 +29,13 @@ class LegTimeError(OdshuttleError, ValueError):
     seconds >= 0.
 
     ``stops`` names the leg's two stops when their distance alone
-    overflows or their link is at fault, and is empty when the speed is.
+    overflows or their link is at fault, and is empty when the speed is;
+    ``link`` is the position of a link at fault among those given.
     """
 
-    def __init__(self, message, *stops):
+    def __init__(self, message, *stops, link=None):
         self.stops = stops
+        self.link = link
         super().__init__(message)
 
 

@@ -36,26 +36,19 @@ optional ``penalty <id> <cost>``).  Requests claimed by a
 ``committed_*`` line belong to that shuttle and leave the open set.
 Route files (for ``fleetcalc``) hold ``route`` lines outside any section.
 
-References are checked at load time too: every stop a request, shuttle,
-region line, scenario ``route`` line or demand row names must be in the
-network (route files have no network to check against), a weighted stop
-must be a region member or gateway, and every shuttle or request a
-``committed_*`` or ``penalty`` line names must be defined.  A value
-rejected when its section is built (a repeated stop, an unknown mode, a
-stop both member and gateway, an overlapping rate piece, a mix that does
-not sum to 1, a negative stop weight, a weight that makes its set's sum
-overflow, a setting out of range, an instance's ``max_requests_per_plan``
-below 1 or a negative miss penalty)
-is reported at its own line, not the file's last.  So is a time that is
-not a finite number of seconds: a metric leg fails at its ``speed`` line,
-or at the later ``stop`` line of a pair whose distance overflows; a walk
-at the ``walk_speed`` line; a ride or headway at the ``route`` line.  A
-demand profile the region cannot draw from, counting only stops with a
-positive weight, fails at its ``mix`` line (the first ``rate`` line
-without a mix or a region).  In graph mode every stop a shuttle may be
-sent to -- the start stops, the region's stops and a demand file's
-stops -- must reach every other, or the load fails at the unreachable
-stop's ``stop`` line; stops only the walking baseline uses need no links.
+Two rules place every other error.  A later line overrides an earlier
+one (a setting, ``mix``, ``speed``, ``walk_speed``, a stop's weight, a
+request's ``penalty``), and only the value that takes effect is checked.
+An object's error names the key at fault -- a setting, a stop, a stop's
+weight or an item's position -- and the load fails at that key's line;
+``rate`` lines are checked in order, so an overlap fails at the later.
+Only what no single object sees is checked here: every stop, shuttle
+and request a line names must be defined (route files have no network
+to check against), a weighted stop must be a region member or gateway,
+a profile needs a ``rate`` line and a region it can draw from (else it
+fails at its ``mix`` line), and in graph mode every stop a shuttle may
+be sent to must reach every other (else the load fails at the
+unreachable stop's ``stop`` line).
 
 Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type,
 where a trip_type is empty or one of intra, outbound and inbound.
@@ -70,7 +63,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .demand import DemandProfile, check_drawable
-from .errors import ConfigError, LegTimeError, ParseError
+from .errors import ConfigError, LegTimeError, ParseError, UnknownStopError
 from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork, TripType
 from .simulator import FixedRoute, ScenarioConfig, TripRecord
 from .solver import DispatchProblem, DEFAULT_MISS_PENALTY
@@ -219,14 +212,19 @@ def _all(rows: list[_Row]) -> list:
 # -- shared section builders --------------------------------------------------------
 
 
+def _at(path: str, err: ConfigError, line_of: dict, default: int, prefix: str = "") -> ParseError:
+    """``err`` at the line of the first key it names that ``line_of`` maps."""
+    line = next((line_of[key] for key in err.fields if key in line_of), default)
+    return ParseError(path, line, f"{prefix}{err}")
+
+
 def _network(rows: dict, path: str, end: int) -> TravelNetwork:
     """Build a ``[network]`` section; scenario configs and instances share it.
 
-    Each check names the line at fault: the repeated ``stop``, the
-    ``mode`` or ``speed`` line, or the ``link``; a metric leg that is not
-    a finite number of seconds names the ``speed`` line, or the later
-    ``stop`` line of a pair whose distance overflows.  Graph mode takes no
-    ``speed`` and metric modes take no ``link``.
+    The ``mode`` line settles which of ``speed`` and ``link`` the section
+    takes.  A network error names the line at fault: the repeated ``stop``,
+    the ``link`` at fault, the ``speed`` line, or the later ``stop`` line
+    of a pair whose distance overflows.
     """
     if not rows["mode"]:
         raise ParseError(path, end, "network section never declared a mode")
@@ -234,35 +232,32 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
         raise ParseError(path, end, "network has no stops")
     mode_row = rows["mode"][-1]
     mode = mode_row.args[0]
-    stops: dict[str, Stop] = {}
-    for row in rows["stop"]:
-        if row.args[0] in stops:
-            raise ParseError(path, row.line, f"duplicate stop id {row.args[0]}")
-        stops[row.args[0]] = Stop(*row.args)
     if mode == GRAPH:
         if rows["speed"]:
             raise ParseError(path, rows["speed"][0].line, "graph mode takes no speed")
-        for row in rows["link"]:
-            a, b, seconds = row.args
-            for stop in (a, b):
-                if stop not in stops:
-                    raise ParseError(path, row.line, f"link names unknown stop {stop!r}")
-            if seconds < 0:
-                raise ParseError(path, row.line, f"link {a}->{b}: negative traversal time")
-        return TravelNetwork.graph(stops.values(), [row.args for row in rows["link"]])
-    if mode not in (EUCLIDEAN, MANHATTAN):
+    elif mode not in (EUCLIDEAN, MANHATTAN):
         raise ParseError(path, mode_row.line, f"unknown network mode {mode!r}")
-    if not rows["speed"]:
+    elif not rows["speed"]:
         raise ParseError(path, mode_row.line, f"{mode} mode needs a positive speed (m/s)")
-    if rows["link"]:
+    elif rows["link"]:
         raise ParseError(path, rows["link"][0].line, f"{mode} mode takes no links")
-    make = TravelNetwork.euclidean if mode == EUCLIDEAN else TravelNetwork.manhattan
-    speed_row = rows["speed"][-1]
+    stops = [Stop(*row.args) for row in rows["stop"]]
     try:
-        return make(stops.values(), speed_row.args[0])
-    except LegTimeError as err:  # at the speed line, or the later line of the stops at fault
+        if mode == GRAPH:
+            return TravelNetwork.graph(stops, [row.args for row in rows["link"]])
+        make = TravelNetwork.euclidean if mode == EUCLIDEAN else TravelNetwork.manhattan
+        return make(stops, _last(rows["speed"]))
+    except ConfigError as err:  # a repeated stop id
+        raise _at(path, err, {("stops", i): row.line for i, row in enumerate(rows["stop"])},
+                  end) from None
+    except UnknownStopError as err:  # at the first link naming the stop
+        line = next(row.line for row in rows["link"] if err.args[0] in row.args[:2])
+        raise ParseError(path, line, f"link names unknown stop {err}") from None
+    except LegTimeError as err:
+        if err.link is not None:
+            raise ParseError(path, rows["link"][err.link].line, str(err)) from None
         lines = [row.line for row in rows["stop"] if row.args[0] in err.stops]
-        raise ParseError(path, max(lines, default=speed_row.line), str(err)) from None
+        raise ParseError(path, max(lines, default=rows["speed"][-1].line), str(err)) from None
 
 
 def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:
@@ -277,13 +272,6 @@ def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:
         except ValueError as err:
             raise ParseError(path, row.line, str(err)) from None
     return routes
-
-
-def _demand_profile(path: str, line_no: int, **fields) -> DemandProfile:
-    try:
-        return DemandProfile(**fields)
-    except ValueError as err:
-        raise ParseError(path, line_no, f"bad demand profile: {err}") from None
 
 
 def _check_stops(network: TravelNetwork, path: str, line_no: int, *stops) -> None:
@@ -351,40 +339,30 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
     if "horizon" not in scalars or "fleet_size" not in scalars:
         raise ParseError(path, end, "scenario section needs at least horizon and fleet_size")
 
-    for row in scenario["fleet_start"]:
-        _check_stops(network, path, row.line, *row.args)
     for row in rows["baseline"]["route"]:
         _check_stops(network, path, row.line, *row.args[4:])
     region = None
-    if region_rows["member"] or region_rows["gateway"]:
-        kind_of: dict[str, str] = {}
-        for row, kind in sorted((row, kind) for kind in ("member", "gateway")
-                                for row in region_rows[kind]):
+    region_lines = sorted(region_rows["member"] + region_rows["gateway"])
+    if region_lines:
+        for row in region_lines:
             _check_stops(network, path, row.line, *row.args)
-            for stop in row.args:
-                if kind_of.setdefault(stop, kind) != kind:
-                    raise ParseError(path, row.line,
-                                     f"stop {stop} cannot be both member and gateway")
-        region = Region(
-            member_stops=_all(region_rows["member"]),
-            gateway_stations=_all(region_rows["gateway"]),
-        )
+        try:
+            region = Region(_all(region_rows["member"]), _all(region_rows["gateway"]))
+        except ConfigError as err:  # at the last line naming a stop at fault
+            raise _at(path, err, {stop: row.line for row in region_lines for stop in row.args},
+                      end) from None
     for kind in ("member", "gateway"):
         allowed = _all(region_rows[kind])
         for row in demand[f"{kind}_weight"]:
-            stop, weight = row.args
-            if stop not in allowed:
-                raise ParseError(path, row.line,
-                                 f"{kind}_weight names {stop!r}, which is not a region {kind}")
-            if weight < 0:
-                raise ParseError(path, row.line, f"{kind}_weight {stop}: weight must be >= 0")
+            if row.args[0] not in allowed:
+                raise ParseError(path, row.line, f"{kind}_weight names {row.args[0]!r}, "
+                                 f"which is not a region {kind}")
 
     demand_requests = None
     demand_types: dict[str, str] = {}
     profile = None
+    profile_lines = [row.line for key, found in demand.items() if key != "file" for row in found]
     if demand["file"]:
-        profile_lines = [row.line for key, found in demand.items() if key != "file"
-                         for row in found]
         if profile_lines:
             raise ParseError(path, min(profile_lines),
                              "[demand] takes a file or a profile, not both")
@@ -396,33 +374,28 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
             raise ParseError(path, line_no, f"cannot read demand file: {err}") from None
         reqs, demand_types = parse_demand_csv(demand_text, network, path=str(target))
         demand_requests = tuple(reqs)
-    elif demand["rate"]:
+    elif profile_lines:
+        if not demand["rate"]:
+            raise ParseError(path, min(profile_lines), "a demand profile needs a rate line")
         # Each rate line is checked with the ones before it, so a bad or
-        # overlapping piece names its own line and what fails after is the mix.
+        # overlapping piece names its own line.
         rates = [row.args for row in demand["rate"]]
         for i, row in enumerate(demand["rate"]):
-            _demand_profile(path, row.line, rates=rates[:i + 1])
-        # So is the weight line that makes its set's sum overflow; a stop's
-        # last line is its weight.
-        for kind in ("member", "gateway"):
-            weights: dict[str, float] = {}
-            total = 0.0
-            for row in demand[f"{kind}_weight"]:
-                stop, weight = row.args
-                total += weight - weights.get(stop, 0.0)
-                weights[stop] = weight
-                if not math.isfinite(total):
-                    raise ParseError(path, row.line, f"bad demand profile: {kind} weights "
-                                     f"sum to {total}, not a finite number")
+            try:
+                DemandProfile(rates=rates[:i + 1])
+            except ConfigError as err:
+                raise ParseError(path, row.line, f"bad demand profile: {err}") from None
         first_rate = demand["rate"][0].line
         mix = demand["mix"][-1] if demand["mix"] else _Row(first_rate, (1.0, 0.0, 0.0))
-        profile = _demand_profile(
-            path, mix.line,
-            rates=rates,
-            mix=mix.args,
-            member_weights=dict(row.args for row in demand["member_weight"]),
-            gateway_weights=dict(row.args for row in demand["gateway_weight"]),
-        )
+        weights = {f"{kind}_weights": demand[f"{kind}_weight"] for kind in ("member", "gateway")}
+        try:
+            profile = DemandProfile(rates=rates, mix=mix.args, **{
+                name: dict(row.args for row in found) for name, found in weights.items()})
+        except ConfigError as err:  # at the mix line, a stop's last weight line or its set's
+            line_of = {"mix": mix.line}
+            for name, found in weights.items():
+                line_of |= {key: row.line for row in found for key in (name, (name, row.args[0]))}
+            raise _at(path, err, line_of, mix.line, "bad demand profile: ") from None
         if region is None:
             raise ParseError(path, first_rate, "a demand profile needs a [region] to draw from")
         try:
@@ -442,10 +415,12 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
             routes=tuple(_routes(rows["baseline"]["route"], path)),
             **scalars,
         )
-    except ConfigError as err:
+    except ConfigError as err:  # at a setting's last line, or a start stop's own line
         settings = {**scenario, "walk_speed": rows["baseline"]["walk_speed"]}
-        lines = [settings[name][-1].line for name in err.fields if settings.get(name)]
-        raise ParseError(path, lines[0] if lines else end, f"bad scenario: {err}") from None
+        line_of = {name: found[-1].line for name, found in settings.items() if found}
+        starts = [row.line for row in scenario["fleet_start"] for _ in row.args]
+        line_of |= {("fleet_start", i): line for i, line in enumerate(starts)}
+        raise _at(path, err, line_of, end, "bad scenario: ") from None
     if rows["network"]["mode"][-1].args[0] == GRAPH:
         # Every stop a shuttle may be sent to must reach every other, or the
         # run dies at the first leg that needs the missing path.
@@ -476,14 +451,13 @@ def parse_instance_text(text: str, path="<instance>"):
     rows, end = _lines(text, path, _INSTANCE)
     network = _network(rows["network"], path, end)
     fleet = rows["fleet"]
-    for key, least in (("max_requests_per_plan", 1), ("miss_penalty", 0)):
-        for row in rows["params"][key]:
-            if row.args[0] < least:
-                raise ParseError(path, row.line, f"{key} must be >= {least}")
     params = {
         "max_requests_per_plan": _last(rows["params"]["max_requests_per_plan"], 3),
         "miss_penalty": _last(rows["params"]["miss_penalty"], DEFAULT_MISS_PENALTY),
     }
+    for key, least in (("max_requests_per_plan", 1), ("miss_penalty", 0)):
+        if params[key] < least:
+            raise ParseError(path, rows["params"][key][-1].line, f"{key} must be >= {least}")
 
     requests: dict[str, TripRequest] = {}
     for row in rows["requests"]["request"]:
@@ -497,13 +471,12 @@ def parse_instance_text(text: str, path="<instance>"):
         except ValueError as err:
             raise ParseError(path, row.line, str(err)) from None
     penalties = {}
-    for row in rows["requests"]["penalty"]:
-        rid, cost = row.args
+    for rid, row in {row.args[0]: row for row in rows["requests"]["penalty"]}.items():
         if rid not in requests:
             raise ParseError(path, row.line, f"penalty for undefined request {rid}")
-        if cost < 0:
+        if row.args[1] < 0:
             raise ParseError(path, row.line, f"penalty for {rid} must be >= 0")
-        penalties[rid] = cost
+        penalties[rid] = row.args[1]
 
     shuttle_rows: dict[str, _Row] = {}
     for row in fleet["shuttle"]:

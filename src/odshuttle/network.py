@@ -12,7 +12,10 @@ only in their links:
   the detour's time.
 * ``graph`` -- the links given, with unlinked pairs possibly unreachable.
   A link time that is not a finite number of seconds >= 0 raises
-  :class:`~odshuttle.errors.LegTimeError` naming the link.
+  :class:`~odshuttle.errors.LegTimeError` naming the link's position.
+
+A repeated stop id raises :class:`~odshuttle.errors.ConfigError` naming
+its position, and a link to an unknown stop ``UnknownStopError(stop)``.
 
 Stops are numbered by sorted id (``index``/``ids``), so comparing index
 sequences orders them as the id sequences would.  Travel times live in
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import LegTimeError, UnknownStopError, UnreachableStopError
+from .errors import ConfigError, LegTimeError, UnknownStopError, UnreachableStopError
 from .types import Stop, StopId, TripRequest
 
 EUCLIDEAN = "euclidean"
@@ -53,22 +56,22 @@ class TravelNetwork:
     """
 
     def __init__(self, stops, links):
-        stop_list = list(stops)
-        ids = [s.id for s in stop_list]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate stop ids: {', '.join(dupes)}")
-        self.stops: dict[StopId, Stop] = {s.id: s for s in stop_list}
+        self.stops: dict[StopId, Stop] = {}
+        for i, stop in enumerate(stops):
+            if stop.id in self.stops:
+                raise ConfigError(f"duplicate stop id {stop.id}", ("stops", i))
+            self.stops[stop.id] = stop
         self.ids: tuple[StopId, ...] = tuple(sorted(self.stops))
         self.index: dict[StopId, int] = {stop: i for i, stop in enumerate(self.ids)}
         self._rows: list[list[int | None] | None] = [None] * len(self.ids)
         self._adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
-        for a, b, seconds in links:
-            if a not in self.stops or b not in self.stops:
-                raise UnknownStopError(f"link {a}->{b}: unknown stop")
+        for i, (a, b, seconds) in enumerate(links):
+            for stop in (a, b):
+                if stop not in self.stops:
+                    raise UnknownStopError(stop)
             if not 0 <= seconds < math.inf:
                 raise LegTimeError(f"link {a}->{b}: traversal time {seconds} is not a finite "
-                                   "number of seconds >= 0", a, b)
+                                   "number of seconds >= 0", a, b, link=i)
             self._adj[self.index[a]].append((self.index[b], int(math.ceil(seconds))))
 
     @classmethod
@@ -155,9 +158,10 @@ class Region:
     def __post_init__(self):
         object.__setattr__(self, "member_stops", frozenset(self.member_stops))
         object.__setattr__(self, "gateway_stations", frozenset(self.gateway_stations))
-        overlap = self.member_stops & self.gateway_stations
+        overlap = sorted(self.member_stops & self.gateway_stations)
         if overlap:
-            raise ValueError(f"stops cannot be both member and gateway: {sorted(overlap)}")
+            raise ConfigError(f"stops cannot be both member and gateway: {', '.join(overlap)}",
+                              *overlap)
 
 
 def classify_trip(request: TripRequest, region: Region) -> TripType:

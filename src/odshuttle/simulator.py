@@ -181,9 +181,9 @@ class ScenarioConfig:
         if not (self.walk_speed > 0 and math.isfinite(longest_walk / self.walk_speed)):
             raise ConfigError("walk_speed must be positive and time every walk between stops "
                               "in a finite number of seconds", "walk_speed")
-        for stop in self.fleet_start:
+        for i, stop in enumerate(self.fleet_start):
             if not self.network.has_stop(stop):
-                raise ConfigError(f"fleet start stop {stop} not in network", "fleet_start")
+                raise ConfigError(f"fleet start stop {stop} not in network", ("fleet_start", i))
 
     def resolve_requests(self) -> list[TripRequest]:
         """The demand stream: explicit list if configured, else generated."""

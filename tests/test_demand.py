@@ -98,18 +98,21 @@ def test_connector_mix_needs_gateways():
 
 
 def test_mix_must_sum_to_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         DemandProfile(rates=((0, 10, 1.0),), mix=(0.5, 0.2, 0.2))
+    assert err.value.fields == ("mix",)
 
 
 def test_negative_rate_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         DemandProfile(rates=((0, 10, -1.0),))
+    assert err.value.fields == ("rates",)
 
 
 def test_overlapping_rates_rejected():
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match="overlap") as err:
         DemandProfile(rates=((0, 3600, 10.0), (1800, 3600, 80.0)))
+    assert err.value.fields == ("rates",)
     adjacent = DemandProfile(rates=((1800, 3600, 80.0), (0, 1800, 10.0)))
     assert (adjacent.rate_at(1799), adjacent.rate_at(1800)) == (10.0, 80.0)
 
@@ -131,19 +134,23 @@ def test_weighted_demand_is_pinned():
 
 
 def test_negative_weight_rejected():
-    with pytest.raises(ValueError, match="stop weights must be >= 0"):
-        flat_profile(10.0, member_weights={"A": -100.0})
-    with pytest.raises(ValueError, match="stop weights must be >= 0"):
+    with pytest.raises(ValueError, match="stop weights must be >= 0") as err:
+        flat_profile(10.0, member_weights={"B": 1.0, "A": -100.0})
+    assert err.value.fields == (("member_weights", "A"),)
+    with pytest.raises(ValueError, match="stop weights must be >= 0") as err:
         flat_profile(10.0, gateway_weights={"G1": -1.0})
+    assert err.value.fields == (("gateway_weights", "G1"),)
 
 
 def test_weights_whose_sum_overflows_rejected():
     # Each weight is finite, but a draw would scale its random number by an
     # infinite sum and never fall below a running total.
-    with pytest.raises(ValueError, match="member weights sum to inf"):
+    with pytest.raises(ValueError, match="member weights sum to inf") as err:
         flat_profile(100.0, member_weights={"A": 1e308, "B": 1e308})
-    with pytest.raises(ValueError, match="gateway weights sum to inf"):
+    assert err.value.fields == ("member_weights",)
+    with pytest.raises(ValueError, match="gateway weights sum to inf") as err:
         flat_profile(100.0, mix=(0.0, 1.0, 0.0), gateway_weights={"G1": 1e308, "G2": 1e308})
+    assert err.value.fields == ("gateway_weights",)
     # The largest finite sums still draw.
     profile = flat_profile(100.0, member_weights={"A": 8e307, "B": 8e307})
     assert {r.pickup for r in generate_demand(profile, REGION, 3600, 1)} == {"A", "B"}

@@ -153,6 +153,14 @@ def test_scenario_parse_full():
     assert config.fleet_start == ("A",)
     requests = config.resolve_requests()
     assert requests and all(r.request_time < 900 for r in requests)
+    # A later weight line overrides an earlier one, and only the weight that
+    # takes effect is checked: a negative one, or one that makes the sum
+    # overflow before a later line lowers it.
+    for weights, expected in [("member_weight A -1\nmember_weight A 2", {"A": 2.0}),
+                              ("member_weight A 1e308\nmember_weight B 1e308\nmember_weight B 0",
+                               {"A": 1e308, "B": 0.0})]:
+        text = SCENARIO_TEXT.replace("mix 0.8 0.2 0.0", f"mix 0.8 0.2 0.0\n{weights}")
+        assert fileio.parse_scenario_text(text).demand_profile.member_weights == expected
 
 
 def test_scenario_demand_file_relative(tmp_path):
@@ -277,11 +285,17 @@ def test_instance_value_out_of_range_names_its_line(old, new, message):
     with pytest.raises(ParseError) as err:
         fileio.parse_instance_text("\n".join(lines) + "\n", path="bad.txt")
     assert str(err.value) == f"bad.txt:{line_no}: {message}"
+    # A later line overrides the bad one, which is then never checked.
+    lines[line_no - 1] = f"{new}\n{old}"
+    overridden = fileio.parse_instance_text("\n".join(lines) + "\n")
+    assert overridden[3] == fileio.parse_instance_text(INSTANCE_TEXT)[3]
 
 
 @pytest.mark.parametrize("parse, text, old, new", [
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "stop C 1000 0", "stop A 1000 0",
                  id="duplicate-stop"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "stop C 1000 0",
+                 "stop A 1000 0\nstop A 1200 0", id="stop-given-three-times"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mode euclidean", "mode hexagonal",
                  id="unknown-mode"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "speed 10.0", "speed 0",
@@ -290,8 +304,25 @@ def test_instance_value_out_of_range_names_its_line(old, new, message):
                  id="link-unknown-stop"),
     pytest.param(fileio.parse_instance_text, GRAPH_INSTANCE_TEXT, "link B C 20", "link B C -20",
                  id="link-negative"),
+    pytest.param(fileio.parse_instance_text, GRAPH_INSTANCE_TEXT, "link B A 10", "link A B -10",
+                 id="link-negative-after-good-link"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "gateway G1", "gateway C",
                  id="gateway-is-member"),
+    pytest.param(fileio.parse_scenario_text,
+                 SCENARIO_TEXT.replace("member A B C", "gateway A\nmember B C"),
+                 "member B C", "member A B C", id="member-repeats-earlier-gateway"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mix 0.8 0.2 0.0",
+                 "member_weight A -1\nmember_weight B 2\nmix 0.8 0.2 0.0",
+                 id="negative-weight-before-another"),
+    pytest.param(fileio.parse_scenario_text,
+                 SCENARIO_TEXT.replace("[demand]\n", "[demand]\nmember_weight A 1e308\n"
+                                       "member_weight B 1e308\n"),
+                 "mix 0.8 0.2 0.0", "member_weight C 1\nmix 0.8 0.2 0.0",
+                 id="weight-overflow-at-last-weight"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "rate 0 900 40.0",
+                 "member_weight A -5", id="profile-without-rate"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "rate 0 900 40.0", "mix 0.5 0.6 0",
+                 id="mix-without-rate"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "rate 0 900 40.0", "rate 900 0 40.0",
                  id="rate-empty-interval"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mix 0.8 0.2 0.0", "rate 600 1200 10",
@@ -304,6 +335,8 @@ def test_instance_value_out_of_range_names_its_line(old, new, message):
                  id="max-defer"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "fleet_start A", "fleet_start A Z",
                  id="fleet-start-unknown-stop"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "fleet_start A",
+                 "fleet_start A Z\nfleet_start B", id="fleet-start-unknown-stop-first-of-two"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "walk_speed 1.3", "walk_speed 0",
                  id="walk-speed"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "dispatch_interval 30",

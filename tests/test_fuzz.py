@@ -1,8 +1,11 @@
 """Seeded mutation fuzzing of the inputs the CLI reads.
 
 Each case changes one line of a bundled input: it replaces a token,
-deletes one, appends one, duplicates the line or deletes it.  The
-replacement tokens come from the same file plus a few edge values.
+deletes one, appends one, duplicates the line or deletes it.  A second
+family repeats one keyword line, just before or after itself, with one
+argument replaced, so the repeat either overrides the original or is
+overridden by it.  The replacement tokens come from the same file plus a
+few edge values.
 Whatever a mutated input does, a failure must be an ``OdshuttleError``,
 and the CLI must report it as one ``odshuttle:`` line on stderr with exit
 status 1.  Inputs that load are run too, with the horizon capped at
@@ -45,6 +48,19 @@ def mutate(rng: random.Random, text: str, sep: str | None = None) -> str:
         del lines[i]
         return "\n".join(lines) + "\n"
     lines[i] = (" " if sep is None else sep).join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def repeat(rng: random.Random, text: str) -> str:
+    """``text`` with one keyword line repeated next to itself, one argument replaced."""
+    lines = text.splitlines()
+    pool = sorted({tok for line in lines for tok in line.split()}) + EDGE_TOKENS
+    keyword_lines = [i for i, line in enumerate(lines)
+                     if len(line.split("#", 1)[0].split()) > 1 and not line.startswith("[")]
+    i = rng.choice(keyword_lines)
+    tokens = lines[i].split("#", 1)[0].split()
+    tokens[rng.randrange(1, len(tokens))] = rng.choice(pool)
+    lines.insert(i + rng.randrange(2), " ".join(tokens))
     return "\n".join(lines) + "\n"
 
 
@@ -174,3 +190,33 @@ def test_fuzz_route_files(tmp_path, capsys):
         if code:
             assert_reported(code, err, text)
     assert 30 < failed < 300
+
+
+def test_fuzz_repeated_lines(tmp_path, capsys):
+    rng = random.Random(20261022)
+    names = ("lowridership.cfg", "peakdemand.cfg", "instance_small.txt")
+    sources = {name: (SCENARIOS / name).read_text() for name in names}
+    failed = 0
+    for case in range(300):
+        name = names[case % 3]
+        text = repeat(rng, sources[name])
+        path = tmp_path / name
+        path.write_text(text)
+        instance = name.endswith(".txt")
+        argv = ["solve", str(path)] if instance else ["simulate", str(path), "--out-dir",
+                                                       str(tmp_path)]
+        try:
+            loaded = fileio.parse_instance_text(text, str(path)) if instance \
+                else fileio.load_scenario(path)
+        except Exception as err:
+            assert_package_error(err, text)
+            assert_reported(*run_cli(argv, capsys, text), text)
+            failed += 1
+            continue
+        if instance:
+            code, err = run_cli(argv + ["--out", str(tmp_path / "solution.txt")], capsys, text)
+            if code:
+                assert_reported(code, err, text)
+        else:
+            run_capped(loaded, text)
+    assert 30 < failed < 270  # repeats reach both sides of the load-time checks

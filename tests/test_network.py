@@ -237,19 +237,24 @@ def test_classify_total_and_deterministic():
 
 
 def test_region_rejects_overlap():
-    with pytest.raises(ValueError):
-        Region(member_stops={"A"}, gateway_stations={"A"})
+    with pytest.raises(ValueError) as err:
+        Region(member_stops={"A", "B", "C"}, gateway_stations={"C", "A"})
+    assert err.value.fields == ("A", "C")
 
 
 def test_network_rejects_duplicate_stop_ids():
-    with pytest.raises(ValueError):
-        TravelNetwork.euclidean([Stop("A", 0, 0), Stop("A", 5, 5)], speed=10)
+    # The error names the first repeat's position among the stops.
+    stops = [Stop("A", 0, 0), Stop("B", 1, 1), Stop("A", 5, 5), Stop("A", 9, 9)]
+    with pytest.raises(ValueError) as err:
+        TravelNetwork.euclidean(stops, speed=10)
+    assert err.value.fields == (("stops", 2),)
 
 
 def test_graph_rejects_negative_link():
     stops = [Stop("A", 0, 0), Stop("B", 1, 0)]
-    with pytest.raises(ValueError):
-        TravelNetwork.graph(stops, [("A", "B", -3)])
+    with pytest.raises(ValueError) as err:
+        TravelNetwork.graph(stops, [("A", "B", 3), ("A", "B", -3)])
+    assert err.value.link == 1
 
 
 @pytest.mark.parametrize("seconds", [math.inf, math.nan])
@@ -258,9 +263,11 @@ def test_graph_rejects_a_link_time_that_is_not_finite(seconds):
     with pytest.raises(LegTimeError, match="link a->b: .* not a finite number") as err:
         TravelNetwork.graph(stops, [("a", "b", seconds)])
     assert err.value.stops == ("a", "b")
+    assert err.value.link == 0
 
 
 def test_graph_rejects_dangling_link():
     stops = [Stop("A", 0, 0)]
-    with pytest.raises(KeyError):
-        TravelNetwork.graph(stops, [("A", "Z", 3)])
+    with pytest.raises(KeyError) as err:
+        TravelNetwork.graph(stops, [("A", "A", 0), ("A", "Z", 3)])
+    assert err.value.args == ("Z",)

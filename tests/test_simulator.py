@@ -179,8 +179,9 @@ def test_config_validation():
         line_config(max_defer=30, dispatch_interval=30)
     with pytest.raises(ValueError):
         line_config(fleet_size=0)
-    with pytest.raises(ValueError):
-        line_config(fleet_start=("Z",))
+    with pytest.raises(ValueError) as err:
+        line_config(fleet_start=("A", "Z"))
+    assert err.value.fields == (("fleet_start", 1),)
 
 
 def test_arrival_exactly_at_tick_is_seen_by_that_pass():
