@@ -403,6 +403,8 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
         except ValueError as err:
             raise ParseError(path, mix.line, f"bad demand profile: {err}") from None
 
+    if rows["baseline"]["walk_speed"]:
+        scalars["walk_speed"] = _last(rows["baseline"]["walk_speed"])
     try:
         config = ScenarioConfig(
             network=network,
@@ -411,7 +413,6 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
             demand_requests=demand_requests,
             demand_types=demand_types,
             fleet_start=tuple(_all(scenario["fleet_start"])),
-            walk_speed=_last(rows["baseline"]["walk_speed"], 1.3),
             routes=tuple(_routes(rows["baseline"]["route"], path)),
             **scalars,
         )

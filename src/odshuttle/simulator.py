@@ -2,22 +2,21 @@
 
 The on-demand side is a deterministic loop over dispatch ticks, one
 every ``dispatch_interval`` seconds (30 s by default) up to the horizon.
-At each tick ``now`` it does three things, in this order:
+At each tick ``now`` every request placed at or before ``now`` joins the
+queue of not-yet-committed requests; then one dispatch pass runs over
+that queue plus every shuttle's committed state, and selected plans hand
+each shuttle a fresh stop sequence.  A request placed exactly at a tick
+is dispatched by it.  While the queue is empty the loop jumps straight
+to the first tick at or after the next request: a pass over an empty
+queue does nothing.  Requests placed after the last tick stay pending.
 
-1. every shuttle arrival due at or before ``now`` is handled at its own
-   time (riders alight and board, the shuttle starts its next leg);
-2. every request placed at or before ``now`` joins the queue of
-   not-yet-committed requests;
-3. one dispatch pass runs over that queue plus every shuttle's
-   committed state, and selected plans hand each shuttle a fresh stop
-   sequence.
-
-So a shuttle arriving exactly at a tick is at its stop for that pass,
-and a request placed exactly at a tick is dispatched by it.  While the
-queue is empty the loop jumps straight to the first tick at or after the
-next request: a pass over an empty queue does nothing.  Arrivals after
-the last tick are still handled up to the horizon; requests placed after
-it stay pending.
+One function, ``advance``, moves a shuttle: it runs the shuttle's
+arrivals due by a given time, each at its own time.  A pass advances each
+shuttle with an arrival due by ``now`` as it reads the fleet, so a
+shuttle arriving exactly at a tick is at its stop for that pass; after
+the last tick every shuttle is advanced to the horizon.  An arrival
+touches only its own shuttle, its busy seconds and the requests it owes,
+so handling it late, in any order across shuttles, changes nothing.
 
 Requests missed in an interval stay queued for the next one; requests
 queued beyond ``max_defer`` are abandoned.  Once a request enters a
@@ -34,12 +33,15 @@ costing priced the sequence with.  Arriving anywhere else (a heading
 stop that a new sequence skips) does nothing.  Every state change builds
 a new ``ShuttleState``, so its checks (capacity among them) run at every
 visit, and a sequence that runs out while requests are still owed stops
-the run.  A moving shuttle finishes its current leg before any new
-sequence takes effect.  Idle shuttles hold position and are shown to the
-dispatcher as arriving "now": a copy of the state with only
-``arrival_time`` changed (``ShuttleState.retimed``).  That copy is the
-one change that re-runs no checks, as none of them reads the time and
-an idle shuttle owes nothing.
+the run.  Idle shuttles hold position and are shown to the dispatcher as
+arriving "now": a copy of the state with only ``arrival_time`` changed
+(``ShuttleState.retimed``).  That copy is the one change that re-runs no
+checks, as none of them reads the time and an idle shuttle owes nothing.
+
+A selected plan is committed to the state it was priced from, owing the
+plan's requests too, and its sequence replaces the shuttle's remaining
+stops: a moving shuttle finishes its current leg first, and an idle one
+stands at its stop at ``now``, where its next ``advance`` starts.
 
 The baseline models the fixed-route alternative analytically: walk to
 the nearest served stop, wait for the next scheduled departure
@@ -49,7 +51,6 @@ inter-stop time, walk to the destination.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -60,7 +61,7 @@ from .enumeration import enumerate_plans
 from .errors import ConfigError
 from .network import Region, TravelNetwork, TripType, classify_trip
 from .reporting import SummaryStats, summarize
-from .solver import DispatchProblem, solve_dispatch
+from .solver import DEFAULT_MISS_PENALTY, DispatchProblem, solve_dispatch
 from .types import ShuttleState, StopId, TripRequest
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class ScenarioConfig:
     dispatch_interval: int = 30
     shuttle_capacity: int = 8
     max_requests_per_plan: int = 3
-    miss_penalty: int = 3600
+    miss_penalty: int = DEFAULT_MISS_PENALTY
     max_defer: int = 1800
     seed: int = 0
     max_requests_per_tick: int = 8
@@ -254,30 +255,16 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
     # Placed, not yet committed.  Requests join in demand order, (time, id),
     # and leave without reordering the rest, so the queue stays in that order.
     queue: dict[str, TripRequest] = {}
-    arrivals: list[tuple[int, str]] = []  # heap of (time, shuttle id), one leg per shuttle
 
-    def start_leg(vid: str, stop: StopId, now: int, pickups, dropoffs):
-        """Leave ``stop`` at ``now`` for the next visit, or stand there if none."""
-        if visits[vid]:
-            nxt = visits[vid][0]
-            arrival = now + network.travel_time(stop, nxt)
-            busy[vid] += max(0, min(arrival, horizon) - now)
-            heapq.heappush(arrivals, (arrival, vid))
-            stop, now = nxt, arrival
-        elif pickups or dropoffs:
-            raise AssertionError(f"plan for {vid} leaves requests unserved: "
-                                 f"{sorted(r.id for r in pickups | dropoffs)}")
-        states[vid] = ShuttleState(vid, stop, now, pickups, dropoffs, capacity)
-
-    def handle_arrivals(until: int):
-        while arrivals and arrivals[0][0] <= until:
-            now, vid = heapq.heappop(arrivals)
-            state = states[vid]
+    def advance(vid: str, until: int) -> ShuttleState:
+        """Run the shuttle's arrivals due at or before ``until``, each at its own time."""
+        state, stops = states[vid], visits[vid]
+        while stops and state.arrival_time <= until:
             stop = state.heading_stop
             pickups, dropoffs = state.pending_pickups, state.pending_dropoffs
-            depart = now
-            if visits[vid][0] == stop:  # a planned visit: alight, then board
-                visits[vid].popleft()
+            now = depart = state.arrival_time
+            if stops[0] == stop:  # a planned visit: alight, then board
+                stops.popleft()
                 dropped = {r for r in dropoffs if r.dropoff == stop}
                 picked = {r for r in pickups if r.pickup == stop}
                 for r in dropped:
@@ -287,8 +274,16 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
                     records[r.id].pickup_time = max(now, r.request_time)
                     depart = max(depart, r.request_time)
                 pickups, dropoffs = pickups - picked, (dropoffs - dropped) | picked
+            if stops:  # leave for the next visit
+                arrival = depart + network.travel_time(stop, stops[0])
+                busy[vid] += max(0, min(arrival, horizon) - depart)
+                stop, depart = stops[0], arrival
             # The new state's own checks (capacity among them) run at every visit.
-            start_leg(vid, stop, depart, pickups, dropoffs)
+            state = states[vid] = ShuttleState(vid, stop, depart, pickups, dropoffs, capacity)
+        if not stops and (state.pending_pickups or state.pending_dropoffs):
+            owed = sorted(r.id for r in state.pending_pickups | state.pending_dropoffs)
+            raise AssertionError(f"plan for {vid} leaves requests unserved: {owed}")
+        return state
 
     def dispatch(now: int):
         for rid, r in list(queue.items()):
@@ -301,6 +296,8 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
         fleet = []
         for vid in order:
             state = states[vid]
+            if visits[vid] and state.arrival_time <= now:
+                state = advance(vid, now)
             if not visits[vid]:  # idle: standing at its stop now
                 state = state.retimed(now)
             fleet.append(state)
@@ -318,27 +315,23 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
             miss_penalty={r.id: config.miss_penalty for r in batch},
         )
         solution = solve_dispatch(problem)
-        for vid in order:
+        for vid, state in zip(order, fleet):
             plan = solution.selected[vid]
             if not plan.requests:
                 continue
             for r in sorted(plan.requests, key=lambda r: r.id):
                 if queue.pop(r.id, None) is None:
                     raise AssertionError(f"request {r.id} dispatched twice")
-            state = states[vid]
-            idle = not visits[vid]
-            pickups = state.pending_pickups | plan.requests
+            # Commit to the state the plan was priced from: an idle shuttle
+            # now stands at its stop at ``now``, a moving one keeps its leg.
+            states[vid] = ShuttleState(vid, state.heading_stop, state.arrival_time,
+                                       state.pending_pickups | plan.requests,
+                                       state.pending_dropoffs, capacity)
             visits[vid] = deque(plan.sequence)
-            if idle:
-                start_leg(vid, state.heading_stop, now, pickups, state.pending_dropoffs)
-            else:  # finishes its current leg first
-                states[vid] = ShuttleState(vid, state.heading_stop, state.arrival_time,
-                                           pickups, state.pending_dropoffs, capacity)
 
     placed = 0  # demand[:placed] has joined the queue
     now = interval
     while now <= horizon:
-        handle_arrivals(now)
         while placed < len(demand) and demand[placed].request_time <= now:
             queue[demand[placed].id] = demand[placed]
             placed += 1
@@ -350,7 +343,8 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
             # first tick at or after its placement.
             now = (demand[placed].request_time - 1) // interval * interval
         now += interval
-    handle_arrivals(horizon)
+    for vid in order:
+        advance(vid, horizon)
 
     ordered = list(records.values())
     utilization = sum(busy.values()) / (config.fleet_size * horizon)

@@ -2,9 +2,12 @@
 
 All types are immutable value objects: construction validates local
 invariants and raises ``ValueError`` instead of repairing bad input.
-Cross-object checks (dangling stop ids, duplicate ids) need a travel
-network to resolve against, so the file readers in :mod:`odshuttle.fileio`
-make them at load time.
+Cross-object checks need a travel network to resolve against, so the
+objects that hold one make them: ``TravelNetwork`` rejects duplicate stop
+ids and links to unknown stops, and ``ScenarioConfig`` rejects start stops
+outside its network.  The file readers in :mod:`odshuttle.fileio` check
+the stops that requests, routes, region sets and instance shuttles
+name at load time.
 
 Times are integer seconds since scenario start; durations are integer
 seconds rounded up wherever they come out of a distance computation.

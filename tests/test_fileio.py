@@ -3,7 +3,7 @@ import pytest
 from odshuttle import fileio
 from odshuttle.errors import ParseError
 from odshuttle.network import Region, TravelNetwork
-from odshuttle.simulator import TripRecord
+from odshuttle.simulator import ScenarioConfig, TripRecord
 from odshuttle.types import Stop, TripRequest
 
 GRAPH_INSTANCE_TEXT = """\
@@ -151,6 +151,9 @@ def test_scenario_parse_full():
     assert config.routes[0].name == "r1"
     assert config.routes[0].served_stops == ("A", "B", "C")
     assert config.fleet_start == ("A",)
+    # Without a walk_speed line the config keeps its own default.
+    no_walk_speed = fileio.parse_scenario_text(SCENARIO_TEXT.replace("walk_speed 1.3\n", ""))
+    assert no_walk_speed.walk_speed == ScenarioConfig.walk_speed
     requests = config.resolve_requests()
     assert requests and all(r.request_time < 900 for r in requests)
     # A later weight line overrides an earlier one, and only the weight that

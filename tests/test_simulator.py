@@ -221,6 +221,23 @@ def test_arrival_between_last_tick_and_horizon_completes_trip():
     assert (rec.pickup_time, rec.dropoff_time, rec.status) == (40, 100, "completed")
 
 
+# Legs on line_config take 60 s per 600 m.  A shuttle is busy while it drives,
+# clipped at the horizon; standing at a stop, boarding included, is not busy.
+@pytest.mark.parametrize("request_, overrides, utilization, status", [
+    pytest.param(req("r1", "A", "C", 10), {}, 120 / 1200, "completed", id="one-trip"),
+    pytest.param(req("r1", "A", "B", 0), dict(horizon=100, dispatch_interval=40),
+                 60 / 100, "completed", id="leg-ends-at-horizon"),
+    pytest.param(req("r1", "A", "B", 0), dict(horizon=90, dispatch_interval=40),
+                 50 / 90, "pending", id="leg-clipped-at-horizon"),
+    pytest.param(req("r1", "B", "C", 0), dict(fleet_size=2), 120 / (2 * 1200), "completed",
+                 id="one-of-two-shuttles"),
+])
+def test_utilization_is_busy_share_of_fleet_horizon(request_, overrides, utilization, status):
+    result = run_scenario(line_config(demand_requests=(request_,), **overrides))
+    assert result.summary.utilization == utilization
+    assert [rec.status for rec in result.records] == [status]
+
+
 # -- bundled scenarios ------------------------------------------------------------
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -327,6 +344,19 @@ def test_plan_that_omits_a_dropoff_stops_run(monkeypatch):
         return PlanSet({shuttle.id: plans})
 
     monkeypatch.setattr(simulator, "enumerate_plans", dropoff_omitted)
+    with pytest.raises(AssertionError, match=r"leaves requests unserved: \['r1'\]"):
+        run_scenario(config)
+
+
+def test_plan_with_no_stops_stops_run(monkeypatch):
+    config = line_config(demand_requests=(req("r1", "A", "B", 10),))
+
+    def stopless(shuttles, requests, *args, **kwargs):
+        (shuttle,) = shuttles
+        plans = (AssignmentPlan(frozenset(), 0), AssignmentPlan(frozenset(requests), 0))
+        return PlanSet({shuttle.id: plans})
+
+    monkeypatch.setattr(simulator, "enumerate_plans", stopless)
     with pytest.raises(AssertionError, match=r"leaves requests unserved: \['r1'\]"):
         run_scenario(config)
 
