@@ -16,6 +16,7 @@ order, so a seed fully determines the request list.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -38,8 +39,9 @@ class DemandProfile:
     must sum to 1.  Stop weights default to uniform over the region's
     sets; a stop weighted 0 is never drawn.  Each set's weights must sum
     to a finite number, or no draw could compare against the sum.
-    A bad value raises ``ConfigError`` naming its field, or
-    ``(field, stop)`` for a negative weight.
+    A bad value raises ``ConfigError`` naming its field, ``(field, stop)``
+    for a negative weight, or ``("rates", i)`` for the first piece that is
+    negative, empty or overlaps an earlier one.
     """
 
     rates: tuple[tuple[int, int, float], ...]
@@ -52,16 +54,21 @@ class DemandProfile:
         object.__setattr__(self, "mix", tuple(self.mix))
         object.__setattr__(self, "member_weights", dict(self.member_weights))
         object.__setattr__(self, "gateway_weights", dict(self.gateway_weights))
-        for start, end, per_hour in self.rates:
+        earlier = []  # the pieces before piece i, sorted; none overlaps another
+        for i, piece in enumerate(self.rates):
+            start, end, per_hour = piece
             if per_hour < 0:
-                raise ConfigError(f"negative arrival rate on [{start}, {end})", "rates")
+                raise ConfigError(f"negative arrival rate on [{start}, {end})", ("rates", i))
             if end <= start:
-                raise ConfigError(f"empty rate interval [{start}, {end})", "rates")
-        ordered = sorted(self.rates)
-        for (start, end, _), (later, later_end, _) in zip(ordered, ordered[1:]):
-            if later < end:
-                raise ConfigError(f"rate intervals [{start}, {end}) and "
-                                  f"[{later}, {later_end}) overlap", "rates")
+                raise ConfigError(f"empty rate interval [{start}, {end})", ("rates", i))
+            # Only the pieces just below and just above it in sorted order can overlap it.
+            at = bisect.bisect(earlier, piece)
+            for other in earlier[max(at - 1, 0):at + 1]:
+                if other[0] < end and start < other[1]:
+                    (a, a_end, _), (b, b_end, _) = sorted((other, piece))
+                    raise ConfigError(f"rate intervals [{a}, {a_end}) and [{b}, {b_end}) overlap",
+                                      ("rates", i))
+            earlier.insert(at, piece)
         if len(self.mix) != 3 or any(f < 0 for f in self.mix):
             raise ConfigError("mix needs three non-negative fractions", "mix")
         if abs(sum(self.mix) - 1.0) > 1e-9:

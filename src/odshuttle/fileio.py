@@ -40,8 +40,8 @@ Two rules place every other error.  A later line overrides an earlier
 one (a setting, ``mix``, ``speed``, ``walk_speed``, a stop's weight, a
 request's ``penalty``), and only the value that takes effect is checked.
 An object's error names the key at fault -- a setting, a stop, a stop's
-weight or an item's position -- and the load fails at that key's line;
-``rate`` lines are checked in order, so an overlap fails at the later.
+weight or an item's position -- and the load fails at that key's line,
+so a bad ``rate`` piece, or one overlapping an earlier piece, fails at its own.
 Only what no single object sees is checked here: every stop, shuttle
 and request a line names must be defined (route files have no network
 to check against), a weighted stop must be a region member or gateway,
@@ -377,31 +377,25 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
     elif profile_lines:
         if not demand["rate"]:
             raise ParseError(path, min(profile_lines), "a demand profile needs a rate line")
-        # Each rate line is checked with the ones before it, so a bad or
-        # overlapping piece names its own line.
-        rates = [row.args for row in demand["rate"]]
-        for i, row in enumerate(demand["rate"]):
-            try:
-                DemandProfile(rates=rates[:i + 1])
-            except ConfigError as err:
-                raise ParseError(path, row.line, f"bad demand profile: {err}") from None
         first_rate = demand["rate"][0].line
-        mix = demand["mix"][-1] if demand["mix"] else _Row(first_rate, (1.0, 0.0, 0.0))
+        mix_line = demand["mix"][-1].line if demand["mix"] else first_rate
+        mix = {"mix": demand["mix"][-1].args} if demand["mix"] else {}
         weights = {f"{kind}_weights": demand[f"{kind}_weight"] for kind in ("member", "gateway")}
         try:
-            profile = DemandProfile(rates=rates, mix=mix.args, **{
+            profile = DemandProfile(rates=[row.args for row in demand["rate"]], **mix, **{
                 name: dict(row.args for row in found) for name, found in weights.items()})
-        except ConfigError as err:  # at the mix line, a stop's last weight line or its set's
-            line_of = {"mix": mix.line}
+        except ConfigError as err:  # at a rate line, the mix line or a weight line
+            line_of = {("rates", i): row.line for i, row in enumerate(demand["rate"])}
+            line_of["mix"] = mix_line
             for name, found in weights.items():
                 line_of |= {key: row.line for row in found for key in (name, (name, row.args[0]))}
-            raise _at(path, err, line_of, mix.line, "bad demand profile: ") from None
+            raise _at(path, err, line_of, mix_line, "bad demand profile: ") from None
         if region is None:
             raise ParseError(path, first_rate, "a demand profile needs a [region] to draw from")
         try:
             check_drawable(profile, region)
         except ValueError as err:
-            raise ParseError(path, mix.line, f"bad demand profile: {err}") from None
+            raise ParseError(path, mix_line, f"bad demand profile: {err}") from None
 
     if rows["baseline"]["walk_speed"]:
         scalars["walk_speed"] = _last(rows["baseline"]["walk_speed"])

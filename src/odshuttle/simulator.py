@@ -223,24 +223,26 @@ class ScenarioResult:
     summary: SummaryStats
 
 
-def _demand(config: ScenarioConfig, requests) -> list[TripRequest]:
-    """``requests`` (else the configured stream) before the horizon, by (time, id)."""
+def _demand(config: ScenarioConfig, requests) -> tuple[list[TripRequest], dict[str, TripRecord]]:
+    """``requests`` (else the configured stream) before the horizon, by (time, id),
+    and a fresh record per id in that order; a repeated id raises ``ValueError``."""
     if requests is None:
         requests = config.resolve_requests()
-    return sorted((r for r in requests if r.request_time < config.horizon),
-                  key=lambda r: (r.request_time, r.id))
-
-
-def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
-    """Simulate the on-demand service; deterministic for a given config."""
-    network, horizon, interval = config.network, config.horizon, config.dispatch_interval
-    demand = _demand(config, requests)
+    demand = sorted((r for r in requests if r.request_time < config.horizon),
+                    key=lambda r: (r.request_time, r.id))
     records: dict[str, TripRecord] = {}
     for r in demand:
         if r.id in records:
             raise ValueError(f"duplicate request id in demand: {r.id}")
         records[r.id] = TripRecord(id=r.id, request_time=r.request_time,
                                    trip_type=config.trip_type_of(r))
+    return demand, records
+
+
+def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
+    """Simulate the on-demand service; deterministic for a given config."""
+    network, horizon, interval = config.network, config.horizon, config.dispatch_interval
+    demand, records = _demand(config, requests)
 
     # Each shuttle is the state the dispatcher reads, the rest of its
     # committed stop sequence and its busy seconds; it is moving exactly
@@ -262,24 +264,25 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
         while stops and state.arrival_time <= until:
             stop = state.heading_stop
             pickups, dropoffs = state.pending_pickups, state.pending_dropoffs
-            now = depart = state.arrival_time
+            # No visit waits for a rider: a request joins the queue once its
+            # time has come, and a plan committed at a tick visits at it or later.
+            t = state.arrival_time
             if stops[0] == stop:  # a planned visit: alight, then board
                 stops.popleft()
                 dropped = {r for r in dropoffs if r.dropoff == stop}
                 picked = {r for r in pickups if r.pickup == stop}
                 for r in dropped:
-                    records[r.id].dropoff_time = now
+                    records[r.id].dropoff_time = t
                     records[r.id].status = "completed"
                 for r in picked:
-                    records[r.id].pickup_time = max(now, r.request_time)
-                    depart = max(depart, r.request_time)
+                    records[r.id].pickup_time = t
                 pickups, dropoffs = pickups - picked, (dropoffs - dropped) | picked
             if stops:  # leave for the next visit
-                arrival = depart + network.travel_time(stop, stops[0])
-                busy[vid] += max(0, min(arrival, horizon) - depart)
-                stop, depart = stops[0], arrival
+                arrival = t + network.travel_time(stop, stops[0])
+                busy[vid] += max(0, min(arrival, horizon) - t)
+                stop, t = stops[0], arrival
             # The new state's own checks (capacity among them) run at every visit.
-            state = states[vid] = ShuttleState(vid, stop, depart, pickups, dropoffs, capacity)
+            state = states[vid] = ShuttleState(vid, stop, t, pickups, dropoffs, capacity)
         if not stops and (state.pending_pickups or state.pending_dropoffs):
             owed = sorted(r.id for r in state.pending_pickups | state.pending_dropoffs)
             raise AssertionError(f"plan for {vid} leaves requests unserved: {owed}")
@@ -392,11 +395,9 @@ def _route_trip(route: FixedRoute, network, request, walk_speed):
 
 def run_baseline(config: ScenarioConfig, requests=None) -> ScenarioResult:
     """Fixed-route alternative for the same demand, computed analytically."""
-    demand = _demand(config, requests)
-    records = []
+    demand, records = _demand(config, requests)
     for r in demand:
-        rec = TripRecord(id=r.id, request_time=r.request_time,
-                         trip_type=config.trip_type_of(r))
+        rec = records[r.id]
         options = []
         for route in config.routes:
             found = _route_trip(route, config.network, r, config.walk_speed)
@@ -409,9 +410,9 @@ def run_baseline(config: ScenarioConfig, requests=None) -> ScenarioResult:
             rec.pickup_time = r.request_time + walk_in + wait
             rec.dropoff_time = rec.pickup_time + ride + walk_out
             rec.status = "completed"
-        records.append(rec)
-    return ScenarioResult(records=records,
-                          summary=summarize(records, bin_seconds=config.bin_seconds))
+    ordered = list(records.values())
+    return ScenarioResult(records=ordered,
+                          summary=summarize(ordered, bin_seconds=config.bin_seconds))
 
 
 def sweep_fleet_sizes(config: ScenarioConfig, sizes) -> dict[int, SummaryStats]:

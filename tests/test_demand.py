@@ -106,15 +106,29 @@ def test_mix_must_sum_to_one():
 def test_negative_rate_rejected():
     with pytest.raises(ValueError) as err:
         DemandProfile(rates=((0, 10, -1.0),))
-    assert err.value.fields == ("rates",)
+    assert err.value.fields == (("rates", 0),)
 
 
 def test_overlapping_rates_rejected():
     with pytest.raises(ValueError, match="overlap") as err:
         DemandProfile(rates=((0, 3600, 10.0), (1800, 3600, 80.0)))
-    assert err.value.fields == ("rates",)
+    assert err.value.fields == (("rates", 1),)
     adjacent = DemandProfile(rates=((1800, 3600, 80.0), (0, 1800, 10.0)))
     assert (adjacent.rate_at(1799), adjacent.rate_at(1800)) == (10.0, 80.0)
+
+
+@pytest.mark.parametrize("rates, at, message", [
+    # Sorted, [3000, 6000) sits between the other two and overlaps both; the
+    # message names it and the earliest-starting piece it overlaps, in start order.
+    (((0, 3600, 5), (5400, 7200, 5), (3000, 6000, 5)), 2,
+     "rate intervals [0, 3600) and [3000, 6000) overlap"),
+    (((0, 3600, 10.0), (1800, 5400, -1.0)), 1, "negative arrival rate on [1800, 5400)"),
+])
+def test_rate_error_names_first_bad_piece(rates, at, message):
+    with pytest.raises(ValueError) as err:
+        DemandProfile(rates=rates)
+    assert err.value.fields == (("rates", at),)
+    assert str(err.value) == message
 
 
 def test_weighted_demand_is_pinned():

@@ -330,6 +330,10 @@ def test_instance_value_out_of_range_names_its_line(old, new, message):
                  id="rate-empty-interval"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mix 0.8 0.2 0.0", "rate 600 1200 10",
                  id="rate-overlap"),
+    pytest.param(fileio.parse_scenario_text,
+                 SCENARIO_TEXT.replace("rate 0 900 40.0\n", "rate 0 900 40.0\nrate 900 1800 10\n"),
+                 "mix 0.8 0.2 0.0", "rate 300 600 10\nmix 0.8 0.2 0.0",
+                 id="third-rate-overlaps-first"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "mix 0.8 0.2 0.0", "mix 0.8 0.3 0.0",
                  id="mix-sum"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "horizon 1800", "horizon 0",

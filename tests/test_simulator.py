@@ -168,8 +168,9 @@ def test_full_shuttle_defers_pickup_until_after_dropoff():
 
 def test_duplicate_demand_ids_rejected():
     demand = (req("r1", "A", "B", 0), req("r1", "B", "C", 5))
-    with pytest.raises(ValueError):
-        run_scenario(line_config(demand_requests=demand))
+    for run in (run_scenario, run_baseline):
+        with pytest.raises(ValueError, match="duplicate request id in demand: r1"):
+            run(line_config(demand_requests=demand))
 
 
 def test_config_validation():
@@ -251,6 +252,14 @@ GOLDEN = {
                    "e03bc779623ad839d5a5e056c602a97015bf3a00d2cd30fb473d6bbd38afd466"),
 }
 
+# sha256 of the baseline_trips.csv and baseline_summary.csv `baseline` writes.
+BASELINE_GOLDEN = {
+    "lowridership": ("655194fbcd55cc83b412102cb696dd6d087625d1436e92a8648f966074704fb5",
+                     "6fb28447271ccc12e72dde17c37f592f11b0144c4b094b7053ea0d4fcc42aa09"),
+    "peakdemand": ("c7da74f70dab7fff022b3314be950a641c07763682b87253f7861740cc41083e",
+                   "bf1b9bba63103effe49befca8810543129b94947ec49250946ccca8b60436266"),
+}
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -260,6 +269,14 @@ def _sha256(text):
 def test_bundled_scenario_outputs_match_golden_hashes(name):
     result = run_scenario(load_scenario(SCENARIOS / f"{name}.cfg"))
     trips, summary = GOLDEN[name]
+    assert _sha256(write_trips_csv(result.records)) == trips
+    assert _sha256(write_summary_csv(result.summary)) == summary
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_GOLDEN))
+def test_bundled_baseline_outputs_match_golden_hashes(name):
+    result = run_baseline(load_scenario(SCENARIOS / f"{name}.cfg"))
+    trips, summary = BASELINE_GOLDEN[name]
     assert _sha256(write_trips_csv(result.records)) == trips
     assert _sha256(write_summary_csv(result.summary)) == summary
 
