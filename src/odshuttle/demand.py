@@ -83,12 +83,13 @@ class DemandProfile:
             total = sum(weight for _, weight in sorted(weights.items()))  # a draw's order
             if not math.isfinite(total):
                 raise ConfigError(f"{kind} weights sum to {total}, not a finite number", name)
+        object.__setattr__(self, "_sorted", earlier)  # rate_at bisects these by start
+        object.__setattr__(self, "_starts", [start for start, _, _ in earlier])
 
     def rate_at(self, t: float) -> float:
-        for start, end, per_hour in self.rates:
-            if start <= t < end:
-                return per_hour
-        return 0.0
+        # Pieces do not overlap, so only the last one starting at or before t can hold it.
+        at = bisect.bisect(self._starts, t)
+        return self._sorted[at - 1][2] if at and t < self._sorted[at - 1][1] else 0.0
 
     def peak_rate(self) -> float:
         return max((per_hour for _, _, per_hour in self.rates), default=0.0)
@@ -109,23 +110,30 @@ def _weighted_choice(rng: random.Random, items: list[str], weights: dict[str, fl
 
 
 def check_drawable(profile: DemandProfile, region: Region) -> None:
-    """Raise ``ValueError`` when a nonzero mix fraction has no stops to draw
-    from: intra trips need two member stops, connectors a member stop and
-    a gateway, counting only stops with a positive weight."""
+    """Raise ``ConfigError`` unless ``region`` can supply ``profile``: each weight
+    names a stop of its set (else ``(f"{kind}_weights", stop)``), and each nonzero
+    mix fraction has stops of positive weight to draw from (else ``"mix"``): two
+    members for intra trips, a member and a gateway for connectors."""
+    for kind, allowed in (("member", region.member_stops), ("gateway", region.gateway_stations)):
+        for stop in getattr(profile, f"{kind}_weights"):
+            if stop not in allowed:
+                raise ConfigError(f"{kind}_weight names {stop!r}, which is not a region {kind}",
+                                  (f"{kind}_weights", stop))
     intra, outbound, inbound = profile.mix
     members = [s for s in region.member_stops if profile.member_weights.get(s, 1.0) > 0]
     gateways = [s for s in region.gateway_stations if profile.gateway_weights.get(s, 1.0) > 0]
     if intra > 0 and len(members) < 2:
-        raise ValueError("intra-region demand needs two member stops of positive weight")
+        raise ConfigError("intra-region demand needs two member stops of positive weight", "mix")
     if (outbound > 0 or inbound > 0) and not (members and gateways):
-        raise ValueError("connector demand needs a member stop and a gateway of positive weight")
+        raise ConfigError("connector demand needs a member stop and a gateway "
+                          "of positive weight", "mix")
 
 
 def generate_demand(profile: DemandProfile, region: Region, horizon: int,
                     seed: int) -> list[TripRequest]:
     """Materialize a request list over [0, horizon), sorted by request time.
 
-    Raises ``ValueError`` when the region cannot supply the mix
+    Raises ``ConfigError`` when the region cannot supply the profile
     (:func:`check_drawable`).
     """
     check_drawable(profile, region)

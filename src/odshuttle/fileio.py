@@ -40,15 +40,13 @@ Two rules place every other error.  A later line overrides an earlier
 one (a setting, ``mix``, ``speed``, ``walk_speed``, a stop's weight, a
 request's ``penalty``), and only the value that takes effect is checked.
 An object's error names the key at fault -- a setting, a stop, a stop's
-weight or an item's position -- and the load fails at that key's line,
-so a bad ``rate`` piece, or one overlapping an earlier piece, fails at its own.
-Only what no single object sees is checked here: every stop, shuttle
-and request a line names must be defined (route files have no network
-to check against), a weighted stop must be a region member or gateway,
-a profile needs a ``rate`` line and a region it can draw from (else it
-fails at its ``mix`` line), and in graph mode every stop a shuttle may
-be sent to must reach every other (else the load fails at the
-unreachable stop's ``stop`` line).
+weight or an item's position -- and the load fails at that key's line.
+The loader checks only the file's own rules: a ``[demand]`` section takes
+a file or a profile with a ``rate`` line, graph mode takes no ``speed``,
+and every stop, shuttle and request an instance line or a demand-file row
+names must be defined (route files have no network to check against).
+Every stop a scenario section names is checked by the object that holds
+the network, ``ScenarioConfig``, as are all rules that join its parts.
 
 Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type,
 where a trip_type is empty or one of intra, outbound and inbound.
@@ -62,7 +60,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .demand import DemandProfile, check_drawable
+from .demand import DemandProfile
 from .errors import ConfigError, LegTimeError, ParseError, UnknownStopError
 from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork, TripType
 from .simulator import FixedRoute, ScenarioConfig, TripRecord
@@ -212,10 +210,10 @@ def _all(rows: list[_Row]) -> list:
 # -- shared section builders --------------------------------------------------------
 
 
-def _at(path: str, err: ConfigError, line_of: dict, default: int, prefix: str = "") -> ParseError:
+def _at(path: str, err: ConfigError, line_of: dict, default: int) -> ParseError:
     """``err`` at the line of the first key it names that ``line_of`` maps."""
     line = next((line_of[key] for key in err.fields if key in line_of), default)
-    return ParseError(path, line, f"{prefix}{err}")
+    return ParseError(path, line, str(err))
 
 
 def _network(rows: dict, path: str, end: int) -> TravelNetwork:
@@ -276,7 +274,7 @@ def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:
 
 def _check_stops(network: TravelNetwork, path: str, line_no: int, *stops) -> None:
     for stop in stops:
-        if not network.has_stop(stop):
+        if stop not in network.index:
             raise ParseError(path, line_no, f"unknown stop {stop!r}")
 
 
@@ -334,33 +332,32 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
     scenario, region_rows, demand = rows["scenario"], rows["region"], rows["demand"]
     network = _network(rows["network"], path, end)
 
-    scalars = {key: _last(found) for key, found in scenario.items()
+    settings = {**scenario, "walk_speed": rows["baseline"]["walk_speed"]}
+    scalars = {key: _last(found) for key, found in settings.items()
                if found and key != "fleet_start"}
     if "horizon" not in scalars or "fleet_size" not in scalars:
         raise ParseError(path, end, "scenario section needs at least horizon and fleet_size")
 
-    for row in rows["baseline"]["route"]:
-        _check_stops(network, path, row.line, *row.args[4:])
     region = None
     region_lines = sorted(region_rows["member"] + region_rows["gateway"])
     if region_lines:
-        for row in region_lines:
-            _check_stops(network, path, row.line, *row.args)
         try:
             region = Region(_all(region_rows["member"]), _all(region_rows["gateway"]))
         except ConfigError as err:  # at the last line naming a stop at fault
             raise _at(path, err, {stop: row.line for row in region_lines for stop in row.args},
                       end) from None
-    for kind in ("member", "gateway"):
-        allowed = _all(region_rows[kind])
-        for row in demand[f"{kind}_weight"]:
-            if row.args[0] not in allowed:
-                raise ParseError(path, row.line, f"{kind}_weight names {row.args[0]!r}, "
-                                 f"which is not a region {kind}")
+
+    # The line of each key a ConfigError may name; a region stop's is the first naming it.
+    line_of = {name: found[-1].line for name, found in settings.items() if found}
+    starts = [row.line for row in scenario["fleet_start"] for _ in row.args]
+    line_of |= {("fleet_start", i): line for i, line in enumerate(starts)}
+    line_of |= {("routes", i): row.line for i, row in enumerate(rows["baseline"]["route"])}
+    line_of |= {("region", stop): row.line for row in reversed(region_lines) for stop in row.args}
+    line_of |= {("network", row.args[0]): row.line for row in rows["network"]["stop"]}
 
     demand_requests = None
     demand_types: dict[str, str] = {}
-    profile = None
+    profile_args = None
     profile_lines = [row.line for key, found in demand.items() if key != "file" for row in found]
     if demand["file"]:
         if profile_lines:
@@ -377,60 +374,29 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
     elif profile_lines:
         if not demand["rate"]:
             raise ParseError(path, min(profile_lines), "a demand profile needs a rate line")
-        first_rate = demand["rate"][0].line
-        mix_line = demand["mix"][-1].line if demand["mix"] else first_rate
-        mix = {"mix": demand["mix"][-1].args} if demand["mix"] else {}
+        rates, mixes = demand["rate"], demand["mix"]
         weights = {f"{kind}_weights": demand[f"{kind}_weight"] for kind in ("member", "gateway")}
-        try:
-            profile = DemandProfile(rates=[row.args for row in demand["rate"]], **mix, **{
-                name: dict(row.args for row in found) for name, found in weights.items()})
-        except ConfigError as err:  # at a rate line, the mix line or a weight line
-            line_of = {("rates", i): row.line for i, row in enumerate(demand["rate"])}
-            line_of["mix"] = mix_line
-            for name, found in weights.items():
-                line_of |= {key: row.line for row in found for key in (name, (name, row.args[0]))}
-            raise _at(path, err, line_of, mix_line, "bad demand profile: ") from None
-        if region is None:
-            raise ParseError(path, first_rate, "a demand profile needs a [region] to draw from")
-        try:
-            check_drawable(profile, region)
-        except ValueError as err:
-            raise ParseError(path, mix_line, f"bad demand profile: {err}") from None
+        profile_args = {"rates": [row.args for row in rates],
+                        **({"mix": mixes[-1].args} if mixes else {}),
+                        **{name: dict(row.args for row in found) for name, found in weights.items()}}
+        line_of |= {("rates", i): row.line for i, row in enumerate(rates)}
+        line_of |= {"region": rates[0].line, "mix": (mixes[-1] if mixes else rates[0]).line}
+        for name, found in weights.items():
+            line_of |= {key: row.line for row in found for key in (name, (name, row.args[0]))}
 
-    if rows["baseline"]["walk_speed"]:
-        scalars["walk_speed"] = _last(rows["baseline"]["walk_speed"])
     try:
-        config = ScenarioConfig(
+        return ScenarioConfig(
             network=network,
             region=region,
-            demand_profile=profile,
+            demand_profile=DemandProfile(**profile_args) if profile_args else None,
             demand_requests=demand_requests,
             demand_types=demand_types,
             fleet_start=tuple(_all(scenario["fleet_start"])),
             routes=tuple(_routes(rows["baseline"]["route"], path)),
             **scalars,
         )
-    except ConfigError as err:  # at a setting's last line, or a start stop's own line
-        settings = {**scenario, "walk_speed": rows["baseline"]["walk_speed"]}
-        line_of = {name: found[-1].line for name, found in settings.items() if found}
-        starts = [row.line for row in scenario["fleet_start"] for _ in row.args]
-        line_of |= {("fleet_start", i): line for i, line in enumerate(starts)}
-        raise _at(path, err, line_of, end, "bad scenario: ") from None
-    if rows["network"]["mode"][-1].args[0] == GRAPH:
-        # Every stop a shuttle may be sent to must reach every other, or the
-        # run dies at the first leg that needs the missing path.
-        stops = set(config.start_stops())
-        if region is not None:
-            stops |= region.member_stops | region.gateway_stations
-        for r in demand_requests or ():
-            stops |= {r.pickup, r.dropoff}
-        line_of = {row.args[0]: row.line for row in rows["network"]["stop"]}
-        for a in sorted(stops):
-            row = network.row(network.index[a])
-            for b in sorted(stops):
-                if row[network.index[b]] is None:
-                    raise ParseError(path, line_of[b], f"stop {b} cannot be reached from stop {a}")
-    return config
+    except ConfigError as err:
+        raise _at(path, err, line_of, end) from None
 
 
 def load_scenario(path) -> ScenarioConfig:

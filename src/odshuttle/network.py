@@ -104,9 +104,6 @@ class TravelNetwork:
                                    "number of seconds", *at_fault)
         return cls(stops, [(a.id, b.id, seconds) for a, b, seconds in legs])
 
-    def has_stop(self, stop: StopId) -> bool:
-        return stop in self.stops
-
     def stop_ids(self) -> list[StopId]:
         return list(self.ids)
 

@@ -56,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
-from .demand import DemandProfile, generate_demand
+from .demand import DemandProfile, check_drawable, generate_demand
 from .enumeration import enumerate_plans
 from .errors import ConfigError
 from .network import Region, TravelNetwork, TripType, classify_trip
@@ -182,9 +182,37 @@ class ScenarioConfig:
         if not (self.walk_speed > 0 and math.isfinite(longest_walk / self.walk_speed)):
             raise ConfigError("walk_speed must be positive and time every walk between stops "
                               "in a finite number of seconds", "walk_speed")
-        for i, stop in enumerate(self.fleet_start):
-            if not self.network.has_stop(stop):
-                raise ConfigError(f"fleet start stop {stop} not in network", ("fleet_start", i))
+        if not self.network.index:
+            raise ConfigError("the network has no stops", "network")
+        self._check_stops(self.demand_requests or (), "demand_requests")
+        if self.demand_profile is not None:
+            if self.region is None:
+                raise ConfigError("a demand profile needs a region to draw from", "region")
+            check_drawable(self.demand_profile, self.region)
+
+    def _check_stops(self, requests, key: str) -> None:
+        """Raise ``ConfigError`` naming ``("routes", i)``, ``("region", s)``,
+        ``("fleet_start", i)`` or ``(key, i)`` for a stop outside the network, or
+        ``("network", b)`` if stop b cannot be reached from a stop a shuttle may
+        be sent to: a start stop, a region stop or a stop of ``requests``."""
+        index, region = self.network.index, self.region
+        region_stops = sorted(region.member_stops | region.gateway_stations) if region else []
+        named = [(("routes", i), s) for i, route in enumerate(self.routes)
+                 for s in route.served_stops]
+        named += [(("region", s), s) for s in region_stops]
+        named += [(("fleet_start", i), s) for i, s in enumerate(self.fleet_start)]
+        named += [((key, i), s) for i, r in enumerate(requests)  # requests may be many: the bad only
+                  for s in (r.pickup, r.dropoff) if s not in index]
+        for at, stop in named:
+            if stop not in index:
+                raise ConfigError(f"unknown stop {stop!r}", at)
+        stops = sorted({*self.start_stops(), *region_stops,
+                        *(s for r in requests for s in (r.pickup, r.dropoff))})
+        for a in stops:
+            row = self.network.row(index[a])
+            for b in stops:
+                if row[index[b]] is None:
+                    raise ConfigError(f"stop {b} cannot be reached from stop {a}", ("network", b))
 
     def resolve_requests(self) -> list[TripRequest]:
         """The demand stream: explicit list if configured, else generated."""
@@ -192,8 +220,6 @@ class ScenarioConfig:
             return [r for r in self.demand_requests if r.request_time < self.horizon]
         if self.demand_profile is None:
             return []
-        if self.region is None:
-            raise ValueError("generating demand needs a region")
         return generate_demand(self.demand_profile, self.region, self.horizon, self.seed)
 
     def start_stops(self) -> list[StopId]:
@@ -225,9 +251,13 @@ class ScenarioResult:
 
 def _demand(config: ScenarioConfig, requests) -> tuple[list[TripRequest], dict[str, TripRecord]]:
     """``requests`` (else the configured stream) before the horizon, by (time, id),
-    and a fresh record per id in that order; a repeated id raises ``ValueError``."""
+    and a fresh record per id in that order.  Given ``requests`` pass the config's
+    stop rule (``_check_stops``); a repeated id raises ``ValueError``."""
     if requests is None:
         requests = config.resolve_requests()
+    else:
+        requests = list(requests)
+        config._check_stops(requests, "requests")
     demand = sorted((r for r in requests if r.request_time < config.horizon),
                     key=lambda r: (r.request_time, r.id))
     records: dict[str, TripRecord] = {}

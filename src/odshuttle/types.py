@@ -4,10 +4,8 @@ All types are immutable value objects: construction validates local
 invariants and raises ``ValueError`` instead of repairing bad input.
 Cross-object checks need a travel network to resolve against, so the
 objects that hold one make them: ``TravelNetwork`` rejects duplicate stop
-ids and links to unknown stops, and ``ScenarioConfig`` rejects start stops
-outside its network.  The file readers in :mod:`odshuttle.fileio` check
-the stops that requests, routes, region sets and instance shuttles
-name at load time.
+ids and links to unknown stops, and ``ScenarioConfig`` rejects any stop its
+parts name outside its network or out of a shuttle's reach.
 
 Times are integer seconds since scenario start; durations are integer
 seconds rounded up wherever they come out of a distance computation.

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import random
 import statistics
 from pathlib import Path
 
 import pytest
 
-from odshuttle.demand import DemandProfile, generate_demand
+from odshuttle.demand import DemandProfile, check_drawable, generate_demand
+from odshuttle.errors import ConfigError
 from odshuttle.fileio import load_scenario, write_demand_csv
 from odshuttle.network import Region, TripType, classify_trip
 
@@ -129,6 +131,35 @@ def test_rate_error_names_first_bad_piece(rates, at, message):
         DemandProfile(rates=rates)
     assert err.value.fields == (("rates", at),)
     assert str(err.value) == message
+
+
+def test_rate_at_matches_the_linear_rule():
+    # Seeded random profiles with gaps and adjacent pieces, in any order, read
+    # at every start and end, just around them, and before and after them all.
+    rng = random.Random(20261019)
+    for _ in range(200):
+        pieces, t = [], rng.randint(-5, 5)
+        for _ in range(rng.randint(0, 6)):
+            t += rng.choice([0, 0, rng.randint(1, 50)])  # adjacent or after a gap
+            end = t + rng.randint(1, 50)
+            pieces.append((t, end, rng.choice([0.0, rng.uniform(0.1, 100.0)])))
+            t = end
+        rng.shuffle(pieces)
+        profile = DemandProfile(rates=pieces)
+        edges = {edge for start, end, _ in pieces for edge in (start, end)} or {0}
+        times = [x + d for x in edges for d in (-1, -0.5, 0, 0.5)]
+        times += [min(edges) - 100, max(edges) + 100, rng.uniform(-10, t + 10)]
+        for x in times:
+            linear = next((rate for start, end, rate in pieces if start <= x < end), 0.0)
+            assert profile.rate_at(x) == linear, (pieces, x)
+
+
+def test_weight_must_name_a_stop_of_its_set():
+    for weights, fields in [({"member_weights": {"A": 1.0, "G1": 2.0}}, ("member_weights", "G1")),
+                            ({"gateway_weights": {"Z": 1.0}}, ("gateway_weights", "Z"))]:
+        with pytest.raises(ConfigError, match="which is not a region") as err:
+            check_drawable(flat_profile(10.0, mix=(0.5, 0.5, 0.0), **weights), REGION)
+        assert err.value.fields == (fields,)
 
 
 def test_weighted_demand_is_pinned():

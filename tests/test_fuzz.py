@@ -10,7 +10,8 @@ Whatever a mutated input does, a failure must be an ``OdshuttleError``,
 and the CLI must report it as one ``odshuttle:`` line on stderr with exit
 status 1.  Inputs that load are run too, with the horizon capped at
 30 min, so a bad value that slips past the load-time checks shows up as
-a raw exception mid-run.
+a raw exception mid-run.  Configs built in code get the same treatment
+without a file: each either fails to construct or runs to its horizon.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ from pathlib import Path
 
 from odshuttle import fileio
 from odshuttle.cli import main
-from odshuttle.errors import OdshuttleError
-from odshuttle.simulator import run_baseline, run_scenario
+from odshuttle.demand import DemandProfile
+from odshuttle.errors import ConfigError, OdshuttleError
+from odshuttle.network import Region, TravelNetwork
+from odshuttle.simulator import FixedRoute, ScenarioConfig, run_baseline, run_scenario
+from odshuttle.types import Stop, TripRequest
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 EDGE_TOKENS = ["-1", "0", "1", "2", "1.5", "-0.5", "x", "nan", "inf", "1e9", "A", "#", ","]
@@ -220,3 +224,60 @@ def test_fuzz_repeated_lines(tmp_path, capsys):
         else:
             run_capped(loaded, text)
     assert 30 < failed < 270  # repeats reach both sides of the load-time checks
+
+
+def random_config(rng: random.Random, seed: int) -> ScenarioConfig:
+    """A small config whose parts may not join: a graph network with links
+    dropped (or a metric one), and region, route, start and demand stops
+    drawn partly from outside it."""
+    ids = [f"n{i}" for i in range(rng.randint(2, 6))]
+    stops = [Stop(s, rng.uniform(0, 2000), rng.uniform(0, 2000)) for s in ids]
+    if rng.random() < 0.7:
+        kept = rng.choice([0.6, 0.9, 1.0])
+        links = [(a, b, rng.randint(1, 300)) for a in ids for b in ids
+                 if a != b and rng.random() < kept]
+        network = TravelNetwork.graph(stops, links)
+    else:
+        network = TravelNetwork.euclidean(stops, 10.0)
+
+    def some(most: int, least: int = 0) -> list[str]:
+        """``least`` to ``most`` distinct stops, now and then one outside the network."""
+        pool = ids + ["x"] * (rng.random() < 0.1)
+        return rng.sample(pool, min(rng.randint(least, most), len(pool)))
+
+    region = None
+    if rng.random() < 0.8:
+        members = some(4)
+        region = Region(members, [s for s in some(2) if s not in members])
+    profile = requests = None
+    if rng.random() < 0.5:
+        profile = DemandProfile(rates=((0, 1800, rng.choice([20.0, 60.0])),),
+                                mix=rng.choice([(1.0, 0.0, 0.0), (0.5, 0.3, 0.2), (0.0, 0.0, 1.0)]),
+                                member_weights={s: rng.choice([0.0, 1.0]) for s in some(2)},
+                                gateway_weights={s: 1.0 for s in some(1)})
+    else:
+        requests = tuple(TripRequest(f"r{i}", *some(2, least=2), rng.randint(0, 1700))
+                         for i in range(rng.randint(0, 6)))
+    routes = tuple(FixedRoute(f"b{i}", 20, 10, "two_way", tuple(some(3)))
+                   for i in range(rng.randint(0, 2)))
+    return ScenarioConfig(horizon=1800, fleet_size=rng.randint(1, 3), network=network,
+                          region=region, demand_profile=profile, demand_requests=requests,
+                          fleet_start=tuple(some(2)), routes=routes, seed=seed, max_defer=600)
+
+
+def test_fuzz_library_configs():
+    rng = random.Random(20261023)
+    built, rules = 0, set()
+    for case in range(300):
+        try:
+            config = random_config(rng, case)
+        except ConfigError as err:
+            rules |= {key[0] if isinstance(key, tuple) else key for key in err.fields}
+            continue
+        run_scenario(config)
+        run_baseline(config)
+        built += 1
+    assert 30 < built < 270
+    # Every rule that joins two parts was reached.
+    assert {"routes", "region", "fleet_start", "demand_requests", "network", "mix",
+            "member_weights", "gateway_weights"} <= rules, rules

@@ -10,6 +10,7 @@ from odshuttle import simulator
 from odshuttle.costing import optimal_sequence
 from odshuttle.demand import DemandProfile
 from odshuttle.enumeration import PlanSet
+from odshuttle.errors import ConfigError
 from odshuttle.fileio import load_scenario, write_summary_csv, write_trips_csv
 from odshuttle.network import Region, TravelNetwork
 from odshuttle.simulator import (
@@ -183,6 +184,79 @@ def test_config_validation():
     with pytest.raises(ValueError) as err:
         line_config(fleet_start=("A", "Z"))
     assert err.value.fields == (("fleet_start", 1),)
+
+
+def graph_line(*links):
+    """Stops a, b, c and z, joined only by the given (from, to) links of 10 s."""
+    stops = [Stop(s, x, 0) for s, x in (("a", 0), ("b", 100), ("c", 200), ("z", 900))]
+    return TravelNetwork.graph(stops, [(a, b, 10) for a, b in links])
+
+
+LINKED = graph_line(("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"))
+ONE_WAY = graph_line(("a", "b"), ("b", "c"), ("c", "b"))  # nothing returns to a
+MEMBERS = Region(member_stops={"A", "B"}, gateway_stations={"D"})
+
+
+# Each rule that joins two parts of a config, broken in a config built in code.
+@pytest.mark.parametrize("overrides, fields", [
+    pytest.param({"routes": (FixedRoute("r1", 20, 10, "two_way", ("A", "B")),
+                             FixedRoute("r2", 20, 10, "two_way", ("A", "q")))},
+                 (("routes", 1),), id="route-stop-outside-network"),
+    pytest.param({"region": Region(member_stops={"A", "z"})}, (("region", "z"),),
+                 id="region-stop-outside-network"),
+    pytest.param({"demand_requests": (req("r1", "A", "B", 0), req("r2", "A", "q", 5))},
+                 (("demand_requests", 1),), id="request-stop-outside-network"),
+    pytest.param({"demand_requests": None,
+                  "demand_profile": DemandProfile(rates=((0, 600, 10.0),))},
+                 ("region",), id="profile-without-region"),
+    pytest.param({"demand_requests": None, "region": MEMBERS,
+                  "demand_profile": DemandProfile(rates=((0, 600, 10.0),),
+                                                  member_weights={"A": 1.0, "C": 2.0})},
+                 (("member_weights", "C"),), id="member-weight-outside-members"),
+    pytest.param({"demand_requests": None, "region": MEMBERS,
+                  "demand_profile": DemandProfile(rates=((0, 600, 10.0),),
+                                                  gateway_weights={"A": 1.0})},
+                 (("gateway_weights", "A"),), id="gateway-weight-outside-gateways"),
+    pytest.param({"demand_requests": None, "region": MEMBERS,
+                  "demand_profile": DemandProfile(rates=((0, 600, 10.0),),
+                                                  member_weights={"B": 0.0})},
+                 ("mix",), id="undrawable-profile"),
+    pytest.param({"network": ONE_WAY, "fleet_start": ("c",),
+                  "demand_requests": (req("r1", "a", "b", 0),)},
+                 (("network", "a"),), id="request-stop-out-of-reach"),
+    pytest.param({"network": ONE_WAY, "fleet_start": ("b",),
+                  "region": Region(member_stops={"a", "b"})},
+                 (("network", "a"),), id="region-stop-out-of-reach"),
+    pytest.param({"network": LINKED, "fleet_start": ("a", "z"), "fleet_size": 2},
+                 (("network", "z"),), id="start-stop-out-of-reach"),
+    pytest.param({"network": TravelNetwork.euclidean([], 10), "fleet_start": ()},
+                 ("network",), id="network-without-stops"),
+])
+def test_config_rejects_parts_that_do_not_join(overrides, fields):
+    with pytest.raises(ConfigError) as err:
+        line_config(**overrides)
+    assert err.value.fields == fields
+
+
+def test_config_checks_reach_only_of_stops_a_shuttle_may_be_sent_to():
+    # z has no links: a route may name it, and a start stop past the fleet size
+    # is never used.
+    route = FixedRoute("r1", 20, 10, "two_way", ("a", "z"))
+    config = line_config(network=LINKED, fleet_start=("a", "z"), routes=(route,),
+                         demand_requests=(req("r1", "a", "c", 0),))
+    assert run_scenario(config).records[0].status == "completed"
+
+
+@pytest.mark.parametrize("run", [run_scenario, run_baseline])
+def test_requests_passed_in_follow_the_config_rule(run):
+    # A stop outside the network, and on a graph network a stop out of reach,
+    # fail before the first tick rather than mid-run.
+    with pytest.raises(ConfigError) as err:
+        run(line_config(), requests=[req("r1", "A", "B", 0), req("r2", "A", "q", 5)])
+    assert err.value.fields == (("requests", 1),)
+    with pytest.raises(ConfigError) as err:
+        run(line_config(network=LINKED, fleet_start=("a",)), requests=[req("r1", "a", "z", 5)])
+    assert err.value.fields == (("network", "z"),)
 
 
 def test_arrival_exactly_at_tick_is_seen_by_that_pass():
