@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .enumeration import enumerate_plans
+from .enumeration import enumerate_plans, plan_route
 from .errors import OdshuttleError
 from .reporting import compare, comparison_csv, comparison_text, summarize
 from .simulator import cost_reduction, min_fleet_fixed_routes, run_baseline, run_scenario, sweep_fleet_sizes
@@ -95,12 +95,18 @@ def cmd_solve(args):
     problem = DispatchProblem(requests=tuple(requests), plan_set=plan_set,
                               miss_penalty=penalties)
     solution = solve_dispatch(problem)
-    text = fileio.write_solution_text(problem, solution)
+    # Plans carry no route: each printed plan is routed for its vehicle.
+    state = {v.id: v for v in shuttles}
+
+    def route(vid, plan):
+        return plan_route(state[vid], plan, network)
+
+    text = fileio.write_solution_text(problem, solution, route)
     if args.out:
         _write(Path(args.out), text)
     print(text, end="")
     if args.dump_plans:
-        _write(Path(args.dump_plans), fileio.write_plans_text(plan_set))
+        _write(Path(args.dump_plans), fileio.write_plans_text(plan_set, route))
     return 0
 
 

@@ -1,17 +1,21 @@
 """Optimal pickup/drop-off sequencing for one shuttle.
 
 Given a shuttle's committed work and a set of newly assigned requests,
-this module finds the stop sequence minimizing total passenger waiting
-(seconds between a request being placed and its pickup) via depth-first
-branch and bound.  The search state is packed straight from the
-:class:`ShuttleState`: stops are network indices, the outstanding
-pickups and drop-offs are bitmasks over the requests, and travel times
-are read from the network's per-stop rows, which keeps per-node cost low
-enough for the simulator's per-tick fan-out.
+this module finds the least total passenger waiting (seconds between a
+request being placed and its pickup) and the stop route that realizes
+it.  :func:`optimal_cost` returns the waiting alone, which is all the
+dispatch program reads of a plan; :func:`optimal_sequence` also returns
+the route, which only a plan that is committed or printed needs
+(:func:`odshuttle.enumeration.plan_route`).  Both pack the search state
+straight from the :class:`ShuttleState`: stops are network indices, the
+outstanding pickups and drop-offs are bitmasks over the requests, and
+travel times are read from the network's per-stop rows, which keeps
+per-node cost low enough for the simulator's per-tick fan-out.
 
-A branch is cut when its waiting so far plus a lower bound on the
-waiting still to come exceeds the incumbent.  The bound charges each
-outstanding pickup j, from a node that leaves stop s at time t,
+The route search is a depth-first branch and bound.  A branch is cut
+when its waiting so far plus a lower bound on the waiting still to come
+exceeds the incumbent.  The bound charges each outstanding pickup j,
+from a node that leaves stop s at time t,
 ``max(0, t + tt(s, pickup_j) - request_time_j)`` (times party size
 when weighting per passenger).  The bound never overestimates, so the
 search stays exact: travel times are shortest paths, so any chain of
@@ -41,6 +45,19 @@ Three behaviors beyond the basic search:
 Ties between equal-cost sequences resolve to the lexicographically
 smallest stop-id sequence, so results never depend on set iteration
 order.
+
+:func:`optimal_cost` needs no tie-break, and where two conditions hold
+it searches far less.  (a) Capacity cannot bind: the riders aboard plus
+every pickup's party fit the seats.  (b) No leg can be missing: the
+network is one strongly connected component.  Then a visit that only
+drops riders off never helps: it adds no waiting, and by the triangle
+inequality of shortest paths, skipping it reaches every later stop no
+later.  So the least waiting is the best order of the distinct pickup
+stops alone, drop-offs after.  That search uses the same lateness,
+idling and bound as the route search, cuts on ``>=`` and keeps no path.
+Where either condition fails it runs the route search, so it returns
+exactly ``optimal_sequence(...)[0]`` (or ``None``) and raises exactly
+what that raises.
 """
 
 from __future__ import annotations
@@ -64,10 +81,28 @@ def optimal_sequence(
     waiting by its party size.  A new request already committed to the
     shuttle is a ``ValueError``.
     """
+    return _optimum(v, new_requests, network, per_passenger, True)
+
+
+def optimal_cost(
+    v: ShuttleState, new_requests, network: TravelNetwork, per_passenger: bool = False
+) -> int | None:
+    """``optimal_sequence(...)[0]``, or ``None``, without the tie-broken route.
+
+    Raises what :func:`optimal_sequence` raises.  Where capacity cannot
+    bind and the network is strongly connected, it searches only the
+    order of the distinct pickup stops (module docstring).
+    """
+    return _optimum(v, new_requests, network, per_passenger, False)
+
+
+def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenger: bool,
+             route: bool):
+    """The least waiting, with its route when ``route`` is set, or ``None``."""
     new = frozenset(new_requests)
     if not (v.pending_pickups or v.pending_dropoffs):
         if not new:
-            return 0, ()
+            return (0, ()) if route else 0
         if len(new) == 1:
             # One sequence is possible: price it in closed form (module docstring).
             (r,) = new
@@ -78,47 +113,58 @@ def optimal_sequence(
                 leg = network.row(start)[p]
                 if leg is not None and network.row(p)[d] is not None:
                     late = v.arrival_time + leg - r.request_time
-                    return ((late if late > 0 else 0) * (r.passengers if per_passenger else 1),
-                            (r.pickup, r.dropoff))
+                    cost = (late if late > 0 else 0) * (r.passengers if per_passenger else 1)
+                    return (cost, (r.pickup, r.dropoff)) if route else cost
     elif not (new.isdisjoint(v.pending_pickups) and new.isdisjoint(v.pending_dropoffs)):
         overlap = ", ".join(sorted(r.id for r in new
                                    if r in v.pending_pickups or r in v.pending_dropoffs))
         raise ValueError(f"requests already committed to shuttle {v.id}: {overlap}")
     index = network.index
     ids = network.ids
-    # Per request bit j: pickup stop, request time, party size and waiting
-    # weight.  Pickups take the low bits; riders aboard only need pax.
+    # Per request bit j: pickup and drop-off stop, request time, party size
+    # and waiting weight.  Pickups take the low bits; riders aboard only
+    # need a drop-off stop and pax.
     pick_stop: list[int] = []
+    drop_stop: list[int] = []
     due: list[int] = []
     pax: list[int] = []
     weight: list[int] = []
-    at: dict[int, list[int]] = {}  # stop -> [pick bits, drop bits] due there
-    onboard = 0
     try:
         start = index[v.heading_stop]
-        bit = 1
         for pickups in (v.pending_pickups, new):
             for r in pickups:
-                p = index[r.pickup]
-                pick_stop.append(p)
+                pick_stop.append(index[r.pickup])
+                drop_stop.append(index[r.dropoff])
                 due.append(r.request_time)
                 pax.append(r.passengers)
                 weight.append(r.passengers if per_passenger else 1)
-                at.setdefault(p, [0, 0])[0] |= bit
-                at.setdefault(index[r.dropoff], [0, 0])[1] |= bit
-                bit <<= 1
-        root_pick = bit - 1
         for r in v.pending_dropoffs:
+            drop_stop.append(index[r.dropoff])
             pax.append(r.passengers)
-            onboard += r.passengers
-            at.setdefault(index[r.dropoff], [0, 0])[1] |= bit
-            bit <<= 1
-        root_drop = bit - 1 - root_pick
     except KeyError as err:
         raise UnknownStopError(err.args[0]) from None
+    capacity = v.capacity
+    # Riders aboard and every pickup's party fit the seats, and no leg can be
+    # missing: only the pickup order matters (module docstring).
+    if not route and sum(pax) <= capacity and network.strongly_connected:
+        if not pick_stop:
+            return 0
+        # stop -> [(request time, weight)] of the pickups due there
+        picks: dict[int, list[tuple[int, int]]] = {}
+        for j, s in enumerate(pick_stop):
+            picks.setdefault(s, []).append((due[j], weight[j]))
+        return _least_waiting(network.row(start), v.arrival_time,
+                              [(s, network.row(s), due_s) for s, due_s in picks.items()])
+    root_pick = (1 << len(pick_stop)) - 1
+    root_drop = (1 << len(drop_stop)) - 1 - root_pick
+    onboard = sum(pax[len(pick_stop):])
+    at: dict[int, list[int]] = {}  # stop -> [pick bits, drop bits] due there
+    for j, s in enumerate(pick_stop):
+        at.setdefault(s, [0, 0])[0] |= 1 << j
+    for j, s in enumerate(drop_stop):
+        at.setdefault(s, [0, 0])[1] |= 1 << j
     # Involved stops ascending, so drop-off tails come out sorted.
     stops = [(s, bits[0], bits[1], network.row(s)) for s, bits in sorted(at.items())]
-    capacity = v.capacity
     best_w = math.inf
     best_seq: tuple[int, ...] | None = None
 
@@ -200,7 +246,56 @@ def optimal_sequence(
 
     if best_seq is None:
         return None
-    return best_w, tuple(ids[s] for s in best_seq)
+    return (best_w, tuple(ids[s] for s in best_seq)) if route else best_w
+
+
+def _least_waiting(row, now: int, picks) -> int:
+    """Least waiting over the orders of the pickup stops ``picks``.
+
+    ``picks`` holds ``(stop, row, [(request time, weight), ...])`` per
+    distinct pickup stop; the shuttle leaves ``row``'s stop at ``now``.
+    Capacity and reach are not checked: :func:`optimal_cost` calls this
+    only where neither can fail.
+    """
+    best = math.inf
+    # (bound, position in picks, row, time, outstanding positions as a bit
+    # mask, waiting)
+    stack = [(0, -1, row, now, (1 << len(picks)) - 1, 0)]
+    while stack:
+        bound, _, row, now, rest, waiting = stack.pop()
+        if bound >= best:
+            continue
+        children = []
+        for i, (s, row_s, due_s) in enumerate(picks):
+            if not rest >> i & 1:
+                continue
+            arrival = now + row[s]
+            w = waiting
+            depart = arrival
+            for due, weight in due_s:
+                if arrival > due:
+                    w += (arrival - due) * weight
+                elif due > depart:
+                    depart = due
+            if w >= best:
+                continue
+            left = rest ^ (1 << i)
+            if not left:
+                best = w
+                continue
+            bound = w
+            for k, (t, _, due_t) in enumerate(picks):
+                if left >> k & 1:
+                    reach = depart + row_s[t]
+                    for due, weight in due_t:
+                        if reach > due:
+                            bound += (reach - due) * weight
+            if bound < best:
+                children.append((bound, i, row_s, depart, left, w))
+        # Lowest bound first: reversed so the stack pops ascending (bound, i).
+        children.sort(reverse=True)
+        stack += children
+    return best
 
 
 def _drop_tail(stops, drops: int, stop: int, row, ids) -> tuple[int, ...]:

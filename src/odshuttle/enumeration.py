@@ -1,12 +1,14 @@
 """Assignment-plan set construction.
 
 Builds every (vehicle, request-subset) plan with subset size up to the
-ride-sharing cap, priced by its marginal waiting: the cost of the
-vehicle's :func:`odshuttle.costing.optimal_sequence` with the subset
+ride-sharing cap, priced by its marginal waiting: the
+:func:`odshuttle.costing.optimal_cost` of the vehicle with the subset
 minus the cost without it, so committed requests never double-bill.
-Each vehicle gets its own plan list, which starts with its empty plan,
-at cost 0; no other plan of it is empty, and every plan covers only the
-given requests.  This is the input contract
+A plan is a priced column of the dispatch program and holds no route;
+:func:`plan_route` finds the route of a plan that is committed or
+printed.  Each vehicle gets its own plan list, which starts with the
+shared empty plan, at cost 0; no other plan of it is empty, and every
+plan covers only the given requests.  This is the input contract
 :func:`odshuttle.solver.solve_dispatch` checks, and it keeps the
 one-plan-per-vehicle constraint satisfiable.  A vehicle whose committed
 work alone has no feasible sequence gets its empty plan only.  Plans with
@@ -15,17 +17,15 @@ cost; unserved requests are covered by the miss variables instead.
 
 Plans name no vehicle and depend only on the vehicle's state (heading
 stop, arrival time, committed pickups and riders, capacity), so vehicles
-of equal state are sequenced once and share one plan tuple object.
+of equal state are priced once and share one plan tuple object.
 
 Plan order is canonical: vehicles by id, subsets by size then
 lexicographic request ids.
 
 Most dispatch passes price subsets of zero or one request, so beyond its
-:func:`~odshuttle.costing.optimal_sequence` calls a pass builds little.
-One pass over the vehicles in id order sequences each state when its
-lowest-id vehicle is met and fills ``per_vehicle`` in that order.  Every
-vehicle with no committed work, or none it can serve, gets one shared
-empty plan.
+:func:`~odshuttle.costing.optimal_cost` calls a pass builds little.
+One pass over the vehicles in id order prices each state when its
+lowest-id vehicle is met and fills ``per_vehicle`` in that order.
 """
 
 from __future__ import annotations
@@ -34,16 +34,16 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .costing import optimal_sequence
+from .costing import optimal_cost, optimal_sequence
 from .errors import InstanceTooLargeError
 from .network import TravelNetwork
-from .types import AssignmentPlan, ShuttleState, TripRequest
+from .types import AssignmentPlan, ShuttleState, StopId, TripRequest
 
 MAX_PLANS = 100_000
 
 _NO_REQUESTS: frozenset = frozenset()
-# The empty plan of every vehicle with no committed work, or none it can serve.
-_EMPTY_PLAN = AssignmentPlan(_NO_REQUESTS, 0, ())
+# The empty plan of every vehicle.
+_EMPTY_PLAN = AssignmentPlan(_NO_REQUESTS, 0)
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,9 @@ def enumerate_plans(
         )
 
     cap = min(max_new_requests, len(requests))
-    # A group of equal states is sequenced when its lowest-id member is met,
+    # A group of equal states is priced when its lowest-id member is met,
     # so an error names the vehicle it would name were every vehicle
-    # sequenced on its own.
+    # priced on its own.
     plans_of: dict[tuple, tuple[AssignmentPlan, ...]] = {}
     per_vehicle: dict[str, tuple[AssignmentPlan, ...]] = {}
     for v in shuttles:
@@ -122,13 +122,12 @@ def _vehicle_plans(
     per_passenger: bool,
 ) -> tuple[AssignmentPlan, ...]:
     """``v``'s plans, empty plan first, for subsets of up to ``cap`` requests."""
-    base = optimal_sequence(v, _NO_REQUESTS, network, per_passenger)
+    base_cost = optimal_cost(v, _NO_REQUESTS, network, per_passenger)
     # With no feasible sequence for its committed work alone, a vehicle gets
     # its empty plan only.
-    if base is None:
+    if base_cost is None:
         return (_EMPTY_PLAN,)
-    base_cost, base_seq = base
-    plans = [AssignmentPlan(_NO_REQUESTS, 0, base_seq) if base_seq else _EMPTY_PLAN]
+    plans = [_EMPTY_PLAN]
     if max_outstanding is not None:
         cap = min(cap, max_outstanding - len(v.pending_pickups) - len(v.pending_dropoffs))
     infeasible: list[frozenset] = []
@@ -138,9 +137,22 @@ def _vehicle_plans(
             # A capacity-infeasible subset stays infeasible with more riders.
             if infeasible and any(bad <= group for bad in infeasible):
                 continue
-            found = optimal_sequence(v, group, network, per_passenger)
-            if found is None:
+            cost = optimal_cost(v, group, network, per_passenger)
+            if cost is None:
                 infeasible.append(group)
             else:
-                plans.append(AssignmentPlan(group, found[0] - base_cost, found[1]))
+                plans.append(AssignmentPlan(group, cost - base_cost))
     return tuple(plans)
+
+
+def plan_route(
+    v: ShuttleState, plan: AssignmentPlan, network: TravelNetwork, per_passenger: bool = False
+) -> tuple[StopId, ...]:
+    """The stop route of ``plan`` for ``v``: its old and new work, as priced.
+
+    That is :func:`~odshuttle.costing.optimal_sequence`'s route for the
+    plan's requests, or ``()`` when not even ``v``'s committed work has
+    a feasible sequence.
+    """
+    found = optimal_sequence(v, plan.requests, network, per_passenger)
+    return () if found is None else found[1]

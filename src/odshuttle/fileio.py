@@ -547,23 +547,28 @@ def write_summary_csv(summary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_solution_text(problem: DispatchProblem, solution: DispatchSolution) -> str:
+def write_solution_text(problem: DispatchProblem, solution: DispatchSolution, route) -> str:
+    """The selection, one line per vehicle with its plan's stop route, then the missed.
+
+    ``route(vehicle_id, plan)`` gives the route of a plan of that vehicle.
+    """
     out = [f"objective {solution.objective}"]
     for vid in sorted(solution.selected):
         plan = solution.selected[vid]
         ids = ",".join(plan.request_ids) or "-"
-        seq = ",".join(plan.sequence) or "-"
+        seq = ",".join(route(vid, plan)) or "-"
         out.append(f"vehicle {vid} cost {plan.cost} requests {ids} sequence {seq}")
     for rid in sorted(solution.missed):
         out.append(f"missed {rid} {problem.penalty(rid)}")
     return "\n".join(out) + "\n"
 
 
-def write_plans_text(plan_set) -> str:
+def write_plans_text(plan_set, route) -> str:
+    """Every plan, one line each with its stop route from ``route(vehicle_id, plan)``."""
     out = ["index vehicle cost requests sequence"]
     for vid, plans in plan_set.per_vehicle.items():
         for plan in plans:
             ids = ",".join(plan.request_ids) or "-"
-            seq = ",".join(plan.sequence) or "-"
+            seq = ",".join(route(vid, plan)) or "-"
             out.append(f"{len(out) - 1} {vid} {plan.cost} {ids} {seq}")
     return "\n".join(out) + "\n"

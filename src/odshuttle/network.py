@@ -21,8 +21,10 @@ Stops are numbered by sorted id (``index``/``ids``), so comparing index
 sequences orders them as the id sequences would.  Travel times live in
 one ``list`` row per source stop, indexed by destination and filled on
 first use by one Dijkstra run (:meth:`TravelNetwork.row`), which marks
-unreachable stops ``None``.  Networks are immutable after construction
-and filling a row is idempotent, so concurrent readers are fine.
+unreachable stops ``None``.  ``strongly_connected``, computed once from
+the links on first use, says whether no stop is unreachable from any
+other.  Networks are immutable after construction, and filling a row or
+the flag is idempotent, so concurrent readers are fine.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import ConfigError, LegTimeError, UnknownStopError, UnreachableStopError
 from .types import Stop, StopId, TripRequest
@@ -128,6 +131,31 @@ class TravelNetwork:
         if row is None:
             row = self._rows[source] = self._shortest_paths(source)
         return row
+
+    @cached_property
+    def strongly_connected(self) -> bool:
+        """Whether every stop reaches every other one.
+
+        Computed once, from the links: every stop is reached from stop 0
+        and reaches stop 0 back.  A euclidean or manhattan network links
+        every ordered pair, so it always is; so is a network of one stop.
+        """
+        forward = [[b for b, _ in out] for out in self._adj]
+        reverse: list[list[int]] = [[] for _ in self.ids]
+        for a, out in enumerate(forward):
+            for b in out:
+                reverse[b].append(a)
+        for adjacent in (forward, reverse):
+            seen = [i == 0 for i in range(len(self.ids))]
+            todo = [0] if self.ids else []
+            while todo:
+                for b in adjacent[todo.pop()]:
+                    if not seen[b]:
+                        seen[b] = True
+                        todo.append(b)
+            if not all(seen):
+                return False
+        return True
 
     def _shortest_paths(self, source: int) -> list[int | None]:
         dist: list[int | None] = [None] * len(self.ids)

@@ -39,9 +39,10 @@ arriving "now": a copy of the state with only ``arrival_time`` changed
 checks, as none of them reads the time and an idle shuttle owes nothing.
 
 A selected plan is committed to the state it was priced from, owing the
-plan's requests too, and its sequence replaces the shuttle's remaining
-stops: a moving shuttle finishes its current leg first, and an idle one
-stands at its stop at ``now``, where its next ``advance`` starts.
+plan's requests too, and its route (``plan_route``, found for the
+committed plans only) replaces the shuttle's remaining stops: a moving
+shuttle finishes its current leg first, and an idle one stands at its
+stop at ``now``, where its next ``advance`` starts.
 
 The baseline models the fixed-route alternative analytically: walk to
 the nearest served stop, wait for the next scheduled departure
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from .demand import DemandProfile, check_drawable, generate_demand
-from .enumeration import enumerate_plans
+from .enumeration import enumerate_plans, plan_route
 from .errors import ConfigError
 from .network import Region, TravelNetwork, TripType, classify_trip
 from .reporting import SummaryStats, summarize
@@ -194,7 +195,9 @@ class ScenarioConfig:
         """Raise ``ConfigError`` naming ``("routes", i)``, ``("region", s)``,
         ``("fleet_start", i)`` or ``(key, i)`` for a stop outside the network, or
         ``("network", b)`` if stop b cannot be reached from a stop a shuttle may
-        be sent to: a start stop, a region stop or a stop of ``requests``."""
+        be sent to: a start stop, a region stop or a stop of ``requests``.  A
+        strongly connected network reaches every pair, so only another one
+        has its pairs checked."""
         index, region = self.network.index, self.region
         region_stops = sorted(region.member_stops | region.gateway_stations) if region else []
         named = [(("routes", i), s) for i, route in enumerate(self.routes)
@@ -206,6 +209,8 @@ class ScenarioConfig:
         for at, stop in named:
             if stop not in index:
                 raise ConfigError(f"unknown stop {stop!r}", at)
+        if self.network.strongly_connected:
+            return
         stops = sorted({*self.start_stops(), *region_stops,
                         *(s for r in requests for s in (r.pickup, r.dropoff))})
         for a in stops:
@@ -360,7 +365,8 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
             states[vid] = ShuttleState(vid, state.heading_stop, state.arrival_time,
                                        state.pending_pickups | plan.requests,
                                        state.pending_dropoffs, capacity)
-            visits[vid] = deque(plan.sequence)
+            visits[vid] = deque(plan_route(state, plan, network,
+                                           config.waiting_per_passenger))
 
     placed = 0  # demand[:placed] has joined the queue
     now = interval

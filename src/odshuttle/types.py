@@ -132,20 +132,19 @@ class AssignmentPlan:
 
     It names no vehicle: its owner is the vehicle whose plan list holds
     it.  ``cost`` is the marginal passenger waiting (seconds) of adding
-    ``requests`` to the vehicle's existing commitments; ``sequence`` is
-    the stop ordering that realizes it, covering the vehicle's old and
-    new work.  The empty plan (no new requests) always costs 0.
+    ``requests`` to the vehicle's existing commitments, which is all the
+    program reads of it.  A plan holds no stop route: the route of one
+    that is committed or printed comes from
+    :func:`odshuttle.enumeration.plan_route`.  The empty plan (no new
+    requests) always costs 0.
     """
 
     requests: frozenset[TripRequest]
     cost: int
-    sequence: tuple[StopId, ...] = ()
 
     def __post_init__(self):
         if type(self.requests) is not frozenset:
             object.__setattr__(self, "requests", frozenset(self.requests))
-        if type(self.sequence) is not tuple:
-            object.__setattr__(self, "sequence", tuple(self.sequence))
         if self.cost < 0:
             raise ValueError("plan cost must be >= 0")
 

@@ -128,6 +128,14 @@ def test_solve_bundled_instance(tmp_path, capsys):
         "eeb56402422d405caf83dda32bae88bc8400a3ccfb9f8cfb35e927070194f2d8"
 
 
+def test_solve_stdout_is_pinned(capsys):
+    # Plans carry no route; solve routes the plans it prints, and its
+    # stdout stays the bytes it was before plans dropped theirs.
+    assert main(["solve", str(SCENARIOS / "instance_small.txt")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "bba3df49537443aac26437667eda93b7affdf272e83cb800c81e80d62b199967"
+
+
 def test_gen_demand_round_trip(small_cfg, tmp_path):
     out = tmp_path / "demand.csv"
     assert main(["gen-demand", str(small_cfg), "--out", str(out)]) == 0

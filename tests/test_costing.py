@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from odshuttle import costing
 from odshuttle.costing import optimal_sequence
-from odshuttle.enumeration import enumerate_plans
-from odshuttle.errors import UnknownStopError, UnreachableStopError
+from odshuttle.enumeration import enumerate_plans, plan_route
+from odshuttle.errors import OdshuttleError, UnknownStopError, UnreachableStopError
 from odshuttle.network import TravelNetwork
 from odshuttle.types import ShuttleState, Stop, TripRequest
 
@@ -30,7 +31,7 @@ def test_empty_assignment_costs_zero(line_network):
 def test_empty_assignment_costs_zero_with_commitments(line_network):
     v = idle(pending_pickups={req("p1", "B", "C")})
     plans = enumerate_plans([v], [], 1, line_network)
-    assert [(p.cost, p.sequence) for p in plans.plans] == [(0, ("B", "C"))]
+    assert [(p.cost, plan_route(v, p, line_network)) for p in plans.plans] == [(0, ("B", "C"))]
 
 
 def test_single_request_cost_is_pickup_wait(line_network):
@@ -122,7 +123,7 @@ def test_create_root_terminal_when_no_work(line_network):
     assert optimal_sequence(v, frozenset(), line_network) == (0, ())
     assert optimal_sequence(v, frozenset(), line_network, per_passenger=True) == (0, ())
     plans = enumerate_plans([v], [], 1, line_network)
-    assert [(p.cost, p.sequence) for p in plans.plans] == [(0, ())]
+    assert [(p.cost, plan_route(v, p, line_network)) for p in plans.plans] == [(0, ())]
 
 
 def test_possible_stops_deduplicate_shared_pickup(line_network):
@@ -406,3 +407,109 @@ def test_unknown_stop_raises(line_network, shuttle_at, pickup, dropoff, named):
     with pytest.raises(UnknownStopError) as err:
         optimal_sequence(idle(stop=shuttle_at), {req("r1", pickup, dropoff)}, line_network)
     assert err.value.args == (named,)
+
+
+# -- optimal_cost --------------------------------------------------------------------
+#
+# optimal_cost must return optimal_sequence's cost, or None, and raise what it
+# raises.  Where capacity cannot bind and the network is strongly connected
+# it searches pickup orders only; elsewhere it runs the route search.  The
+# instances cover both: parties up to 3 against 1 to 4 seats make capacity
+# bind, and sparse graphs leave legs missing.
+
+
+def _cost_network(rng):
+    """A network and the stops an instance draws from."""
+    kind = rng.choice(("euclidean", "manhattan", "graph", "graph", "graph"))
+    n = rng.randint(3, 7)
+    stops = [Stop(f"s{i}", round(rng.uniform(0, 600), 1), round(rng.uniform(0, 600), 1))
+             for i in range(n)]
+    ids = [s.id for s in stops]
+    if kind != "graph":
+        return getattr(TravelNetwork, kind)(stops, speed=rng.choice((0.5, 5.0))), ids
+    links = []
+    shape = rng.choice(("ring", "ring and a stop it cannot reach", "sparse"))
+    if shape != "sparse":  # a ring through every stop: strongly connected
+        links += [(ids[i], ids[(i + 1) % n], rng.randint(1, 300)) for i in range(n)]
+    links += [(*rng.sample(ids, 2), rng.randint(0, 300)) for _ in range(rng.randint(0, 2 * n))]
+    if shape == "ring and a stop it cannot reach":
+        # Instances on the ring's stops miss no leg, yet the network is
+        # not strongly connected.
+        stops.append(Stop("x", -1, -1))
+        links.append(("x", rng.choice(ids), rng.randint(1, 300)))
+        if rng.random() < 0.2:
+            ids = ids + ["x"]
+    return TravelNetwork.graph(stops, links), ids
+
+
+def _cost_instance(rng):
+    network, ids = _cost_network(rng)
+    count = [0]
+
+    def make(prefix):
+        count[0] += 1
+        pickup, dropoff = rng.sample(ids, 2)
+        t = rng.choice((0, rng.randint(0, 400), rng.randint(400, 3000)))  # some future-dated
+        return req(f"{prefix}{count[0]}", pickup, dropoff, t=t, pax=rng.choice((1, 1, 2, 3)))
+
+    committed = {make("c") for _ in range(rng.randint(0, 2))}
+    riding = {make("o") for _ in range(rng.randint(0, 2))}
+    new = {make("r") for _ in range(rng.randint(0, 4 - len(committed)))}
+    if committed and rng.random() < 0.03:
+        new.add(next(iter(committed)))  # already committed: a ValueError
+    onboard = sum(r.passengers for r in riding)
+    shuttle = ShuttleState(id="v1", heading_stop=rng.choice(ids),
+                           arrival_time=rng.randint(0, 600), pending_pickups=committed,
+                           pending_dropoffs=riding,
+                           capacity=max(onboard, rng.choice((1, 2, 3, 4, 8, 12))))
+    return shuttle, new, network
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OdshuttleError, ValueError) as err:  # the type and message must agree
+        return type(err), str(err)
+
+
+def test_optimal_cost_equals_route_search_cost(monkeypatch):
+    searched = []
+    least_waiting = costing._least_waiting
+
+    def counted(*args):
+        searched.append(True)
+        return least_waiting(*args)
+
+    monkeypatch.setattr(costing, "_least_waiting", counted)
+    rng = random.Random(2121)
+    seen = dict.fromkeys(("pickup orders", "route search", "route search infeasible",
+                          "route search, legs missing", "missing leg", "already committed",
+                          "future-dated", "oracle"), 0)
+    for i in range(1200):
+        shuttle, new, network = _cost_instance(rng)
+        per_passenger = rng.random() < 0.5
+        searched.clear()
+        got = _outcome(costing.optimal_cost, shuttle, new, network, per_passenger)
+        fast = bool(searched)
+        want = _outcome(optimal_sequence, shuttle, new, network, per_passenger)
+        if type(want) is tuple and type(want[0]) is int:
+            want = want[0]
+        assert got == want, f"instance {i}"
+        if type(want) is tuple:
+            seen["missing leg" if want[0] is UnreachableStopError else "already committed"] += 1
+        elif fast:
+            seen["pickup orders"] += 1
+        elif want is None:
+            seen["route search infeasible"] += 1
+        elif network.strongly_connected:
+            seen["route search"] += 1
+        else:
+            seen["route search, legs missing"] += 1
+        if any(r.request_time > shuttle.arrival_time + 400 for r in new | shuttle.pending_pickups):
+            seen["future-dated"] += 1
+        if i % 4 == 0 and type(got) is int and 2 * len(new) + 2 * len(shuttle.pending_pickups) \
+                + len(shuttle.pending_dropoffs) <= 9:
+            best = exhaustive_best_sequence(shuttle, new, network, per_passenger)
+            assert got == best[0], f"instance {i}"
+            seen["oracle"] += 1
+    assert all(count >= 20 for count in seen.values()), seen

@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 
 from odshuttle import enumeration
-from odshuttle.costing import optimal_sequence
-from odshuttle.enumeration import enumerate_plans, plan_count_bound
+from odshuttle.costing import optimal_cost, optimal_sequence
+from odshuttle.enumeration import enumerate_plans, plan_count_bound, plan_route
 from odshuttle.errors import InstanceTooLargeError
 from odshuttle.network import TravelNetwork
 from odshuttle.types import AssignmentPlan, ShuttleState, Stop, TripRequest
@@ -109,7 +109,7 @@ def test_costs_match_fresh_costing_calls():
         for p in candidates:
             with_new = optimal_sequence(v, p.requests, net)
             base = optimal_sequence(v, frozenset(), net)
-            assert (p.cost, p.sequence) == (with_new[0] - base[0], with_new[1])
+            assert (p.cost, plan_route(v, p, net)) == (with_new[0] - base[0], with_new[1])
 
 
 def test_canonical_plan_ordering(line_network):
@@ -158,16 +158,18 @@ def test_sequences_serve_every_request_pickup_first():
     shuttles = shuttles_at(net, 2, capacity=2)
     requests = requests_on(net, 4)
     plans = enumerate_plans(shuttles, requests, 3, net)
-    for p in plans.plans:
-        picked, dropped = set(), set()
-        for stop in p.sequence:
-            for r in p.requests:
-                if r.pickup == stop and r not in picked:
-                    picked.add(r)
-                elif r.dropoff == stop and r in picked and r not in dropped:
-                    dropped.add(r)
-        assert picked == set(p.requests)
-        assert dropped == set(p.requests)
+    by_id = {v.id: v for v in shuttles}
+    for vid, candidates in plans.per_vehicle.items():
+        for p in candidates:
+            picked, dropped = set(), set()
+            for stop in plan_route(by_id[vid], p, net):
+                for r in p.requests:
+                    if r.pickup == stop and r not in picked:
+                        picked.add(r)
+                    elif r.dropoff == stop and r in picked and r not in dropped:
+                        dropped.add(r)
+            assert picked == set(p.requests)
+            assert dropped == set(p.requests)
 
 
 def random_fleet(rng):
@@ -216,19 +218,21 @@ def test_fleet_plans_match_each_shuttle_alone():
         for v in shuttles:
             alone = enumerate_plans([v], requests, cap, net, **options)
             assert fleet.per_vehicle[v.id] == alone.per_vehicle[v.id]
-        # Each plan keeps the plan contract: a frozenset, a tuple and a cost
-        # >= 0, equal to the plan the constructor builds from its fields.
-        for p in fleet.plans:
-            assert type(p.requests) is frozenset and type(p.sequence) is tuple
-            assert p.cost >= 0
-            assert p == AssignmentPlan(requests=p.requests, cost=p.cost, sequence=p.sequence)
+        # Each plan keeps the plan contract: a frozenset and a cost >= 0,
+        # equal to the plan the constructor builds from its fields; its
+        # route is a tuple.
+        for v in shuttles:
+            for p in fleet.per_vehicle[v.id]:
+                assert type(p.requests) is frozenset and type(plan_route(v, p, net)) is tuple
+                assert p.cost >= 0
+                assert p == AssignmentPlan(requests=p.requests, cost=p.cost)
 
 
 def test_subset_priced_below_its_base_is_rejected(monkeypatch, line_network):
     def cheaper_with_requests(v, new_requests, network, per_passenger=False):
-        return (10, ("B",)) if not new_requests else (3, ("B", "C"))
+        return 10 if not new_requests else 3
 
-    monkeypatch.setattr(enumeration, "optimal_sequence", cheaper_with_requests)
+    monkeypatch.setattr(enumeration, "optimal_cost", cheaper_with_requests)
     with pytest.raises(ValueError, match="plan cost must be >= 0"):
         enumerate_plans(shuttles_at(line_network, 1), requests_on(line_network, 1), 1,
                         line_network)
@@ -256,9 +260,9 @@ def test_identical_shuttles_sequence_once(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return optimal_sequence(*args)
+        return optimal_cost(*args)
 
-    monkeypatch.setattr(enumeration, "optimal_sequence", counted)
+    monkeypatch.setattr(enumeration, "optimal_cost", counted)
     network, requests, shuttles = idle_fleet_instance(1000)
     enumerate_plans(shuttles[:1], requests, 3, network)
     assert len(calls) == 93  # the empty subset and every subset of 1 to 3 of 8 requests

@@ -111,6 +111,47 @@ def test_all_pairs_disconnected_graph_raises():
         _all_pairs(net, net.stop_ids())
 
 
+# -- strong connectivity ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("links, connected", [
+    pytest.param([("A", "B", 5), ("B", "C", 5), ("C", "A", 5)], True, id="one-way-ring"),
+    pytest.param([("A", "B", 5), ("B", "C", 5), ("C", "B", 5), ("B", "A", 5)], True,
+                 id="two-way-line"),
+    pytest.param([("A", "B", 5), ("B", "C", 5), ("C", "B", 5)], False, id="one-way-link"),
+    pytest.param([("B", "A", 5), ("B", "C", 5), ("C", "B", 5)], False, id="one-way-into-A"),
+    pytest.param([("A", "B", 5), ("B", "A", 5)], False, id="unlinked-stop"),
+    pytest.param([], False, id="no-links"),
+])
+def test_graph_strongly_connected_flag(links, connected):
+    stops = [Stop("A", 0, 0), Stop("B", 1, 0), Stop("C", 2, 0)]
+    assert TravelNetwork.graph(stops, links).strongly_connected is connected
+
+
+@pytest.mark.parametrize("make", [TravelNetwork.euclidean, TravelNetwork.manhattan])
+def test_metric_networks_are_strongly_connected(make):
+    rng = random.Random(5)
+    for n in (1, 2, 7):
+        stops = [Stop(f"s{i}", rng.uniform(0, 500), rng.uniform(0, 500)) for i in range(n)]
+        assert make(stops, speed=3.0).strongly_connected is True
+
+
+def test_strongly_connected_flag_matches_every_row():
+    # The flag holds exactly when no row marks a stop unreachable.
+    rng = random.Random(39)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        stops = [Stop(f"g{i}", i, 0) for i in range(n)]
+        links = [(*rng.sample([s.id for s in stops], 2), rng.randint(0, 50))
+                 for _ in range(rng.randint(0, 3 * n) if n > 1 else 0)]
+        net = TravelNetwork.graph(stops, links)
+        every_pair = all(None not in net.row(i) for i in range(n))
+        assert net.strongly_connected is every_pair
+        seen.add(every_pair)
+    assert seen == {True, False}
+
+
 # A ceil'd metric leg can be one second longer than a detour through a
 # third stop.  Metric networks are closed under shortest paths, so the
 # travel time takes the detour and the triangle inequality holds exactly;

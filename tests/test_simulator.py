@@ -7,11 +7,11 @@ import pytest
 from conftest import make_grid_network
 
 from odshuttle import simulator
-from odshuttle.costing import optimal_sequence
+from odshuttle.costing import optimal_cost, optimal_sequence
 from odshuttle.demand import DemandProfile
-from odshuttle.enumeration import PlanSet
+from odshuttle.enumeration import PlanSet, plan_route
 from odshuttle.errors import ConfigError
-from odshuttle.fileio import load_scenario, write_summary_csv, write_trips_csv
+from odshuttle.fileio import load_scenario, parse_scenario_text, write_summary_csv, write_trips_csv
 from odshuttle.network import Region, TravelNetwork
 from odshuttle.simulator import (
     FixedRoute,
@@ -416,11 +416,11 @@ def test_overloading_plan_stops_run_at_that_visit(monkeypatch):
 
     def overloading(shuttles, requests, *args, **kwargs):
         (shuttle,) = shuttles
-        plans = (AssignmentPlan(frozenset(), 0),
-                 AssignmentPlan(frozenset(requests), 0, ("A", "B")))
+        plans = (AssignmentPlan(frozenset(), 0), AssignmentPlan(frozenset(requests), 0))
         return PlanSet({shuttle.id: plans})
 
     monkeypatch.setattr(simulator, "enumerate_plans", overloading)
+    monkeypatch.setattr(simulator, "plan_route", lambda *args: ("A", "B"))
     with pytest.raises(ValueError, match="exceeds capacity"):
         run_scenario(config)
 
@@ -430,11 +430,11 @@ def test_plan_that_omits_a_dropoff_stops_run(monkeypatch):
 
     def dropoff_omitted(shuttles, requests, *args, **kwargs):
         (shuttle,) = shuttles
-        plans = (AssignmentPlan(frozenset(), 0),
-                 AssignmentPlan(frozenset(requests), 0, ("A",)))
+        plans = (AssignmentPlan(frozenset(), 0), AssignmentPlan(frozenset(requests), 0))
         return PlanSet({shuttle.id: plans})
 
     monkeypatch.setattr(simulator, "enumerate_plans", dropoff_omitted)
+    monkeypatch.setattr(simulator, "plan_route", lambda *args: ("A",))
     with pytest.raises(AssertionError, match=r"leaves requests unserved: \['r1'\]"):
         run_scenario(config)
 
@@ -448,6 +448,7 @@ def test_plan_with_no_stops_stops_run(monkeypatch):
         return PlanSet({shuttle.id: plans})
 
     monkeypatch.setattr(simulator, "enumerate_plans", stopless)
+    monkeypatch.setattr(simulator, "plan_route", lambda *args: ())
     with pytest.raises(AssertionError, match=r"leaves requests unserved: \['r1'\]"):
         run_scenario(config)
 
@@ -499,6 +500,63 @@ def test_execution_realizes_priced_waiting():
         checked += 1
         revisits += len(set(sequence)) < len(sequence)
     assert checked > 200 and revisits > 50
+
+
+def _route_waiting(state, new, route, network, per_passenger):
+    """The waiting a shuttle accrues driving ``route``, checked to serve all it owes."""
+    waiting, stop, t = 0, state.heading_stop, state.arrival_time
+    owed, aboard = set(state.pending_pickups | new), set(state.pending_dropoffs)
+    for s in route:
+        t += network.travel_time(stop, s)
+        stop = s
+        aboard = {r for r in aboard if r.dropoff != s}
+        boarding = {r for r in owed if r.pickup == s}
+        for r in boarding:
+            waiting += max(0, t - r.request_time) * (r.passengers if per_passenger else 1)
+        t = max([t] + [r.request_time for r in boarding])
+        owed -= boarding
+        aboard |= boarding
+        assert sum(r.passengers for r in aboard) <= state.capacity
+    assert not owed and not aboard
+    return waiting
+
+
+def _peak_stress_shaped(seed):
+    """The bundled peak geometry on 20 shuttles at 4x its peak rate, 3 requests a tick."""
+    text = (SCENARIOS / "peakdemand.cfg").read_text()
+    for old, new in (("horizon 9000", "horizon 2700"), ("fleet_size 5", "fleet_size 20"),
+                     ("seed 1", f"seed {seed}"), ("max_requests_per_tick 6",
+                                                  "max_requests_per_tick 3"),
+                     ("rate 0 1800 8.0", "rate 0 1800 320"), ("rate 1800 5400 80.0", ""),
+                     ("rate 5400 7200 8.0", "")):
+        assert old in text
+        text = text.replace(old, new)
+    return parse_scenario_text(text, "peak_stress-shaped")
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(lambda: load_scenario(SCENARIOS / "lowridership.cfg"), id="lowridership"),
+    pytest.param(lambda: load_scenario(SCENARIOS / "peakdemand.cfg"), id="peakdemand"),
+    pytest.param(lambda: _peak_stress_shaped(41), id="peak_stress-shaped"),
+])
+def test_committed_routes_realize_their_price(monkeypatch, config):
+    # Plans are priced without a route; the route found at commit must
+    # cost, net of the shuttle's committed work alone, what the plan was
+    # priced at.
+    config = config()
+    per_passenger = config.waiting_per_passenger
+    commits = []
+
+    def checked_route(state, plan, network, *args):
+        route = plan_route(state, plan, network, *args)
+        routed = _route_waiting(state, plan.requests, route, network, per_passenger)
+        assert routed - optimal_cost(state, frozenset(), network, per_passenger) == plan.cost
+        commits.append(len(plan.requests))
+        return route
+
+    monkeypatch.setattr(simulator, "plan_route", checked_route)
+    run_scenario(config)
+    assert len(commits) >= 20 and max(commits) > 1
 
 
 # -- fixed-route arithmetic -------------------------------------------------------

@@ -21,7 +21,7 @@ def simple_problem(plan_cost=50, penalty=1000, line_network=None):
     r = TripRequest(id="r00", pickup="B", dropoff="C", request_time=0)
     plans = (
         AssignmentPlan(requests=frozenset(), cost=0),
-        AssignmentPlan(requests={r}, cost=plan_cost, sequence=("B", "C")),
+        AssignmentPlan(requests={r}, cost=plan_cost),
     )
     plan_set = PlanSet({"v00": plans})
     return DispatchProblem(requests=(r,), plan_set=plan_set, miss_penalty={"r00": penalty})
@@ -98,7 +98,8 @@ def random_one_request_problem(rng):
 
     Each vehicle gets zero to three plans serving the request, with costs
     from a short list, or the very tuple of an earlier vehicle.  Every
-    plan has its own sequence, so equal plans tell their ranks apart.
+    plan is its own object, so equal plans tell their ranks apart by
+    identity.
     """
     r = TripRequest(id="r00", pickup="A", dropoff="B", request_time=0)
     lists: list[tuple] = []
@@ -107,10 +108,9 @@ def random_one_request_problem(rng):
         if lists and rng.random() < 0.3:
             plans = rng.choice(lists)
         else:
-            plans = (AssignmentPlan(requests=frozenset(), cost=0, sequence=(f"e{i}",)),) + tuple(
-                AssignmentPlan(requests=frozenset({r}), cost=rng.choice([0, 10, 50, 50, 100]),
-                               sequence=(f"s{i}", f"p{rank}"))
-                for rank in range(1, 1 + rng.choice([0, 1, 1, 2, 3])))
+            plans = (AssignmentPlan(requests=frozenset(), cost=0),) + tuple(
+                AssignmentPlan(requests=frozenset({r}), cost=rng.choice([0, 10, 50, 50, 100]))
+                for _ in range(rng.choice([0, 1, 1, 2, 3])))
             lists.append(plans)
         per_vehicle[f"v{i:02d}"] = plans
     return DispatchProblem(requests=(r,), plan_set=PlanSet(per_vehicle),
@@ -127,7 +127,8 @@ def test_one_request_programs_match_brute_force():
         brute = brute_force_dispatch(problem)
         assert fast.objective == brute.objective
         assert fast.missed == brute.missed
-        assert fast.selected == brute.selected
+        assert fast.selected.keys() == brute.selected.keys()
+        assert all(fast.selected[v] is brute.selected[v] for v in fast.selected)
         assert check_solution(problem, fast) == []
 
         lists = list(problem.plan_set.per_vehicle.values())
@@ -181,7 +182,8 @@ def test_matches_brute_force_with_identical_shuttles():
         brute = brute_force_dispatch(problem)
         assert fast.objective == brute.objective
         assert fast.missed == brute.missed
-        assert fast.selected == brute.selected
+        assert fast.selected.keys() == brute.selected.keys()
+        assert all(fast.selected[v] is brute.selected[v] for v in fast.selected)
         assert check_solution(problem, fast) == []
         lists = [tuple((p.request_ids, p.cost) for p in plans)
                  for plans in problem.plan_set.per_vehicle.values()]
@@ -200,7 +202,8 @@ def test_matches_brute_force_on_overloaded_programs():
         brute = brute_force_dispatch(problem)
         assert fast.objective == brute.objective
         assert fast.missed == brute.missed
-        assert fast.selected == brute.selected
+        assert fast.selected.keys() == brute.selected.keys()
+        assert all(fast.selected[v] is brute.selected[v] for v in fast.selected)
         assert check_solution(problem, fast) == []
         free = sum(len(plans) > 1 for plans in problem.plan_set.per_vehicle.values())
         assert free <= 2 < len(problem.requests)
@@ -216,7 +219,8 @@ def test_matches_brute_force_with_one_large_class():
         brute = brute_force_dispatch(problem)
         assert fast.objective == brute.objective
         assert fast.missed == brute.missed
-        assert fast.selected == brute.selected
+        assert fast.selected.keys() == brute.selected.keys()
+        assert all(fast.selected[v] is brute.selected[v] for v in fast.selected)
         assert check_solution(problem, fast) == []
         lists = {tuple((p.request_ids, p.cost) for p in plans)
                  for plans in problem.plan_set.per_vehicle.values()}
@@ -369,7 +373,7 @@ def test_check_solution_flags_wrong_objective():
 
 def test_check_solution_flags_foreign_plan():
     problem = simple_problem()
-    foreign = AssignmentPlan(requests=frozenset(), cost=0, sequence=("C",))
+    foreign = AssignmentPlan(requests=frozenset(), cost=1)
     doctored = DispatchSolution(selected={"v00": foreign}, missed=frozenset({"r00"}),
                                 objective=1000)
     assert any("candidate set" in v for v in check_solution(problem, doctored))

@@ -1,5 +1,6 @@
 import pytest
 
+from odshuttle.enumeration import plan_route
 from odshuttle.types import AssignmentPlan, ShuttleState, Stop, TripRequest
 
 
@@ -57,11 +58,12 @@ def test_retimed_state_equals_constructed_state():
         assert moved.retimed(30) == v
 
 
-def test_value_objects_still_freeze_any_iterable():
+def test_value_objects_still_freeze_any_iterable(line_network):
     r = TripRequest(id="r1", pickup="A", dropoff="B", request_time=0)
     v = ShuttleState(id="v1", heading_stop="A", arrival_time=0, pending_pickups=[r],
                      pending_dropoffs=set())
     assert type(v.pending_pickups) is frozenset and type(v.pending_dropoffs) is frozenset
-    plan = AssignmentPlan(requests=[r], cost=5, sequence=["A", "B"])
-    assert plan.requests == frozenset({r}) and plan.sequence == ("A", "B")
-    assert hash(plan) == hash(AssignmentPlan(requests=frozenset({r}), cost=5, sequence=("A", "B")))
+    plan = AssignmentPlan(requests=[r], cost=5)
+    idle = ShuttleState(id="v2", heading_stop="A", arrival_time=0)
+    assert plan.requests == frozenset({r}) and plan_route(idle, plan, line_network) == ("A", "B")
+    assert hash(plan) == hash(AssignmentPlan(requests=frozenset({r}), cost=5))
