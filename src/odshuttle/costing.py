@@ -46,16 +46,29 @@ Ties between equal-cost sequences resolve to the lexicographically
 smallest stop-id sequence, so results never depend on set iteration
 order.
 
-:func:`optimal_cost` needs no tie-break, and where two conditions hold
-it searches far less.  (a) Capacity cannot bind: the riders aboard plus
-every pickup's party fit the seats.  (b) No leg can be missing: the
-network is one strongly connected component.  Then a visit that only
-drops riders off never helps: it adds no waiting, and by the triangle
-inequality of shortest paths, skipping it reaches every later stop no
-later.  So the least waiting is the best order of the distinct pickup
-stops alone, drop-offs after.  That search uses the same lateness,
-idling and bound as the route search, cuts on ``>=`` and keeps no path.
-Where either condition fails it runs the route search, so it returns
+:func:`optimal_cost` needs no tie-break, and where three conditions
+hold it prices without the route search.  (a) Capacity cannot bind: the
+riders aboard plus every pickup's party fit the seats.  (b) No leg can be
+missing: the network is one strongly connected component.  (c) No pickup
+is dated in the future: every pickup's request time is at or before the
+shuttle's arrival time t0 at its heading stop.  By (a) and (b) a visit
+that only drops riders off never helps: it adds no waiting, and by the
+triangle inequality of shortest paths, skipping it reaches every later
+stop no later.  So the least waiting is the best order of the distinct
+pickup stops alone, drop-offs after.  By (c) no lateness clips at 0 and
+the shuttle never idles, so that waiting splits into a constant and a
+time-free latency: ``sum_j w_j * (t0 - request_time_j)`` plus the least,
+over orders of the distinct pickup stops, of ``sum_s W_s * d_s``.  Here
+``W_s`` is the summed waiting weight of the pickups at stop ``s`` and
+``d_s`` the seconds the order takes from the heading stop to ``s``.
+One pickup stop has one order.  With more, the latency depends only on
+the heading stop and the ``(s, W_s)`` pairs, so it is searched once per
+network and kept in ``TravelNetwork.latencies``; the search uses the
+route search's bound without request times and cuts on ``>=``.  The
+simulator always meets (c): a request is queued once placed, and a
+shuttle reaches its heading stop no earlier than now.  A call that
+fails any condition, such as a ``solve`` instance with a pickup dated
+after t0, runs the route search.  So :func:`optimal_cost` returns
 exactly ``optimal_sequence(...)[0]`` (or ``None``) and raises exactly
 what that raises.
 """
@@ -63,6 +76,7 @@ what that raises.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .errors import UnknownStopError, UnreachableStopError
 from .network import TravelNetwork
@@ -90,8 +104,11 @@ def optimal_cost(
     """``optimal_sequence(...)[0]``, or ``None``, without the tie-broken route.
 
     Raises what :func:`optimal_sequence` raises.  Where capacity cannot
-    bind and the network is strongly connected, it searches only the
-    order of the distinct pickup stops (module docstring).
+    bind, the network is strongly connected and no pickup is due after
+    the shuttle's arrival time, the waiting is a constant plus a
+    time-free latency over the orders of the distinct pickup stops,
+    memoized on the network (module docstring).  A pickup dated after
+    the arrival time takes the route search.
     """
     return _optimum(v, new_requests, network, per_passenger, False)
 
@@ -120,6 +137,39 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
                                    if r in v.pending_pickups or r in v.pending_dropoffs))
         raise ValueError(f"requests already committed to shuttle {v.id}: {overlap}")
     index = network.index
+    if not route and network.strongly_connected:
+        # One walk over the pickups and riders: the summed waiting weight per
+        # pickup stop, the constant term, the load and whether some pickup is
+        # due after the shuttle's arrival time (module docstring).  Stops are
+        # looked up in the packing's order below, so an unknown one raises
+        # the same error.
+        now = v.arrival_time
+        weights: dict[int, int] = {}
+        base = load = 0
+        future = False
+        try:
+            start = index[v.heading_stop]
+            for pickups in (v.pending_pickups, new):
+                for r in pickups:
+                    s = index[r.pickup]
+                    index[r.dropoff]
+                    w = r.passengers if per_passenger else 1
+                    weights[s] = weights.get(s, 0) + w
+                    base += (now - r.request_time) * w
+                    load += r.passengers
+                    future = future or r.request_time > now
+            for r in v.pending_dropoffs:
+                index[r.dropoff]
+                load += r.passengers
+        except KeyError as err:
+            raise UnknownStopError(err.args[0]) from None
+        if not future and load <= v.capacity:
+            if len(weights) > 1:
+                return base + _latency(network, start, weights)
+            if weights:  # one pickup stop: no order to choose
+                ((s, w),) = weights.items()
+                return base + network.row(start)[s] * w
+            return 0
     ids = network.ids
     # Per request bit j: pickup and drop-off stop, request time, party size
     # and waiting weight.  Pickups take the low bits; riders aboard only
@@ -144,17 +194,6 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
     except KeyError as err:
         raise UnknownStopError(err.args[0]) from None
     capacity = v.capacity
-    # Riders aboard and every pickup's party fit the seats, and no leg can be
-    # missing: only the pickup order matters (module docstring).
-    if not route and sum(pax) <= capacity and network.strongly_connected:
-        if not pick_stop:
-            return 0
-        # stop -> [(request time, weight)] of the pickups due there
-        picks: dict[int, list[tuple[int, int]]] = {}
-        for j, s in enumerate(pick_stop):
-            picks.setdefault(s, []).append((due[j], weight[j]))
-        return _least_waiting(network.row(start), v.arrival_time,
-                              [(s, network.row(s), due_s) for s, due_s in picks.items()])
     root_pick = (1 << len(pick_stop)) - 1
     root_drop = (1 << len(drop_stop)) - 1 - root_pick
     onboard = sum(pax[len(pick_stop):])
@@ -249,49 +288,60 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
     return (best_w, tuple(ids[s] for s in best_seq)) if route else best_w
 
 
-def _least_waiting(row, now: int, picks) -> int:
-    """Least waiting over the orders of the pickup stops ``picks``.
+def _latency(network: TravelNetwork, start: int, weights: dict[int, int]) -> int:
+    """Least ``sum(W_s * d_s)`` over the orders of the pickup stops.
 
-    ``picks`` holds ``(stop, row, [(request time, weight), ...])`` per
-    distinct pickup stop; the shuttle leaves ``row``'s stop at ``now``.
-    Capacity and reach are not checked: :func:`optimal_cost` calls this
-    only where neither can fail.
+    ``weights`` maps each distinct pickup stop to its summed waiting
+    weight ``W_s``; ``d_s`` is the seconds the order takes from ``start``
+    to ``s``.  The result depends on nothing else, so it is kept in
+    ``network.latencies`` under the flat key ``(start, s1, W1, s2, W2,
+    ...)``, stops ascending.
+    """
+    key = (start, *chain.from_iterable(sorted(weights.items())))
+    latency = network.latencies.get(key)
+    if latency is None:
+        row = network.row
+        latency = network.latencies[key] = _least_latency(
+            row(start), [(s, row(s), w) for s, w in weights.items()])
+    return latency
+
+
+def _least_latency(row, picks) -> int:
+    """Least latency over the orders of the pickup stops ``picks``.
+
+    ``picks`` holds ``(stop, row, W)`` per distinct pickup stop; the
+    shuttle leaves ``row``'s stop at time 0, and reaching ``stop`` at
+    time t adds ``W * t``.  Reach is not checked: :func:`optimal_cost`
+    calls this only on a strongly connected network.
     """
     best = math.inf
     # (bound, position in picks, row, time, outstanding positions as a bit
-    # mask, waiting)
-    stack = [(0, -1, row, now, (1 << len(picks)) - 1, 0)]
+    # mask, latency)
+    stack = [(0, -1, row, 0, (1 << len(picks)) - 1, 0)]
     while stack:
-        bound, _, row, now, rest, waiting = stack.pop()
+        bound, _, row, now, rest, latency = stack.pop()
         if bound >= best:
             continue
         children = []
-        for i, (s, row_s, due_s) in enumerate(picks):
+        for i, (s, row_s, weight) in enumerate(picks):
             if not rest >> i & 1:
                 continue
             arrival = now + row[s]
-            w = waiting
-            depart = arrival
-            for due, weight in due_s:
-                if arrival > due:
-                    w += (arrival - due) * weight
-                elif due > depart:
-                    depart = due
+            w = latency + arrival * weight
             if w >= best:
                 continue
             left = rest ^ (1 << i)
             if not left:
                 best = w
                 continue
+            # Each outstanding stop t is reached no earlier than
+            # arrival + tt(s, t) (see the module docstring).
             bound = w
-            for k, (t, _, due_t) in enumerate(picks):
+            for k, (t, _, weight_t) in enumerate(picks):
                 if left >> k & 1:
-                    reach = depart + row_s[t]
-                    for due, weight in due_t:
-                        if reach > due:
-                            bound += (reach - due) * weight
+                    bound += (arrival + row_s[t]) * weight_t
             if bound < best:
-                children.append((bound, i, row_s, depart, left, w))
+                children.append((bound, i, row_s, arrival, left, w))
         # Lowest bound first: reversed so the stack pops ascending (bound, i).
         children.sort(reverse=True)
         stack += children

@@ -23,8 +23,12 @@ one ``list`` row per source stop, indexed by destination and filled on
 first use by one Dijkstra run (:meth:`TravelNetwork.row`), which marks
 unreachable stops ``None``.  ``strongly_connected``, computed once from
 the links on first use, says whether no stop is unreachable from any
-other.  Networks are immutable after construction, and filling a row or
-the flag is idempotent, so concurrent readers are fine.
+other.  ``latencies`` memoizes :mod:`odshuttle.costing`'s time-free
+pickup-order latencies, keyed by heading stop and per-stop weights; like
+a row, an entry is filled on first use and shared by every run on the
+network.  Networks are immutable after construction, and filling a row,
+the flag or a latency is idempotent (the same key always gets the same
+value), so concurrent readers are fine.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ class TravelNetwork:
         self.ids: tuple[StopId, ...] = tuple(sorted(self.stops))
         self.index: dict[StopId, int] = {stop: i for i, stop in enumerate(self.ids)}
         self._rows: list[list[int | None] | None] = [None] * len(self.ids)
+        # Time-free pickup-order latencies, filled on first use by costing.
+        self.latencies: dict[tuple[int, ...], int] = {}
         self._adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
         for i, (a, b, seconds) in enumerate(links):
             for stop in (a, b):

@@ -35,11 +35,14 @@ every plan covers only the problem's requests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .enumeration import PlanSet
 from .types import DispatchSolution, TripRequest
 
 DEFAULT_MISS_PENALTY = 3600
+
+_BY_ID = attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class DispatchProblem:
     miss_penalty: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "requests", tuple(sorted(self.requests, key=lambda r: r.id)))
+        object.__setattr__(self, "requests", tuple(sorted(self.requests, key=_BY_ID)))
         object.__setattr__(self, "miss_penalty", dict(self.miss_penalty))
         for r in self.requests:
             penalty = self.miss_penalty.setdefault(r.id, DEFAULT_MISS_PENALTY)

@@ -163,4 +163,5 @@ class DispatchSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "selected", dict(self.selected))
-        object.__setattr__(self, "missed", frozenset(self.missed))
+        if type(self.missed) is not frozenset:
+            object.__setattr__(self, "missed", frozenset(self.missed))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -412,10 +413,11 @@ def test_unknown_stop_raises(line_network, shuttle_at, pickup, dropoff, named):
 # -- optimal_cost --------------------------------------------------------------------
 #
 # optimal_cost must return optimal_sequence's cost, or None, and raise what it
-# raises.  Where capacity cannot bind and the network is strongly connected
-# it searches pickup orders only; elsewhere it runs the route search.  The
-# instances cover both: parties up to 3 against 1 to 4 seats make capacity
-# bind, and sparse graphs leave legs missing.
+# raises.  Where capacity cannot bind, the network is strongly connected and
+# no pickup is due after the shuttle's arrival time, it searches pickup
+# orders only, time-free; elsewhere it runs the route search.  The instances
+# cover both: parties up to 3 against 1 to 4 seats make capacity bind, sparse
+# graphs leave legs missing, and some pickups are dated in the future.
 
 
 def _cost_network(rng):
@@ -442,8 +444,9 @@ def _cost_network(rng):
     return TravelNetwork.graph(stops, links), ids
 
 
-def _cost_instance(rng):
-    network, ids = _cost_network(rng)
+def _cost_instance(rng, drawn=None):
+    """A shuttle, new requests and a network: ``drawn`` (network, stop ids) or a fresh one."""
+    network, ids = drawn or _cost_network(rng)
     count = [0]
 
     def make(prefix):
@@ -472,15 +475,27 @@ def _outcome(fn, *args):
         return type(err), str(err)
 
 
-def test_optimal_cost_equals_route_search_cost(monkeypatch):
+def _route_cost(*args):
+    """The cost :func:`optimal_sequence` finds, or its outcome when it finds none."""
+    want = _outcome(optimal_sequence, *args)
+    return want[0] if type(want) is tuple and type(want[0]) is int else want
+
+
+def _count_searches(monkeypatch):
+    """A list that grows by one per run of the time-free pickup-order search."""
     searched = []
-    least_waiting = costing._least_waiting
+    least_latency = costing._least_latency
 
     def counted(*args):
         searched.append(True)
-        return least_waiting(*args)
+        return least_latency(*args)
 
-    monkeypatch.setattr(costing, "_least_waiting", counted)
+    monkeypatch.setattr(costing, "_least_latency", counted)
+    return searched
+
+
+def test_optimal_cost_equals_route_search_cost(monkeypatch):
+    searched = _count_searches(monkeypatch)
     rng = random.Random(2121)
     seen = dict.fromkeys(("pickup orders", "route search", "route search infeasible",
                           "route search, legs missing", "missing leg", "already committed",
@@ -491,9 +506,7 @@ def test_optimal_cost_equals_route_search_cost(monkeypatch):
         searched.clear()
         got = _outcome(costing.optimal_cost, shuttle, new, network, per_passenger)
         fast = bool(searched)
-        want = _outcome(optimal_sequence, shuttle, new, network, per_passenger)
-        if type(want) is tuple and type(want[0]) is int:
-            want = want[0]
+        want = _route_cost(shuttle, new, network, per_passenger)
         assert got == want, f"instance {i}"
         if type(want) is tuple:
             seen["missing leg" if want[0] is UnreachableStopError else "already committed"] += 1
@@ -513,3 +526,115 @@ def test_optimal_cost_equals_route_search_cost(monkeypatch):
             assert got == best[0], f"instance {i}"
             seen["oracle"] += 1
     assert all(count >= 20 for count in seen.values()), seen
+
+
+# Where every pickup is due at or before the shuttle's arrival time t0, the
+# least waiting is a constant term plus a time-free latency, memoized on the
+# network.  These tests check that split from the outside.
+
+
+def _shifted(shuttle, new, delta):
+    """The instance with the arrival time and every request time ``delta`` later."""
+    def move(r):
+        return dataclasses.replace(r, request_time=r.request_time + delta)
+
+    return (dataclasses.replace(shuttle, arrival_time=shuttle.arrival_time + delta,
+                                pending_pickups={move(r) for r in shuttle.pending_pickups},
+                                pending_dropoffs={move(r) for r in shuttle.pending_dropoffs}),
+            {move(r) for r in new})
+
+
+def _due_by_arrival(shuttle, new):
+    """The shuttle arriving no earlier than its latest pickup is due."""
+    return dataclasses.replace(shuttle, arrival_time=max(
+        [shuttle.arrival_time, *(r.request_time for r in shuttle.pending_pickups | new)]))
+
+
+def test_shifting_every_time_leaves_cost_unchanged(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    rng = random.Random(2201)
+    for i in range(1200):
+        shuttle, new, network = _cost_instance(rng)
+        if rng.random() < 0.5:
+            shuttle = _due_by_arrival(shuttle, new)
+        per_passenger = rng.random() < 0.5
+        want = _outcome(costing.optimal_cost, shuttle, new, network, per_passenger)
+        moved, moved_new = _shifted(shuttle, new, rng.randint(1, 5000))
+        got = _outcome(costing.optimal_cost, moved, moved_new, network, per_passenger)
+        if type(want) is tuple and want[0] is UnreachableStopError:
+            # The pair a missing leg is named by follows the request sets'
+            # iteration order, which rebuilding the sets may change.
+            got, want = got[0], want[0]
+        assert got == want, f"instance {i}"
+    assert len(searched) >= 40
+
+
+def test_later_arrival_adds_its_delay_to_every_pickup(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    rng = random.Random(2202)
+    priced = 0
+    for i in range(600):
+        shuttle, new, network = _cost_instance(rng)
+        shuttle = _due_by_arrival(shuttle, new)
+        per_passenger = rng.random() < 0.5
+        delta = rng.randint(1, 5000)
+        later = dataclasses.replace(shuttle, arrival_time=shuttle.arrival_time + delta)
+        before = _outcome(costing.optimal_cost, shuttle, new, network, per_passenger)
+        after = _outcome(costing.optimal_cost, later, new, network, per_passenger)
+        if type(before) is int:
+            weight = sum(r.passengers if per_passenger else 1
+                         for r in shuttle.pending_pickups | new)
+            assert after == before + delta * weight, f"instance {i}"
+            priced += 1
+        else:
+            assert after == before, f"instance {i}"
+    assert priced >= 200 and len(searched) >= 30
+
+
+def test_warm_memo_prices_as_cold(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    rng = random.Random(2203)
+    for i in range(400):
+        shuttle, new, network = _cost_instance(rng)
+        per_passenger = rng.random() < 0.5
+        searched.clear()
+        cold = _outcome(costing.optimal_cost, shuttle, new, network, per_passenger)
+        ran = len(searched)
+        assert len(network.latencies) == ran, f"instance {i}"
+        warm = _outcome(costing.optimal_cost, shuttle, new, network, per_passenger)
+        assert warm == cold and len(searched) == ran, f"instance {i}"
+
+
+def test_shared_memo_matches_route_search():
+    # Instances on one network share its memo, so keys recur across
+    # instances that differ in times, riders and capacity.  Each is priced
+    # from every heading stop, weighted per request and per passenger.
+    rng = random.Random(2204)
+    for n in range(10):
+        drawn = _cost_network(rng)
+        for i in range(40):
+            shuttle, new, network = _cost_instance(rng, drawn)
+            for stop in drawn[1]:
+                v = dataclasses.replace(shuttle, heading_stop=stop)
+                for per_passenger in (False, True):
+                    want = _route_cost(v, new, network, per_passenger)
+                    assert _outcome(costing.optimal_cost, v, new, network, per_passenger) == want, \
+                        f"network {n}, instance {i}, from {stop}"
+
+
+def test_future_dated_pickup_takes_route_search(line_network, monkeypatch):
+    searched = _count_searches(monkeypatch)
+    rs = {req("r1", "B", "C", t=500), req("r2", "C", "D", t=510)}
+    assert costing.optimal_cost(idle(), rs, line_network) == 30
+    rng = random.Random(2205)
+    future = 0
+    for i in range(400):
+        shuttle, new, network = _cost_instance(rng)
+        if not any(r.request_time > shuttle.arrival_time for r in shuttle.pending_pickups | new):
+            continue
+        per_passenger = rng.random() < 0.5
+        want = _route_cost(shuttle, new, network, per_passenger)
+        assert _outcome(costing.optimal_cost, shuttle, new, network, per_passenger) == want, \
+            f"instance {i}"
+        future += 1
+    assert future >= 150 and not searched
