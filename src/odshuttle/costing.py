@@ -44,7 +44,10 @@ Three behaviors beyond the basic search:
 
 Ties between equal-cost sequences resolve to the lexicographically
 smallest stop-id sequence, so results never depend on set iteration
-order.
+order.  Nor do errors: an unknown stop is the first met taking the
+heading stop, then the requests by id (pickup, then drop-off), and a
+missing leg to an outstanding pickup names the pickup stop of lowest
+index.
 
 :func:`optimal_cost` needs no tie-break, and where three conditions
 hold it prices without the route search.  (a) Capacity cannot bind: the
@@ -140,9 +143,8 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
     if not route and network.strongly_connected:
         # One walk over the pickups and riders: the summed waiting weight per
         # pickup stop, the constant term, the load and whether some pickup is
-        # due after the shuttle's arrival time (module docstring).  Stops are
-        # looked up in the packing's order below, so an unknown one raises
-        # the same error.
+        # due after the shuttle's arrival time (module docstring).  An
+        # unknown stop raises what the packing below raises.
         now = v.arrival_time
         weights: dict[int, int] = {}
         base = load = 0
@@ -161,8 +163,8 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
             for r in v.pending_dropoffs:
                 index[r.dropoff]
                 load += r.passengers
-        except KeyError as err:
-            raise UnknownStopError(err.args[0]) from None
+        except KeyError:
+            raise _unknown_stop(v, new, index) from None
         if not future and load <= v.capacity:
             if len(weights) > 1:
                 return base + _latency(network, start, weights)
@@ -191,8 +193,8 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
         for r in v.pending_dropoffs:
             drop_stop.append(index[r.dropoff])
             pax.append(r.passengers)
-    except KeyError as err:
-        raise UnknownStopError(err.args[0]) from None
+    except KeyError:
+        raise _unknown_stop(v, new, index) from None
     capacity = v.capacity
     root_pick = (1 << len(pick_stop)) - 1
     root_drop = (1 << len(drop_stop)) - 1 - root_pick
@@ -271,7 +273,10 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
                 j = low.bit_length() - 1
                 leg = row_s[pick_stop[j]]
                 if leg is None:
-                    raise UnreachableStopError(f"no path from {ids[s]} to {ids[pick_stop[j]]}")
+                    # Name the lowest-index stop, whatever the packing order.
+                    missing = min(t for k, t in enumerate(pick_stop)
+                                  if rest >> k & 1 and row_s[t] is None)
+                    raise UnreachableStopError(f"no path from {ids[s]} to {ids[missing]}")
                 late = depart + leg - due[j]
                 if late > 0:
                     bound += late * weight[j]
@@ -286,6 +291,16 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
     if best_seq is None:
         return None
     return (best_w, tuple(ids[s] for s in best_seq)) if route else best_w
+
+
+def _unknown_stop(v: ShuttleState, new, index) -> UnknownStopError:
+    """The first stop ``index`` lacks: the heading stop, then the requests by
+    id, each pickup before its drop-off (a rider's drop-off only)."""
+    named = sorted([(r.id, r.pickup, r.dropoff) for r in chain(v.pending_pickups, new)]
+                   + [(r.id, r.dropoff) for r in v.pending_dropoffs])
+    for stop in chain((v.heading_stop,), *(stops[1:] for stops in named)):
+        if stop not in index:
+            return UnknownStopError(stop)
 
 
 def _latency(network: TravelNetwork, start: int, weights: dict[int, int]) -> int:

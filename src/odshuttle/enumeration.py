@@ -31,7 +31,7 @@ lowest-id vehicle is met and fills ``per_vehicle`` in that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .costing import optimal_cost, optimal_sequence
@@ -50,17 +50,18 @@ _EMPTY_PLAN = AssignmentPlan(_NO_REQUESTS, 0)
 class PlanSet:
     """Each vehicle's candidate plans, empty plan first, in vehicle-id order.
 
-    Vehicles of equal state map to the same tuple object.  ``plans`` is
-    every vehicle's list concatenated in that order; a plan's index there
-    is its vehicle's offset plus its rank in the list.
+    Vehicles of equal state map to the same tuple object.
     """
 
     per_vehicle: dict[str, tuple[AssignmentPlan, ...]]
-    plans: tuple[AssignmentPlan, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "per_vehicle", dict(sorted(self.per_vehicle.items())))
-        object.__setattr__(self, "plans", tuple(chain.from_iterable(self.per_vehicle.values())))
+
+    @property
+    def plans(self) -> tuple[AssignmentPlan, ...]:
+        """Every vehicle's list concatenated in vehicle-id order, built on each read."""
+        return tuple(chain.from_iterable(self.per_vehicle.values()))
 
 
 def plan_count_bound(n_vehicles: int, n_requests: int, cap: int) -> int:

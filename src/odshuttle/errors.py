@@ -23,24 +23,9 @@ class ConfigError(OdshuttleError, ValueError):
         super().__init__(message)
 
 
-class LegTimeError(OdshuttleError, ValueError):
-    """A network cannot time its legs: a metric network's speed is not
-    positive, or a metric leg or a graph link is not a finite number of
-    seconds >= 0.
-
-    ``stops`` names the leg's two stops when their distance alone
-    overflows or their link is at fault, and is empty when the speed is;
-    ``link`` is the position of a link at fault among those given.
-    """
-
-    def __init__(self, message, *stops, link=None):
-        self.stops = stops
-        self.link = link
-        super().__init__(message)
-
-
 class UnknownStopError(OdshuttleError, KeyError):
-    """A stop id does not resolve in the travel network."""
+    """A stop id does not resolve in the travel network at run time (a link
+    to an unknown stop is a :class:`ConfigError` when the network is built)."""
 
 
 class UnreachableStopError(OdshuttleError):

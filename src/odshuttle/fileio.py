@@ -40,7 +40,9 @@ Two rules place every other error.  A later line overrides an earlier
 one (a setting, ``mix``, ``speed``, ``walk_speed``, a stop's weight, a
 request's ``penalty``), and only the value that takes effect is checked.
 An object's error names the key at fault -- a setting, a stop, a stop's
-weight or an item's position -- and the load fails at that key's line.
+weight or an item's position (a network stop or link, a route, a rate
+piece) -- and the load fails at that key's line.  A ``ConfigError``
+carries those keys, and one handler, :func:`_at`, maps them to lines.
 The loader checks only the file's own rules: a ``[demand]`` section takes
 a file or a profile with a ``rate`` line, graph mode takes no ``speed``,
 and every stop, shuttle and request an instance line or a demand-file row
@@ -61,7 +63,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .demand import DemandProfile
-from .errors import ConfigError, LegTimeError, ParseError, UnknownStopError
+from .errors import ConfigError, ParseError
 from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork, TripType
 from .simulator import FixedRoute, ScenarioConfig, TripRecord
 from .solver import DispatchProblem, DEFAULT_MISS_PENALTY
@@ -220,9 +222,9 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
     """Build a ``[network]`` section; scenario configs and instances share it.
 
     The ``mode`` line settles which of ``speed`` and ``link`` the section
-    takes.  A network error names the line at fault: the repeated ``stop``,
-    the ``link`` at fault, the ``speed`` line, or the later ``stop`` line
-    of a pair whose distance overflows.
+    takes.  A network error names the key at fault, and the load fails at
+    its line: a ``stop`` (a repeat, or the later of a pair whose distance
+    overflows), a ``link``, or the ``speed``.
     """
     if not rows["mode"]:
         raise ParseError(path, end, "network section never declared a mode")
@@ -245,17 +247,11 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
             return TravelNetwork.graph(stops, [row.args for row in rows["link"]])
         make = TravelNetwork.euclidean if mode == EUCLIDEAN else TravelNetwork.manhattan
         return make(stops, _last(rows["speed"]))
-    except ConfigError as err:  # a repeated stop id
-        raise _at(path, err, {("stops", i): row.line for i, row in enumerate(rows["stop"])},
-                  end) from None
-    except UnknownStopError as err:  # at the first link naming the stop
-        line = next(row.line for row in rows["link"] if err.args[0] in row.args[:2])
-        raise ParseError(path, line, f"link names unknown stop {err}") from None
-    except LegTimeError as err:
-        if err.link is not None:
-            raise ParseError(path, rows["link"][err.link].line, str(err)) from None
-        lines = [row.line for row in rows["stop"] if row.args[0] in err.stops]
-        raise ParseError(path, max(lines, default=rows["speed"][-1].line), str(err)) from None
+    except ConfigError as err:
+        line_of = {("stops", i): row.line for i, row in enumerate(rows["stop"])}
+        line_of |= {("links", i): row.line for i, row in enumerate(rows["link"])}
+        line_of |= {"speed": row.line for row in rows["speed"][-1:]}
+        raise _at(path, err, line_of, end) from None
 
 
 def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:

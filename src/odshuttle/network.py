@@ -11,11 +11,14 @@ only in their links:
   longer than a detour through a third stop; the shortest path takes
   the detour's time.
 * ``graph`` -- the links given, with unlinked pairs possibly unreachable.
-  A link time that is not a finite number of seconds >= 0 raises
-  :class:`~odshuttle.errors.LegTimeError` naming the link's position.
 
-A repeated stop id raises :class:`~odshuttle.errors.ConfigError` naming
-its position, and a link to an unknown stop ``UnknownStopError(stop)``.
+Every fault in building a network raises
+:class:`~odshuttle.errors.ConfigError` naming its key: ``("stops", i)``
+for a repeated stop id at position i, ``("links", i)`` for a link to an
+unknown stop or with a time that is not a finite number of seconds >= 0,
+``("stops", j)`` for a metric leg whose distance overflows (j the later
+of its two stops), and ``"speed"`` for a speed that is not > 0 or so
+small that a leg overflows.
 
 Stops are numbered by sorted id (``index``/``ids``), so comparing index
 sequences orders them as the id sequences would.  Travel times live in
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import ConfigError, LegTimeError, UnknownStopError, UnreachableStopError
+from .errors import ConfigError, UnknownStopError, UnreachableStopError
 from .types import Stop, StopId, TripRequest
 
 EUCLIDEAN = "euclidean"
@@ -77,10 +80,10 @@ class TravelNetwork:
         for i, (a, b, seconds) in enumerate(links):
             for stop in (a, b):
                 if stop not in self.stops:
-                    raise UnknownStopError(stop)
+                    raise ConfigError(f"link names unknown stop {stop!r}", ("links", i))
             if not 0 <= seconds < math.inf:
-                raise LegTimeError(f"link {a}->{b}: traversal time {seconds} is not a finite "
-                                   "number of seconds >= 0", a, b, link=i)
+                raise ConfigError(f"link {a}->{b}: traversal time {seconds} is not a finite "
+                                  "number of seconds >= 0", ("links", i))
             self._adj[self.index[a]].append((self.index[b], int(math.ceil(seconds))))
 
     @classmethod
@@ -97,20 +100,19 @@ class TravelNetwork:
 
     @classmethod
     def _metric(cls, stops, speed: float, distance) -> "TravelNetwork":
-        """The complete graph of ceil'd ``distance / speed`` legs.
-
-        Raises :class:`LegTimeError` (a ``ValueError``) for a speed that is
-        not positive or a leg that is not a finite number of seconds.
-        """
+        """The complete graph of ceil'd ``distance / speed`` legs; faults as in the module docstring."""
         if not speed > 0:
-            raise LegTimeError(f"a metric network needs a positive speed (m/s), not {speed}")
+            raise ConfigError(f"a metric network needs a positive speed (m/s), not {speed}",
+                              "speed")
         stops = list(stops)
         legs = [(a, b, distance(a, b) / speed) for a in stops for b in stops if a is not b]
         for a, b, seconds in legs:
             if not math.isfinite(seconds):
-                at_fault = (a.id, b.id) if math.isinf(distance(a, b)) else ()
-                raise LegTimeError(f"leg {a.id}->{b.id} at {speed} m/s is not a finite "
-                                   "number of seconds", *at_fault)
+                at_fault = "speed"
+                if math.isinf(distance(a, b)):  # the later of the two stops
+                    at_fault = ("stops", max(i for i, s in enumerate(stops) if s is a or s is b))
+                raise ConfigError(f"leg {a.id}->{b.id} at {speed} m/s is not a finite "
+                                  "number of seconds", at_fault)
         return cls(stops, [(a.id, b.id, seconds) for a, b, seconds in legs])
 
     def stop_ids(self) -> list[StopId]:

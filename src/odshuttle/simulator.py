@@ -402,12 +402,10 @@ def _route_trip(route: FixedRoute, network, request, walk_speed):
     """(total, walk_to_stop, wait, ride, walk_from_stop) for one route, or None."""
     if not route.served_stops:
         return None
-    board = min(route.served_stops,
-                key=lambda s: (_walk_seconds(network, request.pickup, s, walk_speed), s))
-    alight = min(route.served_stops,
-                 key=lambda s: (_walk_seconds(network, request.dropoff, s, walk_speed), s))
-    walk_in = _walk_seconds(network, request.pickup, board, walk_speed)
-    walk_out = _walk_seconds(network, request.dropoff, alight, walk_speed)
+    walk_in, board = min((_walk_seconds(network, request.pickup, s, walk_speed), s)
+                         for s in route.served_stops)
+    walk_out, alight = min((_walk_seconds(network, request.dropoff, s, walk_speed), s)
+                           for s in route.served_stops)
     if board == alight:
         # Riding gains nothing; the trip is just the direct walk.
         direct = _walk_seconds(network, request.pickup, request.dropoff, walk_speed)

@@ -410,6 +410,26 @@ def test_unknown_stop_raises(line_network, shuttle_at, pickup, dropoff, named):
     assert err.value.args == (named,)
 
 
+def test_unknown_stop_named_in_request_id_order(line_network):
+    # The request whose id sorts first names its unknown stop, pickup before
+    # drop-off, however the request sets iterate: ids with a prefix iterate
+    # in many orders, and riders count among the requests.
+    for prefix in ("", "Z", "q", "req-", *(f"p{i}" for i in range(40))):
+        first, second = req(f"{prefix}a", "A", "Y"), req(f"{prefix}b", "X", "B")
+        rider = req(f"{prefix}c", "W", "V")
+        for shuttle, new in [(idle(), {second, first}),
+                             (idle(pending_pickups={second}), {first}),
+                             (idle(pending_pickups={first}), {second}),
+                             (idle(pending_dropoffs={rider}), {second, first})]:
+            for price in (optimal_sequence, costing.optimal_cost):
+                with pytest.raises(UnknownStopError) as err:
+                    price(shuttle, new, line_network)
+                assert err.value.args == ("Y",), (prefix, price.__name__)
+        with pytest.raises(UnknownStopError) as err:
+            optimal_sequence(idle(pending_dropoffs={rider}), {second}, line_network)
+        assert err.value.args == ("X",)
+
+
 # -- optimal_cost --------------------------------------------------------------------
 #
 # optimal_cost must return optimal_sequence's cost, or None, and raise what it
@@ -526,6 +546,37 @@ def test_optimal_cost_equals_route_search_cost(monkeypatch):
             assert got == best[0], f"instance {i}"
             seen["oracle"] += 1
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def _renamed(shuttle, new, prefix):
+    """The instance with ``prefix`` before every request id."""
+    def rename(r):
+        return dataclasses.replace(r, id=prefix + r.id)
+
+    return (dataclasses.replace(shuttle,
+                                pending_pickups={rename(r) for r in shuttle.pending_pickups},
+                                pending_dropoffs={rename(r) for r in shuttle.pending_dropoffs}),
+            {rename(r) for r in new})
+
+
+def test_renaming_requests_leaves_outcome_unchanged():
+    # A prefix keeps the ids' order but changes their hashes, so the request
+    # sets iterate in another order; the cost, the route and the missing leg
+    # an error names must not change.
+    rng = random.Random(7)
+    missing = 0
+    for i in range(3000):
+        shuttle, new, network = _cost_instance(rng)
+        renamed = _renamed(shuttle, new, "Z")
+        for price in (optimal_sequence, costing.optimal_cost):
+            want = _outcome(price, shuttle, new, network)
+            got = _outcome(price, *renamed, network)
+            if type(want) is tuple and want[0] is ValueError:  # the message names the ids
+                assert got == (ValueError, want[1].replace(": ", ": Z")), f"instance {i}"
+            else:
+                assert got == want, f"instance {i}"
+            missing += type(want) is tuple and want[0] is UnreachableStopError
+    assert missing >= 1000  # about 515 draws miss a leg, each priced twice
 
 
 # Where every pickup is due at or before the shuttle's arrival time t0, the

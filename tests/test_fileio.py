@@ -303,6 +303,14 @@ def test_instance_value_out_of_range_names_its_line(old, new, message):
                  id="unknown-mode"),
     pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "speed 10.0", "speed 0",
                  id="speed-not-positive"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "speed 10.0", "speed 1e-320",
+                 id="speed-so-small-a-leg-overflows"),
+    pytest.param(fileio.parse_instance_text, INSTANCE_TEXT, "speed 10", "speed 1e-320",
+                 id="instance-speed-so-small-a-leg-overflows"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT.replace("stop A 0 0", "stop A -1e308 0"),
+                 "stop B 500 0", "stop B 1e308 0", id="distance-overflows-at-later-stop"),
+    pytest.param(fileio.parse_instance_text, INSTANCE_TEXT.replace("stop A 0 0", "stop A -1e308 0"),
+                 "stop B 400 0", "stop B 1e308 0", id="instance-distance-overflows-at-later-stop"),
     pytest.param(fileio.parse_instance_text, GRAPH_INSTANCE_TEXT, "link B C 20", "link B Z 20",
                  id="link-unknown-stop"),
     pytest.param(fileio.parse_instance_text, GRAPH_INSTANCE_TEXT, "link B C 20", "link B C -20",

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from odshuttle import fileio
-from odshuttle.errors import LegTimeError, UnknownStopError, UnreachableStopError
+from odshuttle.errors import ConfigError, UnknownStopError, UnreachableStopError
 from odshuttle.network import Region, TravelNetwork, TripType, classify_trip
 from odshuttle.types import Stop, TripRequest
 
@@ -216,19 +216,23 @@ def test_bundled_networks_have_no_shorter_detour(name, speed):
 @pytest.mark.parametrize("make", [TravelNetwork.euclidean, TravelNetwork.manhattan])
 @pytest.mark.parametrize("speed", [0, -2.5])
 def test_metric_network_rejects_non_positive_speed(make, speed):
-    with pytest.raises(ValueError, match="positive speed"):
+    with pytest.raises(ConfigError, match="positive speed") as err:
         make([Stop("A", 0, 0), Stop("B", 3, 4)], speed=speed)
+    assert err.value.fields == ("speed",)
 
 
 @pytest.mark.parametrize("make", [TravelNetwork.euclidean, TravelNetwork.manhattan])
 @pytest.mark.parametrize("stops, speed, at_fault", [
-    pytest.param([Stop("A", 0, 0), Stop("B", 3, 4)], 1e-320, (), id="speed"),
-    pytest.param([Stop("A", 1e308, 0), Stop("B", -1e308, 0)], 9.0, ("A", "B"), id="distance"),
+    pytest.param([Stop("A", 0, 0), Stop("B", 3, 4)], 1e-320, "speed", id="speed"),
+    pytest.param([Stop("A", 1e308, 0), Stop("B", -1e308, 0)], 9.0, ("stops", 1), id="distance"),
+    pytest.param([Stop("A", 1e308, 0), Stop("B", -1e308, 0), Stop("C", 0, 0)], 9.0,
+                 ("stops", 1), id="distance-not-last-stop"),
 ])
 def test_metric_network_rejects_a_leg_that_overflows(make, stops, speed, at_fault):
-    with pytest.raises(ValueError, match="not a finite number of seconds") as err:
+    # An overflowing distance names the later of its two stops' positions.
+    with pytest.raises(ConfigError, match="not a finite number of seconds") as err:
         make(stops, speed=speed)
-    assert err.value.stops == at_fault
+    assert err.value.fields == (at_fault,)
 
 
 # -- region / classification -------------------------------------------------
@@ -295,20 +299,19 @@ def test_graph_rejects_negative_link():
     stops = [Stop("A", 0, 0), Stop("B", 1, 0)]
     with pytest.raises(ValueError) as err:
         TravelNetwork.graph(stops, [("A", "B", 3), ("A", "B", -3)])
-    assert err.value.link == 1
+    assert err.value.fields == (("links", 1),)
 
 
 @pytest.mark.parametrize("seconds", [math.inf, math.nan])
 def test_graph_rejects_a_link_time_that_is_not_finite(seconds):
     stops = [Stop("a", 0, 0), Stop("b", 1, 0)]
-    with pytest.raises(LegTimeError, match="link a->b: .* not a finite number") as err:
+    with pytest.raises(ConfigError, match="link a->b: .* not a finite number") as err:
         TravelNetwork.graph(stops, [("a", "b", seconds)])
-    assert err.value.stops == ("a", "b")
-    assert err.value.link == 0
+    assert err.value.fields == (("links", 0),)
 
 
 def test_graph_rejects_dangling_link():
     stops = [Stop("A", 0, 0)]
-    with pytest.raises(KeyError) as err:
+    with pytest.raises(ConfigError, match="link names unknown stop 'Z'") as err:
         TravelNetwork.graph(stops, [("A", "A", 0), ("A", "Z", 3)])
-    assert err.value.args == ("Z",)
+    assert err.value.fields == (("links", 1),)
