@@ -16,13 +16,15 @@ The route search is a depth-first branch and bound.  A branch is cut
 when its waiting so far plus a lower bound on the waiting still to come
 exceeds the incumbent.  The bound charges each outstanding pickup j,
 from a node that leaves stop s at time t,
-``max(0, t + tt(s, pickup_j) - request_time_j)`` (times party size
-when weighting per passenger).  The bound never overestimates, so the
-search stays exact: travel times are shortest paths, so any chain of
-legs from s to pickup_j takes at least ``tt(s, pickup_j)``, and idling
-for a future-dated request only adds time.  The cut is strict (``>``),
-so every sequence that ties the optimum is still reached and the
-tie-break below holds.
+``max(0, t + tt(s, pickup_j) - request_time_j)`` (times party size when
+weighting per passenger).  The bound never overestimates, so the search
+stays exact: travel times are shortest paths, so any chain of legs from
+s to pickup_j takes at least ``tt(s, pickup_j)``, and idling for a
+future-dated request only adds time.  The cut is strict (``>``), so
+every sequence that ties the optimum is still reached and the tie-break
+below holds.  No search here tests a child's waiting: it adds only its
+parent bound's terms for its pickups, so stays within that bound, which
+passed; a child making every pickup closes at it, leaving siblings none.
 
 Three behaviors beyond the basic search:
 
@@ -254,8 +256,6 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
                 if due[j] > depart:
                     depart = due[j]
                 bits ^= low
-            if w > best_w:
-                continue
             rest = pick_mask ^ picked
             drops = (drop_mask ^ dropped) | picked
             if not rest:
@@ -343,8 +343,6 @@ def _least_latency(row, picks) -> int:
                 continue
             arrival = now + row[s]
             w = latency + arrival * weight
-            if w >= best:
-                continue
             left = rest ^ (1 << i)
             if not left:
                 best = w

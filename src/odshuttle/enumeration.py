@@ -131,17 +131,11 @@ def _vehicle_plans(
     plans = [_EMPTY_PLAN]
     if max_outstanding is not None:
         cap = min(cap, max_outstanding - len(v.pending_pickups) - len(v.pending_dropoffs))
-    infeasible: list[frozenset] = []
     for k in range(1, cap + 1):
         for subset in combinations(requests, k):
             group = frozenset(subset)
-            # A capacity-infeasible subset stays infeasible with more riders.
-            if infeasible and any(bad <= group for bad in infeasible):
-                continue
             cost = optimal_cost(v, group, network, per_passenger)
-            if cost is None:
-                infeasible.append(group)
-            else:
+            if cost is not None:
                 plans.append(AssignmentPlan(group, cost - base_cost))
     return tuple(plans)
 

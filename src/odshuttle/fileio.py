@@ -45,10 +45,10 @@ piece) -- and the load fails at that key's line.  A ``ConfigError``
 carries those keys, and one handler, :func:`_at`, maps them to lines.
 The loader checks only the file's own rules: a ``[demand]`` section takes
 a file or a profile with a ``rate`` line, graph mode takes no ``speed``,
-and every stop, shuttle and request an instance line or a demand-file row
-names must be defined (route files have no network to check against).
-Every stop a scenario section names is checked by the object that holds
-the network, ``ScenarioConfig``, as are all rules that join its parts.
+every stop, shuttle and request an instance or demand-file row names must
+be defined, and an instance's shuttle and request stops must reach each
+other.  Every stop a scenario section names is checked by the object that
+holds the network, ``ScenarioConfig``, as are all rules that join its parts.
 
 Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type,
 where a trip_type is empty or one of intra, outbound and inbound.
@@ -468,6 +468,12 @@ def parse_instance_text(text: str, path="<instance>"):
             ))
         except ValueError as err:
             raise ParseError(path, row.line, str(err)) from None
+    try:  # a stop another cannot reach fails at its own line
+        network.check_reachable([v.heading_stop for v in shuttles]
+                                + [s for r in requests.values() for s in (r.pickup, r.dropoff)])
+    except ConfigError as err:
+        raise _at(path, err, {("network", row.args[0]): row.line
+                              for row in rows["network"]["stop"]}, end) from None
     open_requests = [r for rid, r in sorted(requests.items()) if rid not in claimed]
     params["penalties"] = penalties
     return open_requests, shuttles, network, params

@@ -165,6 +165,16 @@ class TravelNetwork:
                 return False
         return True
 
+    def check_reachable(self, stops) -> None:
+        """Raise ``ConfigError`` naming ``("network", b)`` for the first pair
+        of ``stops``, by id, whose stop b cannot be reached from its stop a."""
+        stops = [] if self.strongly_connected else sorted(set(stops))
+        for a in stops:
+            row = self.row(self.index[a])
+            for b in stops:
+                if row[self.index[b]] is None:
+                    raise ConfigError(f"stop {b} cannot be reached from stop {a}", ("network", b))
+
     def _shortest_paths(self, source: int) -> list[int | None]:
         dist: list[int | None] = [None] * len(self.ids)
         dist[source] = 0

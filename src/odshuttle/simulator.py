@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 
 from .demand import DemandProfile, check_drawable, generate_demand
 from .enumeration import enumerate_plans, plan_route
@@ -195,9 +195,7 @@ class ScenarioConfig:
         """Raise ``ConfigError`` naming ``("routes", i)``, ``("region", s)``,
         ``("fleet_start", i)`` or ``(key, i)`` for a stop outside the network, or
         ``("network", b)`` if stop b cannot be reached from a stop a shuttle may
-        be sent to: a start stop, a region stop or a stop of ``requests``.  A
-        strongly connected network reaches every pair, so only another one
-        has its pairs checked."""
+        be sent to: a start stop, a region stop or a stop of ``requests``."""
         index, region = self.network.index, self.region
         region_stops = sorted(region.member_stops | region.gateway_stations) if region else []
         named = [(("routes", i), s) for i, route in enumerate(self.routes)
@@ -209,15 +207,8 @@ class ScenarioConfig:
         for at, stop in named:
             if stop not in index:
                 raise ConfigError(f"unknown stop {stop!r}", at)
-        if self.network.strongly_connected:
-            return
-        stops = sorted({*self.start_stops(), *region_stops,
-                        *(s for r in requests for s in (r.pickup, r.dropoff))})
-        for a in stops:
-            row = self.network.row(index[a])
-            for b in stops:
-                if row[index[b]] is None:
-                    raise ConfigError(f"stop {b} cannot be reached from stop {a}", ("network", b))
+        self.network.check_reachable(chain(self.start_stops(), region_stops,
+                                           (s for r in requests for s in (r.pickup, r.dropoff))))
 
     def resolve_requests(self) -> list[TripRequest]:
         """The demand stream: explicit list if configured, else generated."""

@@ -71,9 +71,8 @@ def test_criterion_3_plan_set_cardinality():
         requests = [TripRequest(id=f"r{i:02d}", pickup=ids[i % len(ids)],
                                 dropoff=ids[(i + 3) % len(ids)], request_time=0)
                     for i in range(n_requests)]
-        got[(n_vehicles, n_requests, cap)] = len(
-            enumerate_plans(shuttles, requests, cap, network).plans
-        )
+        plans = enumerate_plans(shuttles, requests, cap, network)
+        got[(n_vehicles, n_requests, cap)] = sum(map(len, plans.per_vehicle.values()))
     report(3, got == expected, f"plan counts {got} match the binomial sums {expected}")
 
 

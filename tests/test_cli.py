@@ -258,6 +258,19 @@ def test_missing_config_reported_in_one_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_instance_stop_out_of_reach_reported_in_one_line(tmp_path, capsys):
+    text = ("[network]\nmode graph\nstop A 0 0\nstop B 0 0\nstop C 0 0\n"
+            "link A B 10\nlink B C 10\n[fleet]\nshuttle s1 A 0 4\n"
+            "[requests]\nrequest r1 0 B A 1\n")
+    path = tmp_path / "one_way.txt"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"odshuttle: {path}:3: stop A cannot be reached from stop B"]
+    assert captured.out == ""
+
+
 def test_out_of_range_instance_value_reported_in_one_line(tmp_path, capsys):
     text = (SCENARIOS / "instance_small.txt").read_text()
     path = tmp_path / "bad.txt"

@@ -32,7 +32,8 @@ def test_empty_assignment_costs_zero(line_network):
 def test_empty_assignment_costs_zero_with_commitments(line_network):
     v = idle(pending_pickups={req("p1", "B", "C")})
     plans = enumerate_plans([v], [], 1, line_network)
-    assert [(p.cost, plan_route(v, p, line_network)) for p in plans.plans] == [(0, ("B", "C"))]
+    assert [(p.cost, plan_route(v, p, line_network))
+            for p in plans.per_vehicle["v1"]] == [(0, ("B", "C"))]
 
 
 def test_single_request_cost_is_pickup_wait(line_network):
@@ -54,7 +55,7 @@ def test_marginal_cost_subtracts_committed_waiting(line_network):
     with_new = optimal_sequence(v, {new}, line_network)[0]
     assert (base, with_new) == (40, 80)
     plans = enumerate_plans([v], [new], 1, line_network)
-    assert [p.cost for p in plans.plans] == [0, with_new - base]
+    assert [p.cost for p in plans.per_vehicle["v1"]] == [0, with_new - base]
 
 
 def test_idle_empty_plan_evaluates_to_zero(line_network):
@@ -83,7 +84,7 @@ def test_infeasible_when_capacity_cannot_hold_shared_pickup(line_network):
     assert optimal_sequence(idle(capacity=1), rs, line_network) is None
     # The infeasible pair is dropped from the plan set, not priced.
     plans = enumerate_plans([idle(capacity=1)], sorted(rs, key=lambda r: r.id), 2, line_network)
-    assert [p.request_ids for p in plans.plans] == [(), ("r1",), ("r2",)]
+    assert [p.request_ids for p in plans.per_vehicle["v1"]] == [(), ("r1",), ("r2",)]
 
 
 def test_feasible_with_distinct_pickups_at_capacity_one(line_network):
@@ -124,7 +125,7 @@ def test_create_root_terminal_when_no_work(line_network):
     assert optimal_sequence(v, frozenset(), line_network) == (0, ())
     assert optimal_sequence(v, frozenset(), line_network, per_passenger=True) == (0, ())
     plans = enumerate_plans([v], [], 1, line_network)
-    assert [(p.cost, plan_route(v, p, line_network)) for p in plans.plans] == [(0, ())]
+    assert [(p.cost, plan_route(v, p, line_network)) for p in plans.per_vehicle["v1"]] == [(0, ())]
 
 
 def test_possible_stops_deduplicate_shared_pickup(line_network):

@@ -105,6 +105,13 @@ def test_mix_must_sum_to_one():
     assert err.value.fields == ("mix",)
 
 
+@pytest.mark.parametrize("mix", [(0.5, 0.5), (1.2, -0.2, 0.0)], ids=["two", "negative"])
+def test_mix_needs_three_non_negative_fractions(mix):
+    with pytest.raises(ConfigError, match="mix needs three non-negative fractions") as err:
+        DemandProfile(rates=((0, 10, 1.0),), mix=mix)
+    assert err.value.fields == ("mix",)
+
+
 def test_negative_rate_rejected():
     with pytest.raises(ValueError) as err:
         DemandProfile(rates=((0, 10, -1.0),))

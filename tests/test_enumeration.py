@@ -6,7 +6,8 @@ import pytest
 from odshuttle import enumeration
 from odshuttle.costing import optimal_cost, optimal_sequence
 from odshuttle.enumeration import enumerate_plans, plan_count_bound, plan_route
-from odshuttle.errors import InstanceTooLargeError
+from odshuttle.errors import InstanceTooLargeError, UnreachableStopError
+from odshuttle.fileio import write_plans_text
 from odshuttle.network import TravelNetwork
 from odshuttle.types import AssignmentPlan, ShuttleState, Stop, TripRequest
 
@@ -36,14 +37,15 @@ def test_fully_feasible_cardinality(n_vehicles, n_requests, cap, expected):
     rng = random.Random(5)
     net = make_grid_network(rng, 8)
     plans = enumerate_plans(shuttles_at(net, n_vehicles), requests_on(net, n_requests), cap, net)
-    assert len(plans.plans) == expected
+    assert sum(map(len, plans.per_vehicle.values())) == expected
     assert plan_count_bound(n_vehicles, n_requests, cap) == expected
 
 
 def test_no_requests_yields_only_empty_plans(line_network):
     plans = enumerate_plans(shuttles_at(line_network, 3), [], 2, line_network)
-    assert len(plans.plans) == 3
-    assert all(not p.requests and p.cost == 0 for p in plans.plans)
+    assert sum(map(len, plans.per_vehicle.values())) == 3
+    assert all(not p.requests and p.cost == 0
+               for candidates in plans.per_vehicle.values() for p in candidates)
 
 
 def test_every_vehicle_has_empty_plan(line_network):
@@ -80,21 +82,39 @@ def test_capacity_infeasible_plan_absent(line_network):
     r2 = TripRequest(id="r01", pickup="B", dropoff="D", request_time=0)
     assert exhaustive_best_sequence(v, {r1, r2}, line_network) is None
     plans = enumerate_plans([v], [r1, r2], 2, line_network)
-    subsets = [p.request_ids for p in plans.plans]
+    subsets = [p.request_ids for p in plans.per_vehicle["v00"]]
     assert ("r00", "r01") not in subsets
-    assert len(plans.plans) == 3  # empty + two singletons
+    assert len(plans.per_vehicle["v00"]) == 3  # empty + two singletons
+
+
+def test_every_subset_is_priced_past_an_over_capacity_one():
+    # a_big cannot fit, so neither can {a_big, b_t}; it is still priced, and
+    # on this graph T has no path back to P, so pricing it raises.
+    stops = [Stop(s, 0, 0) for s in "HPQTU"]
+    links = [(a, b, 10) for a, b in ("HP", "HT", "PQ", "QH", "TU", "PT", "QT")]
+    net = TravelNetwork.graph(stops, links)
+    v = ShuttleState(id="v00", heading_stop="H", arrival_time=0, capacity=4)
+    big = TripRequest(id="a_big", pickup="P", dropoff="Q", request_time=0, passengers=5)
+    small = TripRequest(id="b_t", pickup="T", dropoff="U", request_time=0)
+    assert [p.request_ids for p in enumerate_plans([v], [big, small], 1, net).per_vehicle["v00"]] \
+        == [(), ("b_t",)]
+    with pytest.raises(UnreachableStopError, match="no path from T to P"):
+        enumerate_plans([v], [big, small], 2, net)
 
 
 def test_indices_partition_exactly(line_network):
-    # A plan's index in ``plans`` is its vehicle's offset plus its rank.
+    # A plan's index in the plan dump is its vehicle's offset plus its rank.
     shuttles = shuttles_at(line_network, 3)
     plans = enumerate_plans(shuttles[::-1], requests_on(line_network, 3), 2, line_network)
     assert list(plans.per_vehicle) == [v.id for v in shuttles]
+    dump = write_plans_text(plans, lambda vid, plan: ())
+    dumped = [line.split()[:2] for line in dump.splitlines()[1:]]
     offset = 0
-    for candidates in plans.per_vehicle.values():
-        assert plans.plans[offset:offset + len(candidates)] == candidates
+    for vid, candidates in plans.per_vehicle.items():
+        assert dumped[offset:offset + len(candidates)] == [
+            [str(offset + rank), vid] for rank in range(len(candidates))]
         offset += len(candidates)
-    assert offset == len(plans.plans)
+    assert offset == len(dumped)
 
 
 def test_costs_match_fresh_costing_calls():
@@ -117,6 +137,12 @@ def test_canonical_plan_ordering(line_network):
     keys = [(vid, len(p.requests), p.request_ids)
             for vid, candidates in plans.per_vehicle.items() for p in candidates]
     assert keys == sorted(keys)
+
+
+def test_cap_below_one_rejected(line_network):
+    with pytest.raises(ValueError, match="max_new_requests must be >= 1"):
+        enumerate_plans(shuttles_at(line_network, 1), requests_on(line_network, 1), 0,
+                        line_network)
 
 
 def test_guard_rejects_oversized_instances(line_network):
@@ -269,4 +295,4 @@ def test_identical_shuttles_sequence_once(monkeypatch):
     calls.clear()
     plans = enumerate_plans(shuttles, requests, 3, network)
     assert len(calls) == 93
-    assert len(plans.plans) == 93_000
+    assert sum(map(len, plans.per_vehicle.values())) == 93_000

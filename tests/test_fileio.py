@@ -100,6 +100,25 @@ def test_network_requires_mode():
         fileio.parse_instance_text("[network]\nstop A 0 0\n")
 
 
+@pytest.mark.parametrize("token, value", [("yes", True), ("no", False)])
+def test_scenario_flag_takes_yes_and_no(token, value):
+    text = SCENARIO_TEXT.replace("seed 5", f"seed 5\nwaiting_per_passenger {token}")
+    assert fileio.parse_scenario_text(text).waiting_per_passenger is value
+
+
+@pytest.mark.parametrize("parse, text", [
+    pytest.param(fileio.parse_instance_text, "[network]\nmode euclidean\nspeed 10\n",
+                 id="instance"),
+    pytest.param(fileio.parse_scenario_text,
+                 "[scenario]\nhorizon 600\nfleet_size 1\n[network]\nmode graph\n", id="scenario"),
+])
+def test_network_without_stops_fails_at_last_line(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text, path="bad.txt")
+    last = len(text.splitlines())
+    assert str(err.value) == f"bad.txt:{last}: network has no stops"
+
+
 def test_network_bad_number_names_line():
     with pytest.raises(ParseError) as err:
         fileio.parse_instance_text("[network]\nmode euclidean\nspeed ten\nstop A 0 0\n")
@@ -266,6 +285,8 @@ request r1 0 A B 1
                  id="committed-twice"),
     pytest.param("[requests]\npenalty r404 10", "undefined request r404",
                  id="penalty-undefined-request"),
+    pytest.param("[fleet]\nshuttle s003 A 0 0", "shuttle s003: capacity must be >= 1",
+                 id="shuttle-capacity-0"),
 ])
 def test_instance_rejects_bad_reference(line, message):
     text, line_no = _parse_with_line(fileio.parse_instance_text, INSTANCE_TEXT, line)
@@ -363,6 +384,18 @@ def test_instance_value_out_of_range_names_its_line(old, new, message):
                  "rate 0 900 40.0", "rate 0 600 20.0", id="demand-file-and-profile"),
     pytest.param(fileio.parse_instance_text, GRAPH_INSTANCE_TEXT, "# toy network", "speed 9.0",
                  id="graph-speed"),
+    pytest.param(fileio.parse_instance_text, INSTANCE_TEXT, "stop B 400 0",
+                 "link A B 10\nstop B 400 0", id="metric-mode-link"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT.replace("mix 0.8 0.2 0.0\n", ""),
+                 "rate 0 900 40.0", "file .", id="demand-file-unreadable"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "shuttle_capacity 4",
+                 "shuttle_capacity 0", id="shuttle-capacity"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "max_requests_per_plan 2",
+                 "max_requests_per_plan 0", id="max-requests-per-plan"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "miss_penalty 1000",
+                 "miss_penalty -1", id="miss-penalty"),
+    pytest.param(fileio.parse_scenario_text, SCENARIO_TEXT, "dispatch_interval 30",
+                 "max_requests_per_tick 0", id="max-requests-per-tick"),
 ])
 def test_section_error_names_offending_line(parse, text, old, new):
     lines = text.splitlines()
@@ -430,6 +463,32 @@ def test_graph_stop_a_shuttle_cannot_reach_fails_at_load(tmp_path, demand):
     path.write_text(GRAPH_SCENARIO_TEXT.replace("link c b 10", "link c b 10\nlink c a 10")
                     + demand)
     assert fileio.load_scenario(path).network.travel_time("b", "a") == 20
+
+
+ONE_WAY_INSTANCE_TEXT = """\
+[network]
+mode graph
+stop A 0 0
+stop B 0 0
+stop C 0 0
+link A B 10
+link B C 10
+[fleet]
+shuttle s1 A 0 4
+[requests]
+request r1 0 B A 1
+"""
+
+
+def test_instance_stop_a_shuttle_cannot_reach_fails_at_load():
+    # The shuttle heads to A, and r1 rides from B back to A; no link leaves B
+    # for A.  The load fails at the line of the stop not reached.
+    with pytest.raises(ParseError) as err:
+        fileio.parse_instance_text(ONE_WAY_INSTANCE_TEXT, path="bad.txt")
+    line_no = ONE_WAY_INSTANCE_TEXT.splitlines().index("stop A 0 0") + 1
+    assert str(err.value) == f"bad.txt:{line_no}: stop A cannot be reached from stop B"
+    linked = ONE_WAY_INSTANCE_TEXT.replace("link B C 10", "link B C 10\nlink C A 10")
+    assert fileio.parse_instance_text(linked)[2].travel_time("B", "A") == 20
 
 
 def test_trips_csv_shape():
@@ -515,6 +574,7 @@ def test_wrong_arity_is_a_parse_error(fmt, section, key, count):
     "[baseline]\nroute r2 20 10 sideways A B",
     "[baseline]\nroute r2 20 10 two_way A Z",
     "[baseline]\nroute r2 30 0.004 two_way A B",
+    "[baseline]\nroute r2 20 10 two_way A B A",
     "[region]\nmember D",
     "[demand]\nmember_weight G1 2.0",
     "[demand]\ngateway_weight A 2.0",

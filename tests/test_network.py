@@ -37,6 +37,8 @@ def test_travel_time_manhattan():
 def test_travel_time_unknown_stop(line_network):
     with pytest.raises(UnknownStopError):
         line_network.travel_time("A", "Z")
+    with pytest.raises(UnknownStopError):
+        line_network.travel_time("Z", "A")
 
 
 def test_graph_three_node_line():

@@ -46,6 +46,8 @@ def test_zero_demand_shuttles_never_move():
     result = run_scenario(line_config(fleet_size=3))
     assert result.records == []
     assert result.summary.utilization == 0.0
+    # Neither a request list nor a profile: no demand at all.
+    assert line_config(demand_requests=None).resolve_requests() == []
 
 
 def test_colocated_pickup_waits_until_next_tick():
@@ -572,6 +574,11 @@ def retired_routes():
 
 def test_min_fleet_for_retired_lines():
     assert min_fleet_fixed_routes(retired_routes()) == 8
+
+
+def test_min_fleet_requires_routes():
+    with pytest.raises(ValueError, match="no routes given"):
+        min_fleet_fixed_routes([])
 
 
 def test_min_fleet_single_circular():

@@ -57,7 +57,7 @@ def test_zero_penalties_allow_zero_objective():
     assert brute_force_dispatch(problem).objective == 0
 
 
-EMPTY, SERVE = simple_problem().plan_set.plans
+EMPTY, SERVE = simple_problem().plan_set.per_vehicle["v00"]
 STRAY = AssignmentPlan(cost=10, requests=SERVE.requests | {
     TripRequest(id="r99", pickup="A", dropoff="B", request_time=0)})
 
@@ -68,6 +68,7 @@ MALFORMED = [
     pytest.param((replace(EMPTY, cost=5), SERVE), id="empty-plan-at-cost-5"),
     pytest.param((EMPTY, SERVE, EMPTY), id="two-empty-plans"),
     pytest.param((EMPTY, SERVE, STRAY), id="request-outside-problem"),
+    pytest.param((), id="no-plans"),
 ]
 
 
@@ -151,7 +152,7 @@ def test_single_vehicle_closed_form():
         got = solve_dispatch(problem).objective
         total_penalty = sum(problem.penalty(r.id) for r in problem.requests)
         best = None
-        for plan in problem.plan_set.plans:
+        for plan in (p for plans in problem.plan_set.per_vehicle.values() for p in plans):
             value = plan.cost + total_penalty - sum(problem.penalty(r.id) for r in plan.requests)
             best = value if best is None else min(best, value)
         assert got == best
@@ -296,9 +297,10 @@ def test_raising_penalty_forces_service():
         if not solution.missed:
             continue
         target = sorted(solution.missed)[0]
-        coverable = any(target in {r.id for r in p.requests} for p in problem.plan_set.plans)
+        every_plan = [p for plans in problem.plan_set.per_vehicle.values() for p in plans]
+        coverable = any(target in {r.id for r in p.requests} for p in every_plan)
         bump = dict(problem.miss_penalty)
-        bump[target] = 1 + sum(p.cost for p in problem.plan_set.plans) + sum(
+        bump[target] = 1 + sum(p.cost for p in every_plan) + sum(
             v for k, v in problem.miss_penalty.items() if k != target
         )
         bumped = DispatchProblem(requests=problem.requests,
@@ -330,6 +332,11 @@ def test_request_missed_status_monotone_in_own_penalty():
         checked += 1
 
 
+def test_negative_miss_penalty_rejected():
+    with pytest.raises(ValueError, match="request r00: miss penalty must be >= 0"):
+        simple_problem(penalty=-1)
+
+
 def test_brute_force_guard():
     problem = simple_problem()
     with pytest.raises(InstanceTooLargeError):
@@ -352,7 +359,7 @@ def test_check_solution_flags_served_and_missed():
 
 def test_check_solution_flags_unserved_unmissed():
     problem = simple_problem()
-    empty = problem.plan_set.plans[0]
+    empty = problem.plan_set.per_vehicle["v00"][0]
     doctored = DispatchSolution(selected={"v00": empty}, missed=frozenset(), objective=0)
     assert any("exactly one" in v for v in check_solution(problem, doctored))
 
@@ -369,6 +376,17 @@ def test_check_solution_flags_wrong_objective():
     doctored = replace(solution)
     object.__setattr__(doctored, "objective", solution.objective + 1)
     assert any("recomputed" in v for v in check_solution(problem, doctored))
+
+
+@pytest.mark.parametrize("selected, missed, flagged", [
+    pytest.param({"v00": STRAY}, frozenset(), "plan for v00 serves unknown request r99",
+                 id="served"),
+    pytest.param({"v00": SERVE}, frozenset({"r99"}), "missed set names unknown request r99",
+                 id="missed"),
+])
+def test_check_solution_flags_unknown_request(selected, missed, flagged):
+    doctored = DispatchSolution(selected=selected, missed=missed, objective=0)
+    assert flagged in check_solution(simple_problem(), doctored)
 
 
 def test_check_solution_flags_foreign_plan():

@@ -1,7 +1,7 @@
 import pytest
 
 from odshuttle.enumeration import plan_route
-from odshuttle.types import AssignmentPlan, ShuttleState, Stop, TripRequest
+from odshuttle.types import AssignmentPlan, DispatchSolution, ShuttleState, Stop, TripRequest
 
 
 def test_request_rejects_equal_endpoints():
@@ -21,6 +21,21 @@ def test_stop_rejects_non_finite_coordinates():
         Stop("A", float("nan"), 0.0)
     with pytest.raises(ValueError):
         Stop("A", 0.0, float("inf"))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Stop("", 0.0, 0.0), "stop id must be non-empty", id="stop-id"),
+    pytest.param(lambda: TripRequest(id="", pickup="A", dropoff="B", request_time=0),
+                 "request id must be non-empty", id="request-id"),
+    pytest.param(lambda: ShuttleState(id="", heading_stop="A", arrival_time=0),
+                 "shuttle id must be non-empty", id="shuttle-id"),
+    pytest.param(lambda: ShuttleState(id="v1", heading_stop="A", arrival_time=0, capacity=0),
+                 "shuttle v1: capacity must be >= 1", id="shuttle-capacity-0"),
+])
+def test_value_objects_reject_empty_ids_and_no_seats(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_shuttle_onboard_derived_from_pending_dropoffs():
@@ -67,3 +82,5 @@ def test_value_objects_still_freeze_any_iterable(line_network):
     idle = ShuttleState(id="v2", heading_stop="A", arrival_time=0)
     assert plan.requests == frozenset({r}) and plan_route(idle, plan, line_network) == ("A", "B")
     assert hash(plan) == hash(AssignmentPlan(requests=frozenset({r}), cost=5))
+    solution = DispatchSolution(selected={}, missed={"r1"}, objective=0)
+    assert type(solution.missed) is frozenset and solution.missed == {"r1"}
