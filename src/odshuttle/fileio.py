@@ -49,6 +49,10 @@ every stop, shuttle and request an instance or demand-file row names must
 be defined, and an instance's shuttle and request stops must reach each
 other.  Every stop a scenario section names is checked by the object that
 holds the network, ``ScenarioConfig``, as are all rules that join its parts.
+An instance holds no ``ScenarioConfig``, so its loader checks its
+``[params]`` and ``penalty`` values itself, but against the config's bound
+table (``simulator.LEAST``), and takes a missing param's default from the
+config's field default.
 
 Demand files are CSV: id,request_time,pickup,dropoff,passengers,trip_type,
 where a trip_type is empty or one of intra, outbound and inbound.
@@ -64,9 +68,9 @@ from typing import NamedTuple
 
 from .demand import DemandProfile
 from .errors import ConfigError, ParseError
-from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork, TripType
-from .simulator import FixedRoute, ScenarioConfig, TripRecord
-from .solver import DispatchProblem, DEFAULT_MISS_PENALTY
+from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork
+from .simulator import LEAST, TRIP_TYPES, FixedRoute, ScenarioConfig, TripRecord
+from .solver import DispatchProblem
 from .types import DispatchSolution, ShuttleState, Stop, TripRequest
 
 # -- the grammar ------------------------------------------------------------------
@@ -277,7 +281,6 @@ def _check_stops(network: TravelNetwork, path: str, line_no: int, *stops) -> Non
 # -- demand ---------------------------------------------------------------------
 
 DEMAND_HEADER = ["id", "request_time", "pickup", "dropoff", "passengers", "trip_type"]
-TRIP_TYPES = tuple(t.value for t in TripType)
 
 
 def parse_demand_csv(text: str, network: TravelNetwork,
@@ -408,13 +411,11 @@ def parse_instance_text(text: str, path="<instance>"):
     rows, end = _lines(text, path, _INSTANCE)
     network = _network(rows["network"], path, end)
     fleet = rows["fleet"]
-    params = {
-        "max_requests_per_plan": _last(rows["params"]["max_requests_per_plan"], 3),
-        "miss_penalty": _last(rows["params"]["miss_penalty"], DEFAULT_MISS_PENALTY),
-    }
-    for key, least in (("max_requests_per_plan", 1), ("miss_penalty", 0)):
-        if params[key] < least:
-            raise ParseError(path, rows["params"][key][-1].line, f"{key} must be >= {least}")
+    params = {key: _last(found, getattr(ScenarioConfig, key))
+              for key, found in rows["params"].items()}
+    for key, value in params.items():
+        if value < LEAST[key]:
+            raise ParseError(path, rows["params"][key][-1].line, f"{key} must be >= {LEAST[key]}")
 
     requests: dict[str, TripRequest] = {}
     for row in rows["requests"]["request"]:
@@ -431,8 +432,8 @@ def parse_instance_text(text: str, path="<instance>"):
     for rid, row in {row.args[0]: row for row in rows["requests"]["penalty"]}.items():
         if rid not in requests:
             raise ParseError(path, row.line, f"penalty for undefined request {rid}")
-        if row.args[1] < 0:
-            raise ParseError(path, row.line, f"penalty for {rid} must be >= 0")
+        if row.args[1] < LEAST["miss_penalty"]:
+            raise ParseError(path, row.line, f"penalty for {rid} must be >= {LEAST['miss_penalty']}")
         penalties[rid] = row.args[1]
 
     shuttle_rows: dict[str, _Row] = {}

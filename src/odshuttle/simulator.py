@@ -65,6 +65,11 @@ from .reporting import SummaryStats, summarize
 from .solver import DEFAULT_MISS_PENALTY, DispatchProblem, solve_dispatch
 from .types import ShuttleState, StopId, TripRequest
 
+# Every whole number of seconds up to 2**53 is exact in a float; past it, low digits are noise.
+MAX_SECONDS = 2**53
+TRIP_TYPES = tuple(t.value for t in TripType)
+
+
 @dataclass(frozen=True)
 class FixedRoute:
     """A conventional bus line kept for the baseline comparison."""
@@ -79,10 +84,11 @@ class FixedRoute:
         object.__setattr__(self, "served_stops", tuple(self.served_stops))
         # The baseline rides up to len(stops) - 1 segments of the one-way time.
         longest_ride = self.one_way_minutes * 60.0 * max(len(self.served_stops) - 1, 1)
-        if not 0 < longest_ride < math.inf:
-            raise ValueError(f"route {self.name}: one-way time must be positive and finite")
-        if not 1 <= self.headway_minutes * 60 < math.inf:  # departures run on whole seconds
-            raise ValueError(f"route {self.name}: headway must be at least 1 s and finite")
+        if not 0 < longest_ride <= MAX_SECONDS:
+            raise ValueError(f"route {self.name}: one-way time must be positive "
+                             "and time its rides within 2**53 s")
+        if not 1 <= self.headway_minutes * 60 <= MAX_SECONDS:  # departures run on whole seconds
+            raise ValueError(f"route {self.name}: headway must be at least 1 s and at most 2**53 s")
         if self.shape not in ("two_way", "circular"):
             raise ValueError(f"route {self.name}: shape must be two_way or circular")
         if len(self.served_stops) != len(set(self.served_stops)):
@@ -130,6 +136,12 @@ class TripRecord:
         return None if self.dropoff_time is None else self.dropoff_time - self.request_time
 
 
+# The least value of each integer setting; the dispatch-instance loader reads it too.
+LEAST = {"horizon": 1, "dispatch_interval": 1, "fleet_size": 1, "shuttle_capacity": 1,
+         "max_requests_per_plan": 1, "miss_penalty": 0, "max_requests_per_tick": 1,
+         "bin_seconds": 60}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run needs; see docs/README for the file schema."""
@@ -156,59 +168,62 @@ class ScenarioConfig:
     bin_seconds: int = 900
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1", "horizon")
-        if self.dispatch_interval < 1:
-            raise ConfigError("dispatch_interval must be >= 1", "dispatch_interval")
-        if self.fleet_size < 1:
-            raise ConfigError("fleet_size must be >= 1", "fleet_size")
-        if self.shuttle_capacity < 1:
-            raise ConfigError("shuttle_capacity must be >= 1", "shuttle_capacity")
-        if self.max_requests_per_plan < 1:
-            raise ConfigError("max_requests_per_plan must be >= 1", "max_requests_per_plan")
-        if self.miss_penalty < 0:
-            raise ConfigError("miss_penalty must be >= 0", "miss_penalty")
+        for key, least in LEAST.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}", key)
         if self.max_defer <= self.dispatch_interval:
             raise ConfigError("max_defer must exceed dispatch_interval",
                               "max_defer", "dispatch_interval")
-        if self.max_requests_per_tick < 1:
-            raise ConfigError("max_requests_per_tick must be >= 1", "max_requests_per_tick")
         if self.max_outstanding is not None and self.max_outstanding < 1:
             raise ConfigError("max_outstanding must be >= 1", "max_outstanding")
-        if self.bin_seconds < 60:
-            raise ConfigError("bin_seconds must be >= 60", "bin_seconds")
         stops = self.network.stops.values()
         longest_walk = max((math.hypot(a.x - b.x, a.y - b.y) for a in stops for b in stops),
                            default=0.0)
-        if not (self.walk_speed > 0 and math.isfinite(longest_walk / self.walk_speed)):
+        if not (self.walk_speed > 0 and longest_walk / self.walk_speed <= MAX_SECONDS):
             raise ConfigError("walk_speed must be positive and time every walk between stops "
-                              "in a finite number of seconds", "walk_speed")
+                              "within 2**53 s", "walk_speed")
         if not self.network.index:
             raise ConfigError("the network has no stops", "network")
-        self._check_stops(self.demand_requests or (), "demand_requests")
+        self._check_known(chain(
+            ((("routes", i), s) for i, route in enumerate(self.routes) for s in route.served_stops),
+            ((("region", s), s) for s in self._region_stops()),
+            ((("fleet_start", i), s) for i, s in enumerate(self.fleet_start))))
+        self._check_requests(self.demand_requests or (), "demand_requests")
+        for rid, kind in self.demand_types.items():
+            if kind not in TRIP_TYPES:
+                raise ConfigError(f"unknown trip type {kind!r} (expected one of "
+                                  f"{', '.join(TRIP_TYPES)})", ("demand_types", rid))
         if self.demand_profile is not None:
             if self.region is None:
                 raise ConfigError("a demand profile needs a region to draw from", "region")
             check_drawable(self.demand_profile, self.region)
 
-    def _check_stops(self, requests, key: str) -> None:
-        """Raise ``ConfigError`` naming ``("routes", i)``, ``("region", s)``,
-        ``("fleet_start", i)`` or ``(key, i)`` for a stop outside the network, or
-        ``("network", b)`` if stop b cannot be reached from a stop a shuttle may
-        be sent to: a start stop, a region stop or a stop of ``requests``."""
-        index, region = self.network.index, self.region
-        region_stops = sorted(region.member_stops | region.gateway_stations) if region else []
-        named = [(("routes", i), s) for i, route in enumerate(self.routes)
-                 for s in route.served_stops]
-        named += [(("region", s), s) for s in region_stops]
-        named += [(("fleet_start", i), s) for i, s in enumerate(self.fleet_start)]
-        named += [((key, i), s) for i, r in enumerate(requests)  # requests may be many: the bad only
-                  for s in (r.pickup, r.dropoff) if s not in index]
+    def _region_stops(self) -> list[StopId]:
+        region = self.region
+        return sorted(region.member_stops | region.gateway_stations) if region else []
+
+    def _check_known(self, named) -> None:
+        """Raise ``ConfigError`` naming ``at`` for the first ``(at, stop)`` off the network."""
         for at, stop in named:
-            if stop not in index:
+            if stop not in self.network.index:
                 raise ConfigError(f"unknown stop {stop!r}", at)
-        self.network.check_reachable(chain(self.start_stops(), region_stops,
+
+    def _check_requests(self, requests, key: str) -> None:
+        """The rules of a request stream, in order.  Raise ``ConfigError`` naming
+        ``(key, i)`` if request i has a stop outside the network; ``("network", b)``
+        if stop b cannot be reached from a stop a shuttle may be sent to (a start
+        stop, a region stop or a stop of ``requests``); ``(key, i)`` if request i
+        repeats the id of an earlier one."""
+        index = self.network.index
+        self._check_known(((key, i), s) for i, r in enumerate(requests)  # many: the bad only
+                          for s in (r.pickup, r.dropoff) if s not in index)
+        self.network.check_reachable(chain(self.start_stops(), self._region_stops(),
                                            (s for r in requests for s in (r.pickup, r.dropoff))))
+        seen = set()
+        for i, r in enumerate(requests):
+            if r.id in seen:
+                raise ConfigError(f"duplicate request id in demand: {r.id}", (key, i))
+            seen.add(r.id)
 
     def resolve_requests(self) -> list[TripRequest]:
         """The demand stream: explicit list if configured, else generated."""
@@ -248,21 +263,16 @@ class ScenarioResult:
 def _demand(config: ScenarioConfig, requests) -> tuple[list[TripRequest], dict[str, TripRecord]]:
     """``requests`` (else the configured stream) before the horizon, by (time, id),
     and a fresh record per id in that order.  Given ``requests`` pass the config's
-    stop rule (``_check_stops``); a repeated id raises ``ValueError``."""
+    request-stream rules (``ScenarioConfig._check_requests``) first."""
     if requests is None:
         requests = config.resolve_requests()
     else:
         requests = list(requests)
-        config._check_stops(requests, "requests")
+        config._check_requests(requests, "requests")
     demand = sorted((r for r in requests if r.request_time < config.horizon),
                     key=lambda r: (r.request_time, r.id))
-    records: dict[str, TripRecord] = {}
-    for r in demand:
-        if r.id in records:
-            raise ValueError(f"duplicate request id in demand: {r.id}")
-        records[r.id] = TripRecord(id=r.id, request_time=r.request_time,
-                                   trip_type=config.trip_type_of(r))
-    return demand, records
+    return demand, {r.id: TripRecord(id=r.id, request_time=r.request_time,
+                                     trip_type=config.trip_type_of(r)) for r in demand}
 
 
 def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:

@@ -38,6 +38,21 @@ def idle_fleet_instance(n_shuttles):
     return network, requests, shuttles
 
 
+def twin_fleet_instance():
+    """Twelve shuttles (cap 8) idle at m00 at time 0 on the 4x4 ``m`` grid of
+    lowridership.cfg (600 m spacing, 9 m/s), each owing one pickup c<i> from
+    m11 to m22, and eight requests.  The states differ only by request id."""
+    stops = [Stop(f"m{i}{j}", 600 * j, 600 * i) for i in range(4) for j in range(4)]
+    network = TravelNetwork.euclidean(stops, speed=9.0)
+    ids = network.stop_ids()
+    shuttles = [ShuttleState(id=f"v{i:02d}", heading_stop="m00", arrival_time=0, capacity=8,
+                             pending_pickups={TripRequest(f"c{i}", "m11", "m22", 0)})
+                for i in range(12)]
+    requests = [TripRequest(f"r{k}", ids[(3 * k + 1) % 16], ids[(5 * k + 8) % 16], 0)
+                for k in range(8)]
+    return network, requests, shuttles
+
+
 # Size table for randomized sequencing instances: (new, committed-pickup,
 # committed-onboard) combos kept small enough that the exhaustive oracle
 # stays tractable (at most 10 pickup/drop-off actions).

@@ -223,6 +223,8 @@ def test_bad_config_reported_in_one_line(tmp_path, capsys):
     pytest.param({"stop m00 0 0": "stop m00 1e308 0", "stop m33 1800 1800": "stop m33 -1e308 0"},
                  "stop m33 -1e308 0", id="stop"),
     pytest.param({"walk_speed 1.3": "walk_speed 1e-320"}, "walk_speed 1e-320", id="walk-speed"),
+    pytest.param({"walk_speed 1.3": "walk_speed 1e-300"}, "walk_speed 1e-300",
+                 id="walk-speed-past-exact-seconds"),
     pytest.param({"mix 0.7 0.2 0.1": "mix 0.7 0.2 0.1\nmember_weight m00 -100"},
                  "member_weight m00 -100", id="negative-weight"),
     pytest.param({"mix 0.7 0.2 0.1": "mix 0.7 0.2 0.1\ngateway_weight g01 0\ngateway_weight g02 0"},
@@ -246,7 +248,8 @@ def test_fleetcalc_overflowing_route_reported_in_one_line(tmp_path, capsys):
     path.write_text("route r1 1e307 30 two_way a b\n")
     assert main(["fleetcalc", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"odshuttle: {path}:1: route r1: one-way time must be positive and finite"]
+        f"odshuttle: {path}:1: route r1: one-way time must be positive "
+        "and time its rides within 2**53 s"]
 
 
 def test_missing_config_reported_in_one_line(tmp_path, capsys):

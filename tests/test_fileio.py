@@ -522,10 +522,16 @@ def test_routes_file():
     message, line_no = _parse_with_line(fileio.parse_routes_text, "route a 30 35 two_way\n",
                                         "route b 30 0.004 two_way")
     assert f"bad.txt:{line_no}: route b: headway must be at least 1 s" in message
-    # 1e307 min is 6e308 s, past the largest float.
+    # 1e307 min is 6e308 s, past the largest float; 1e300 min is 6e301 s, past
+    # 2**53 s, where a float stops holding every whole second.
+    for one_way in ("1e307", "1e300"):
+        message, line_no = _parse_with_line(fileio.parse_routes_text, "route a 30 35 two_way\n",
+                                            f"route c {one_way} 30 two_way")
+        assert (f"bad.txt:{line_no}: route c: one-way time must be positive "
+                "and time its rides within 2**53 s") in message
     message, line_no = _parse_with_line(fileio.parse_routes_text, "route a 30 35 two_way\n",
-                                        "route c 1e307 30 two_way")
-    assert f"bad.txt:{line_no}: route c: one-way time must be positive and finite" in message
+                                        "route d 30 1e15 two_way")
+    assert f"bad.txt:{line_no}: route d: headway must be at least 1 s and at most 2**53 s" in message
 
 
 # -- malformed lines, generated from the grammar tables --------------------------

@@ -25,7 +25,7 @@ from odshuttle.cli import main
 from odshuttle.demand import DemandProfile
 from odshuttle.errors import ConfigError, OdshuttleError
 from odshuttle.network import Region, TravelNetwork
-from odshuttle.simulator import FixedRoute, ScenarioConfig, run_baseline, run_scenario
+from odshuttle.simulator import TRIP_TYPES, FixedRoute, ScenarioConfig, run_baseline, run_scenario
 from odshuttle.types import Stop, TripRequest
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -229,7 +229,8 @@ def test_fuzz_repeated_lines(tmp_path, capsys):
 def random_config(rng: random.Random, seed: int) -> ScenarioConfig:
     """A small config whose parts may not join: a graph network with links
     dropped (or a metric one), and region, route, start and demand stops
-    drawn partly from outside it."""
+    drawn partly from outside it; now and then a request repeats an id or
+    is declared a trip type that does not exist."""
     ids = [f"n{i}" for i in range(rng.randint(2, 6))]
     stops = [Stop(s, rng.uniform(0, 2000), rng.uniform(0, 2000)) for s in ids]
     if rng.random() < 0.7:
@@ -250,18 +251,23 @@ def random_config(rng: random.Random, seed: int) -> ScenarioConfig:
         members = some(4)
         region = Region(members, [s for s in some(2) if s not in members])
     profile = requests = None
+    types = {}
     if rng.random() < 0.5:
         profile = DemandProfile(rates=((0, 1800, rng.choice([20.0, 60.0])),),
                                 mix=rng.choice([(1.0, 0.0, 0.0), (0.5, 0.3, 0.2), (0.0, 0.0, 1.0)]),
                                 member_weights={s: rng.choice([0.0, 1.0]) for s in some(2)},
                                 gateway_weights={s: 1.0 for s in some(1)})
     else:
-        requests = tuple(TripRequest(f"r{i}", *some(2, least=2), rng.randint(0, 1700))
-                         for i in range(rng.randint(0, 6)))
+        n = rng.randint(0, 6)
+        requests = tuple(TripRequest(f"r{rng.randrange(n) if rng.random() < 0.1 else i}",
+                                     *some(2, least=2), rng.randint(0, 1700)) for i in range(n))
+        types = {r.id: rng.choice(["intra", "outbound", "inbound", "bogus"])
+                 for r in requests if rng.random() < 0.3}
     routes = tuple(FixedRoute(f"b{i}", 20, 10, "two_way", tuple(some(3)))
                    for i in range(rng.randint(0, 2)))
     return ScenarioConfig(horizon=1800, fleet_size=rng.randint(1, 3), network=network,
                           region=region, demand_profile=profile, demand_requests=requests,
+                          demand_types=types,
                           fleet_start=tuple(some(2)), routes=routes, seed=seed, max_defer=600)
 
 
@@ -274,10 +280,13 @@ def test_fuzz_library_configs():
         except ConfigError as err:
             rules |= {key[0] if isinstance(key, tuple) else key for key in err.fields}
             continue
+        # A config that constructs repeats no request id and declares only known types.
+        ids = [r.id for r in config.demand_requests or ()]
+        assert len(set(ids)) == len(ids) and set(config.demand_types.values()) <= set(TRIP_TYPES)
         run_scenario(config)
         run_baseline(config)
         built += 1
     assert 30 < built < 270
     # Every rule that joins two parts was reached.
-    assert {"routes", "region", "fleet_start", "demand_requests", "network", "mix",
-            "member_weights", "gateway_weights"} <= rules, rules
+    assert {"routes", "region", "fleet_start", "demand_requests", "demand_types", "network",
+            "mix", "member_weights", "gateway_weights"} <= rules, rules

@@ -170,10 +170,14 @@ def test_full_shuttle_defers_pickup_until_after_dropoff():
 
 
 def test_duplicate_demand_ids_rejected():
-    demand = (req("r1", "A", "B", 0), req("r1", "B", "C", 5))
+    # A stream passed to a run fails before the first tick, naming the later
+    # request, though it is placed past the horizon (a config's own stream
+    # fails at construction: test_config_rejects_parts_that_do_not_join).
+    demand = (req("r1", "A", "B", 0), req("r2", "A", "C", 0), req("r1", "B", "C", 5000))
     for run in (run_scenario, run_baseline):
-        with pytest.raises(ValueError, match="duplicate request id in demand: r1"):
-            run(line_config(demand_requests=demand))
+        with pytest.raises(ConfigError, match="duplicate request id in demand: r1") as err:
+            run(line_config(), requests=demand)
+        assert err.value.fields == (("requests", 2),)
 
 
 def test_config_validation():
@@ -208,6 +212,11 @@ MEMBERS = Region(member_stops={"A", "B"}, gateway_stations={"D"})
                  id="region-stop-outside-network"),
     pytest.param({"demand_requests": (req("r1", "A", "B", 0), req("r2", "A", "q", 5))},
                  (("demand_requests", 1),), id="request-stop-outside-network"),
+    pytest.param({"demand_requests": (req("r1", "A", "B", 0), req("r2", "A", "C", 0),
+                                      req("r1", "B", "C", 5))},
+                 (("demand_requests", 2),), id="repeated-request-id"),
+    pytest.param({"demand_requests": (req("r1", "A", "B", 0),), "demand_types": {"r1": "bogus"}},
+                 (("demand_types", "r1"),), id="unknown-trip-type"),
     pytest.param({"demand_requests": None,
                   "demand_profile": DemandProfile(rates=((0, 600, 10.0),))},
                  ("region",), id="profile-without-region"),

@@ -1,4 +1,5 @@
 import random
+import signal
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,8 @@ from odshuttle.network import TravelNetwork
 from odshuttle.solver import DispatchProblem, check_solution, solve_dispatch
 from odshuttle.types import AssignmentPlan, DispatchSolution, ShuttleState, Stop, TripRequest
 
-from conftest import idle_fleet_instance, make_grid_network, random_dispatch_problem
+from conftest import (idle_fleet_instance, make_grid_network, random_dispatch_problem,
+                      twin_fleet_instance)
 from oracles import brute_force_dispatch
 
 
@@ -275,6 +277,29 @@ def test_thousand_enumerated_shuttles_solve_like_eight():
     solution = solve_dispatch(large)
     assert check_solution(large, solution) == []
     assert solution.objective == solve_dispatch(problem(shuttles[:8])).objective
+
+
+def test_twins_apart_only_by_request_ids_solve_as_one_class():
+    # Enumeration prices each twin apart, so each holds its own plan tuple;
+    # only the class key by content, not by tuple, makes them one class.  Keyed
+    # by tuple alone this solve ran past 60 s on a 2-core host; keyed by content, 3 ms.
+    network, requests, shuttles = twin_fleet_instance()
+    problem = DispatchProblem(requests=tuple(requests), miss_penalty={r.id: 3600 for r in requests},
+                              plan_set=enumerate_plans(shuttles, requests, 3, network,
+                                                       max_outstanding=6))
+
+    def give_up(signum, frame):
+        raise TimeoutError("the twelve twins took over 5 s to solve")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        solution = solve_dispatch(problem)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert check_solution(problem, solution) == []
+    assert solution.objective == 1267
 
 
 def test_objective_never_exceeds_missing_everything():
