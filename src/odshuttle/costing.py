@@ -26,6 +26,12 @@ below holds.  No search here tests a child's waiting: it adds only its
 parent bound's terms for its pickups, so stays within that bound, which
 passed; a child making every pickup closes at it, leaving siblings none.
 
+On a network that is not strongly connected, a call first applies the
+loaders' reach rule (:meth:`TravelNetwork.check_reachable`) to its stops:
+one that another cannot reach raises :class:`UnreachableStopError`
+naming the first such pair by id, even where a route could avoid the
+missing leg.  So no search here meets one.
+
 Three behaviors beyond the basic search:
 
 * Capacity is tracked per search state.  At a stop, alighting happens
@@ -34,33 +40,29 @@ Three behaviors beyond the basic search:
   is infeasible.
 * Once every pickup is done, all remaining drop-off orders cost the
   same (zero added waiting), so such branches close immediately by
-  appending the outstanding drop-off stops in id order; each leg of
-  that tail must be drivable, else :class:`UnreachableStopError`.
+  appending the outstanding drop-off stops in id order.
 * A shuttle with no committed work and one new request has one
   sequence, ``(pickup, dropoff)``, priced in closed form without the
   search: the lateness at the pickup, ``max(0, arrival_time +
   tt(heading, pickup) - request_time)``, times the party size when
-  weighting per passenger.  A call it cannot price (an unknown stop, a
-  party over capacity, a missing leg) falls through to the search.
-  It is the commonest call under sparse demand.
+  weighting per passenger, or ``None`` for a party over capacity.  It
+  is the commonest call under sparse demand.
 
 Ties between equal-cost sequences resolve to the lexicographically
 smallest stop-id sequence, so results never depend on set iteration
 order.  Nor do errors: an unknown stop is the first met taking the
-heading stop, then the requests by id (pickup, then drop-off), and a
-missing leg to an outstanding pickup names the pickup stop of lowest
-index.
+heading stop, then the requests by id (pickup, then drop-off), and it
+wins over a missing leg.
 
-:func:`optimal_cost` needs no tie-break, and where three conditions
-hold it prices without the route search.  (a) Capacity cannot bind: the
-riders aboard plus every pickup's party fit the seats.  (b) No leg can be
-missing: the network is one strongly connected component.  (c) No pickup
-is dated in the future: every pickup's request time is at or before the
-shuttle's arrival time t0 at its heading stop.  By (a) and (b) a visit
-that only drops riders off never helps: it adds no waiting, and by the
-triangle inequality of shortest paths, skipping it reaches every later
-stop no later.  So the least waiting is the best order of the distinct
-pickup stops alone, drop-offs after.  By (c) no lateness clips at 0 and
+:func:`optimal_cost` needs no tie-break, and where two conditions hold
+it prices without the route search.  (a) Capacity cannot bind: the
+riders aboard plus every pickup's party fit the seats.  (b) No pickup is
+dated in the future: every pickup's request time is at or before the
+shuttle's arrival time t0 at its heading stop.  By (a) a visit that only
+drops riders off never helps: it adds no waiting, and by the triangle
+inequality of shortest paths, skipping it reaches every later stop no
+later.  So the least waiting is the best order of the distinct
+pickup stops alone, drop-offs after.  By (b) no lateness clips at 0 and
 the shuttle never idles, so that waiting splits into a constant and a
 time-free latency: ``sum_j w_j * (t0 - request_time_j)`` plus the least,
 over orders of the distinct pickup stops, of ``sum_s W_s * d_s``.  Here
@@ -70,7 +72,7 @@ One pickup stop has one order.  With more, the latency depends only on
 the heading stop and the ``(s, W_s)`` pairs, so it is searched once per
 network and kept in ``TravelNetwork.latencies``; the search uses the
 route search's bound without request times and cuts on ``>=``.  The
-simulator always meets (c): a request is queued once placed, and a
+simulator always meets (b): a request is queued once placed, and a
 shuttle reaches its heading stop no earlier than now.  A call that
 fails any condition, such as a ``solve`` instance with a pickup dated
 after t0, runs the route search.  So :func:`optimal_cost` returns
@@ -83,7 +85,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .errors import UnknownStopError, UnreachableStopError
+from .errors import ConfigError, UnknownStopError, UnreachableStopError
 from .network import TravelNetwork
 from .types import ShuttleState, StopId
 
@@ -98,7 +100,9 @@ def optimal_sequence(
     shuttle's current heading stop (a first element equal to it means
     "act there on arrival").  ``per_passenger`` weights each request's
     waiting by its party size.  A new request already committed to the
-    shuttle is a ``ValueError``.
+    shuttle is a ``ValueError``; a stop off the network, or one that
+    another stop of the call cannot reach, raises as the module docstring
+    says.
     """
     return _optimum(v, new_requests, network, per_passenger, True)
 
@@ -109,11 +113,10 @@ def optimal_cost(
     """``optimal_sequence(...)[0]``, or ``None``, without the tie-broken route.
 
     Raises what :func:`optimal_sequence` raises.  Where capacity cannot
-    bind, the network is strongly connected and no pickup is due after
-    the shuttle's arrival time, the waiting is a constant plus a
-    time-free latency over the orders of the distinct pickup stops,
-    memoized on the network (module docstring).  A pickup dated after
-    the arrival time takes the route search.
+    bind and no pickup is due after the shuttle's arrival time, the
+    waiting is a constant plus a time-free latency over the orders of the
+    distinct pickup stops, memoized on the network (module docstring).  A
+    pickup dated after the arrival time takes the route search.
     """
     return _optimum(v, new_requests, network, per_passenger, False)
 
@@ -122,27 +125,39 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
              route: bool):
     """The least waiting, with its route when ``route`` is set, or ``None``."""
     new = frozenset(new_requests)
-    if not (v.pending_pickups or v.pending_dropoffs):
+    idle = not (v.pending_pickups or v.pending_dropoffs)
+    if idle:
         if not new:
             return (0, ()) if route else 0
-        if len(new) == 1:
-            # One sequence is possible: price it in closed form (module docstring).
-            (r,) = new
-            index = network.index
-            start, p, d = index.get(v.heading_stop), index.get(r.pickup), index.get(r.dropoff)
-            if (start is not None and p is not None and d is not None
-                    and r.passengers <= v.capacity):
-                leg = network.row(start)[p]
-                if leg is not None and network.row(p)[d] is not None:
-                    late = v.arrival_time + leg - r.request_time
-                    cost = (late if late > 0 else 0) * (r.passengers if per_passenger else 1)
-                    return (cost, (r.pickup, r.dropoff)) if route else cost
     elif not (new.isdisjoint(v.pending_pickups) and new.isdisjoint(v.pending_dropoffs)):
         overlap = ", ".join(sorted(r.id for r in new
                                    if r in v.pending_pickups or r in v.pending_dropoffs))
         raise ValueError(f"requests already committed to shuttle {v.id}: {overlap}")
     index = network.index
-    if not route and network.strongly_connected:
+    if not network.strongly_connected:
+        # The loaders' reach rule, applied to the call's stops (module docstring).
+        stops = {v.heading_stop, *(r.dropoff for r in v.pending_dropoffs)}
+        stops.update(*((r.pickup, r.dropoff) for r in chain(v.pending_pickups, new)))
+        if not stops <= index.keys():
+            raise _unknown_stop(v, new, index)
+        try:
+            network.check_reachable(stops)
+        except ConfigError as err:
+            raise UnreachableStopError(str(err)) from None
+    if idle and len(new) == 1:
+        # One sequence is possible: price it in closed form (module docstring).
+        (r,) = new
+        try:
+            leg = network.row(index[v.heading_stop])[index[r.pickup]]
+            index[r.dropoff]
+        except KeyError:
+            raise _unknown_stop(v, new, index) from None
+        if r.passengers > v.capacity:
+            return None
+        late = v.arrival_time + leg - r.request_time
+        cost = (late if late > 0 else 0) * (r.passengers if per_passenger else 1)
+        return (cost, (r.pickup, r.dropoff)) if route else cost
+    if not route:
         # One walk over the pickups and riders: the summed waiting weight per
         # pickup stop, the constant term, the load and whether some pickup is
         # due after the shuttle's arrival time (module docstring).  An
@@ -174,7 +189,6 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
                 ((s, w),) = weights.items()
                 return base + network.row(start)[s] * w
             return 0
-    ids = network.ids
     # Per request bit j: pickup and drop-off stop, request time, party size
     # and waiting weight.  Pickups take the low bits; riders aboard only
     # need a drop-off stop and pax.
@@ -212,14 +226,14 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
     best_seq: tuple[int, ...] | None = None
 
     if not root_pick:
-        best_w, best_seq = 0, _drop_tail(stops, root_drop, start, network.row(start), ids)
+        best_w, best_seq = 0, _drop_tail(stops, root_drop)
         stack = []
     else:
         # (bound, stop, row, time, pick_mask, drop_mask, waiting, onboard, path)
         stack = [(0, start, network.row(start), v.arrival_time, root_pick, root_drop, 0,
                   onboard, ())]
     while stack:
-        bound, stop, row, now, pick_mask, drop_mask, waiting, onboard, path = stack.pop()
+        bound, _, row, now, pick_mask, drop_mask, waiting, onboard, path = stack.pop()
         if bound > best_w:
             continue
         children = []
@@ -241,10 +255,7 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
                 bits ^= low
             if load > capacity:
                 continue
-            leg = row[s]
-            if leg is None:
-                raise UnreachableStopError(f"no path from {ids[stop]} to {ids[s]}")
-            arrival = now + leg
+            arrival = now + row[s]
             w = waiting
             depart = arrival
             bits = picked
@@ -260,7 +271,7 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
             drops = (drop_mask ^ dropped) | picked
             if not rest:
                 # Only drop-offs remain: order is cost-free, close the branch.
-                seq = path + (s,) + _drop_tail(stops, drops, s, row_s, ids)
+                seq = path + (s,) + _drop_tail(stops, drops)
                 if w < best_w or seq < best_seq:  # w <= best_w here
                     best_w, best_seq = w, seq
                 continue
@@ -271,13 +282,7 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
             while bits:
                 low = bits & -bits
                 j = low.bit_length() - 1
-                leg = row_s[pick_stop[j]]
-                if leg is None:
-                    # Name the lowest-index stop, whatever the packing order.
-                    missing = min(t for k, t in enumerate(pick_stop)
-                                  if rest >> k & 1 and row_s[t] is None)
-                    raise UnreachableStopError(f"no path from {ids[s]} to {ids[missing]}")
-                late = depart + leg - due[j]
+                late = depart + row_s[pick_stop[j]] - due[j]
                 if late > 0:
                     bound += late * weight[j]
                 bits ^= low
@@ -290,7 +295,7 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
 
     if best_seq is None:
         return None
-    return (best_w, tuple(ids[s] for s in best_seq)) if route else best_w
+    return (best_w, tuple(network.ids[s] for s in best_seq)) if route else best_w
 
 
 def _unknown_stop(v: ShuttleState, new, index) -> UnknownStopError:
@@ -326,8 +331,8 @@ def _least_latency(row, picks) -> int:
 
     ``picks`` holds ``(stop, row, W)`` per distinct pickup stop; the
     shuttle leaves ``row``'s stop at time 0, and reaching ``stop`` at
-    time t adds ``W * t``.  Reach is not checked: :func:`optimal_cost`
-    calls this only on a strongly connected network.
+    time t adds ``W * t``.  Reach is not checked: :func:`_optimum` has
+    checked that every pickup stop reaches every other.
     """
     best = math.inf
     # (bound, position in picks, row, time, outstanding positions as a bit
@@ -361,13 +366,6 @@ def _least_latency(row, picks) -> int:
     return best
 
 
-def _drop_tail(stops, drops: int, stop: int, row, ids) -> tuple[int, ...]:
-    """The drop-off stops of ``drops`` in index order, driven from ``stop``."""
-    tail = []
-    for s, _, drop_s, row_s in stops:
-        if drops & drop_s:
-            if row[s] is None:
-                raise UnreachableStopError(f"no path from {ids[stop]} to {ids[s]}")
-            tail.append(s)
-            stop, row = s, row_s
-    return tuple(tail)
+def _drop_tail(stops, drops: int) -> tuple[int, ...]:
+    """The drop-off stops of ``drops`` in index order."""
+    return tuple(s for s, _, drop_s, _ in stops if drops & drop_s)

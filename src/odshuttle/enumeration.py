@@ -90,6 +90,9 @@ def enumerate_plans(
     if max_new_requests < 1:
         raise ValueError("max_new_requests must be >= 1")
     shuttles = sorted(shuttles, key=lambda v: v.id)
+    for a, b in zip(shuttles, shuttles[1:]):
+        if a.id == b.id:
+            raise ValueError(f"shuttle id {a.id} is repeated")
     requests = sorted(requests, key=lambda r: r.id)
     bound = plan_count_bound(len(shuttles), len(requests), max_new_requests)
     if bound > MAX_PLANS:

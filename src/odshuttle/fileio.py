@@ -516,16 +516,21 @@ def parse_trips_csv(text: str, path="<trips>") -> list[TripRecord]:
     records = []
     for row in reader:
         try:
-            records.append(TripRecord(
+            record = TripRecord(
                 id=row["id"],
                 request_time=int(row["request_time"]),
                 trip_type=row["trip_type"],
                 pickup_time=int(row["pickup_time"]) if row["pickup_time"] else None,
                 dropoff_time=int(row["dropoff_time"]) if row["dropoff_time"] else None,
                 status=row["status"],
-            ))
+            )
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(path, reader.line_num, f"bad trips row: {err}") from None
+        if record.status not in ("completed", "abandoned", "pending"):
+            raise ParseError(path, reader.line_num, f"unknown trip status {record.status!r}")
+        if record.status == "completed" and None in (record.pickup_time, record.dropoff_time):
+            raise ParseError(path, reader.line_num, "a completed trip needs both times")
+        records.append(record)
     return records
 
 

@@ -56,6 +56,9 @@ class DispatchProblem:
     def __post_init__(self):
         object.__setattr__(self, "requests", tuple(sorted(self.requests, key=_BY_ID)))
         object.__setattr__(self, "miss_penalty", dict(self.miss_penalty))
+        for a, b in zip(self.requests, self.requests[1:]):
+            if a.id == b.id:
+                raise ValueError(f"request id {a.id} is repeated")
         for r in self.requests:
             penalty = self.miss_penalty.setdefault(r.id, DEFAULT_MISS_PENALTY)
             if penalty < 0:

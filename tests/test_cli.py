@@ -98,6 +98,28 @@ def test_baseline_and_comparison(small_cfg, tmp_path):
     assert (base_out / "comparison.txt").read_text().startswith("Trip time comparison")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param(2, "", "a completed trip needs both times", id="completed-without-pickup"),
+    pytest.param(6, "bogus", "unknown trip status 'bogus'", id="unknown-status"),
+])
+def test_bad_comparison_trips_reported_in_one_line(small_cfg, tmp_path, capsys, field, value,
+                                                   message):
+    sim_out = tmp_path / "sim"
+    main(["simulate", str(small_cfg), "--out-dir", str(sim_out)])
+    lines = (sim_out / "trips.csv").read_text().splitlines()
+    line_no = next(i for i, line in enumerate(lines) if ",completed," in line)
+    row = lines[line_no].split(",")
+    row[field] = value
+    lines[line_no] = ",".join(row)
+    trips = tmp_path / "trips.csv"
+    trips.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["baseline", str(small_cfg), "--out-dir", str(tmp_path / "base"),
+                 "--compare-with", str(trips)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"odshuttle: {trips}:{line_no + 1}: {message}"]
+
+
 def test_sweep_outputs_per_size(small_cfg, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", str(small_cfg), "--sizes", "1", "2", "--out-dir", str(out)]) == 0

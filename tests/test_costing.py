@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
@@ -311,8 +312,9 @@ def test_bound_keeps_lexicographic_tie_on_ceiled_detour():
 # -- an idle shuttle pricing one request ---------------------------------------
 #
 # optimal_sequence answers this shape in closed form, without the search.
-# The oracle checks it on metric networks and on sparse graphs, where a
-# leg may be missing.
+# The oracle checks it on metric networks and on sparse graphs wherever
+# the call's stops reach each other; elsewhere the call raises the
+# loaders' reach error, even where the oracle finds a route.
 
 
 def _idle_one_request(rng):
@@ -340,60 +342,113 @@ def _priced(sequencer, shuttle, r, network, per_passenger):
         return "unreachable", str(err)
 
 
+def _unreached(network, stops):
+    """The loaders' message for the first pair of ``stops``, by id, whose second
+    stop cannot be reached from its first, or None when every pair connects."""
+    for a, b in product(sorted(set(stops)), repeat=2):
+        try:
+            network.travel_time(a, b)
+        except UnreachableStopError:
+            return f"stop {b} cannot be reached from stop {a}"
+    return None
+
+
 def test_idle_one_request_matches_oracle():
     rng = random.Random(1616)
     seen = set()
     for i in range(600):
         shuttle, r, network = _idle_one_request(rng)
+        unreached = _unreached(network, (shuttle.heading_stop, r.pickup, r.dropoff))
         for per_passenger in (False, True):
             got = _priced(optimal_sequence, shuttle, r, network, per_passenger)
             want = _priced(exhaustive_best_sequence, shuttle, r, network, per_passenger)
+            if unreached:
+                assert got == ("unreachable", unreached), f"instance {i}"
+                if r.passengers > shuttle.capacity:
+                    seen.add("over capacity on a missing leg")
+                elif type(want[0]) is int:
+                    seen.add("unreachable, though the oracle finds a route")
+                else:
+                    seen.add("unreachable leg")
+                continue
             assert got == want, f"instance {i} (per_passenger={per_passenger})"
             if shuttle.heading_stop == r.pickup:
                 seen.add("heading at pickup")
             if got is None:
                 seen.add("over capacity")
-                legs = ((shuttle.heading_stop, r.pickup), (r.pickup, r.dropoff))
-                if any(network.row(network.index[a])[network.index[b]] is None for a, b in legs):
-                    seen.add("over capacity on a missing leg")
-            elif got[0] == "unreachable":
-                seen.add("unreachable leg")
             elif got[0] == 0 and r.request_time > shuttle.arrival_time:
                 seen.add("future-dated")
             elif per_passenger and r.passengers > 1 and got[0] > 0:
                 seen.add("per passenger")
     assert seen == {"heading at pickup", "over capacity", "over capacity on a missing leg",
-                    "unreachable leg", "future-dated", "per passenger"}
+                    "unreachable leg", "unreachable, though the oracle finds a route",
+                    "future-dated", "per passenger"}
 
 
 # -- lookup errors ---------------------------------------------------------------
 
 
-# The search's bound may meet a different missing leg first than the
-# oracle does, so the message is pinned only where both name the same one.
+def _spokes():
+    """One-way spokes out of A: nothing leads back, and B and C do not connect."""
+    stops = [Stop("A", 0, 0), Stop("B", 1, 0), Stop("C", 2, 0)]
+    return TravelNetwork.graph(stops, [("A", "B", 5), ("A", "C", 7)])
+
+
+# The call's stops meet the loaders' reach rule before any search, so the
+# message names the first pair by id that does not connect.
 @pytest.mark.parametrize("shuttle_at, requests, aboard, message", [
-    pytest.param("B", [("r1", "A", "B")], [], "no path from B to A",
+    pytest.param("B", [("r1", "A", "B")], [], "stop A cannot be reached from stop B",
                  id="pickup-unreachable-from-shuttle"),
-    pytest.param("A", [("r1", "B", "A"), ("r2", "C", "A")], [], None,
-                 id="pickups-unreachable-between"),
-    pytest.param("A", [("r1", "B", "C")], [], "no path from B to C",
+    pytest.param("A", [("r1", "B", "A"), ("r2", "C", "A")], [],
+                 "stop A cannot be reached from stop B", id="pickups-unreachable-between"),
+    pytest.param("A", [("r1", "B", "C")], [], "stop A cannot be reached from stop B",
                  id="dropoff-unreachable-from-pickup"),
-    pytest.param("B", [], [("o1", "A", "C")], "no path from B to C",
+    pytest.param("B", [], [("o1", "A", "C")], "stop C cannot be reached from stop B",
                  id="dropoff-unreachable-from-shuttle"),
 ])
 def test_unreachable_stop_raises(shuttle_at, requests, aboard, message):
-    # One-way spokes out of A: nothing leads back, and B and C do not connect.
-    stops = [Stop("A", 0, 0), Stop("B", 1, 0), Stop("C", 2, 0)]
-    net = TravelNetwork.graph(stops, [("A", "B", 5), ("A", "C", 7)])
+    net = _spokes()
     rs = {req(rid, pickup, dropoff) for rid, pickup, dropoff in requests}
     riders = {req(rid, pickup, dropoff) for rid, pickup, dropoff in aboard}
     shuttle = idle(stop=shuttle_at, pending_dropoffs=riders)
-    with pytest.raises(UnreachableStopError) as want:
+    with pytest.raises(UnreachableStopError):
         exhaustive_best_sequence(shuttle, rs, net)
-    with pytest.raises(UnreachableStopError) as got:
-        optimal_sequence(shuttle, rs, net)
-    if message is not None:
-        assert str(want.value) == str(got.value) == message
+    for price in (optimal_sequence, costing.optimal_cost):
+        with pytest.raises(UnreachableStopError) as got:
+            price(shuttle, rs, net)
+        assert str(got.value) == message, price.__name__
+
+
+@pytest.mark.parametrize("shuttle_at, pickup, dropoff, named", [
+    pytest.param("B", "C", "Z", "Z", id="B-C-Z"),
+    pytest.param("Z", "B", "C", "Z", id="Z-B-C"),
+    pytest.param("C", "Y", "B", "Y", id="C-Y-B"),
+])
+def test_unknown_stop_wins_over_a_missing_path(shuttle_at, pickup, dropoff, named):
+    # B and C do not connect, and that pair sorts before the unknown stop.
+    for price in (optimal_sequence, costing.optimal_cost):
+        with pytest.raises(UnknownStopError) as err:
+            price(idle(stop=shuttle_at), {req("r1", pickup, dropoff)}, _spokes())
+        assert err.value.args == (named,), price.__name__
+
+
+def test_pickup_orders_priced_on_a_graph_that_is_not_strongly_connected(monkeypatch):
+    # A ring through A, B, C and D, and a stop X nothing reaches: the call's
+    # stops reach each other, so optimal_cost searches pickup orders only.
+    searched = _count_searches(monkeypatch)
+    stops = [Stop(s, 0, 0) for s in "ABCDX"]
+    links = [("A", "B", 30), ("B", "C", 40), ("C", "D", 20), ("D", "A", 50), ("X", "A", 10)]
+    net = TravelNetwork.graph(stops, links)
+    assert not net.strongly_connected
+    rs = {req("r1", "C", "A", t=5), req("r2", "B", "D"), req("r3", "D", "B", pax=2)}
+    v = idle(stop="A", t=60, capacity=5, pending_dropoffs={req("o1", "X", "C")})
+    for per_passenger in (False, True):
+        searched.clear()
+        cost = costing.optimal_cost(v, rs, net, per_passenger)
+        assert searched
+        want = exhaustive_best_sequence(v, rs, net, per_passenger)
+        assert optimal_sequence(v, rs, net, per_passenger) == want
+        assert cost == want[0]
 
 
 # Stops resolve heading first, then pickup, then drop-off: the first
@@ -434,11 +489,12 @@ def test_unknown_stop_named_in_request_id_order(line_network):
 # -- optimal_cost --------------------------------------------------------------------
 #
 # optimal_cost must return optimal_sequence's cost, or None, and raise what it
-# raises.  Where capacity cannot bind, the network is strongly connected and
-# no pickup is due after the shuttle's arrival time, it searches pickup
-# orders only, time-free; elsewhere it runs the route search.  The instances
-# cover both: parties up to 3 against 1 to 4 seats make capacity bind, sparse
-# graphs leave legs missing, and some pickups are dated in the future.
+# raises.  Where capacity cannot bind and no pickup is due after the
+# shuttle's arrival time, it searches pickup orders only, time-free, on any
+# network where the call's stops reach each other; elsewhere it runs the
+# route search.  The instances cover both: parties up to 3 against 1 to 4
+# seats make capacity bind, sparse graphs leave legs missing, and some
+# pickups are dated in the future.
 
 
 def _cost_network(rng):
@@ -613,10 +669,6 @@ def test_shifting_every_time_leaves_cost_unchanged(monkeypatch):
         want = _outcome(costing.optimal_cost, shuttle, new, network, per_passenger)
         moved, moved_new = _shifted(shuttle, new, rng.randint(1, 5000))
         got = _outcome(costing.optimal_cost, moved, moved_new, network, per_passenger)
-        if type(want) is tuple and want[0] is UnreachableStopError:
-            # The pair a missing leg is named by follows the request sets'
-            # iteration order, which rebuilding the sets may change.
-            got, want = got[0], want[0]
         assert got == want, f"instance {i}"
     assert len(searched) >= 40
 

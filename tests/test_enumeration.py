@@ -87,19 +87,28 @@ def test_capacity_infeasible_plan_absent(line_network):
     assert len(plans.per_vehicle["v00"]) == 3  # empty + two singletons
 
 
-def test_every_subset_is_priced_past_an_over_capacity_one():
-    # a_big cannot fit, so neither can {a_big, b_t}; it is still priced, and
-    # on this graph T has no path back to P, so pricing it raises.
-    stops = [Stop(s, 0, 0) for s in "HPQTU"]
+def test_every_subset_is_priced_past_an_over_capacity_one(monkeypatch):
+    # a_big cannot fit, so neither can {a_big, b_t}; it is still priced.
+    stops = [Stop(s, 0, 0) for s in "HPQTUX"]
     links = [(a, b, 10) for a, b in ("HP", "HT", "PQ", "QH", "TU", "PT", "QT")]
-    net = TravelNetwork.graph(stops, links)
     v = ShuttleState(id="v00", heading_stop="H", arrival_time=0, capacity=4)
     big = TripRequest(id="a_big", pickup="P", dropoff="Q", request_time=0, passengers=5)
     small = TripRequest(id="b_t", pickup="T", dropoff="U", request_time=0)
-    assert [p.request_ids for p in enumerate_plans([v], [big, small], 1, net).per_vehicle["v00"]] \
+    # T has no path back to H, so pricing b_t meets the loaders' reach rule.
+    with pytest.raises(UnreachableStopError, match="^stop H cannot be reached from stop T$"):
+        enumerate_plans([v], [big, small], 1, TravelNetwork.graph(stops, links))
+    # With U -> H the call's stops reach each other, though nothing reaches X.
+    net = TravelNetwork.graph(stops, links + [("U", "H", 10), ("X", "H", 10)])
+    priced = []
+
+    def counted(v, group, *args):
+        priced.append(tuple(sorted(r.id for r in group)))
+        return optimal_cost(v, group, *args)
+
+    monkeypatch.setattr(enumeration, "optimal_cost", counted)
+    assert [p.request_ids for p in enumerate_plans([v], [big, small], 2, net).per_vehicle["v00"]] \
         == [(), ("b_t",)]
-    with pytest.raises(UnreachableStopError, match="no path from T to P"):
-        enumerate_plans([v], [big, small], 2, net)
+    assert priced == [(), ("a_big",), ("b_t",), ("a_big", "b_t")]
 
 
 def test_indices_partition_exactly(line_network):
@@ -142,6 +151,14 @@ def test_canonical_plan_ordering(line_network):
 def test_cap_below_one_rejected(line_network):
     with pytest.raises(ValueError, match="max_new_requests must be >= 1"):
         enumerate_plans(shuttles_at(line_network, 1), requests_on(line_network, 1), 0,
+                        line_network)
+
+
+def test_repeated_shuttle_id_rejected(line_network):
+    # Two shuttles of one id would leave the plan set one of them.
+    first, second = shuttles_at(line_network, 2)
+    with pytest.raises(ValueError, match="^shuttle id v00 is repeated$"):
+        enumerate_plans([first, replace(second, id="v00")], requests_on(line_network, 1), 1,
                         line_network)
 
 

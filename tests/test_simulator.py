@@ -366,6 +366,26 @@ def test_bundled_baseline_outputs_match_golden_hashes(name):
     assert _sha256(write_summary_csv(result.summary)) == summary
 
 
+def test_an_unlinked_stop_leaves_a_graph_run_unchanged():
+    # lowridership.cfg in graph mode, one link per euclidean row entry: the
+    # same travel times, so the same outputs.  An extra stop with no links
+    # makes the network not strongly connected, so every costing call checks
+    # its stops' reach, and the outputs must not change.
+    path = SCENARIOS / "lowridership.cfg"
+    net = load_scenario(path).network
+    links = "".join(f"link {a} {b} {net.travel_time(a, b)}\n"
+                    for a in net.ids for b in net.ids if a != b)
+    graph = path.read_text().replace("mode euclidean\nspeed 9.0\n", "mode graph\n" + links)
+    outputs = []
+    for extra in ("", "stop k00 9000 9000\n"):
+        config = parse_scenario_text(graph.replace("mode graph\n", "mode graph\n" + extra))
+        assert config.network.strongly_connected is not bool(extra)
+        result = run_scenario(config)
+        outputs.append((_sha256(write_trips_csv(result.records)),
+                        _sha256(write_summary_csv(result.summary))))
+    assert outputs == [GOLDEN["lowridership"]] * 2
+
+
 @pytest.mark.parametrize("name, passes", [("lowridership", 27), ("peakdemand", 73)])
 def test_every_dispatch_pass_goes_through_module_hooks(monkeypatch, name, passes):
     # Benchmark tracers time passes by patching these module globals, and

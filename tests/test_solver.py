@@ -362,6 +362,14 @@ def test_negative_miss_penalty_rejected():
         simple_problem(penalty=-1)
 
 
+def test_repeated_request_id_rejected():
+    # Two requests of one id would solve to a solution check_solution rejects.
+    problem = simple_problem()
+    twin = replace(problem.requests[0], pickup="A")
+    with pytest.raises(ValueError, match="^request id r00 is repeated$"):
+        DispatchProblem(requests=(*problem.requests, twin), plan_set=problem.plan_set)
+
+
 def test_brute_force_guard():
     problem = simple_problem()
     with pytest.raises(InstanceTooLargeError):
