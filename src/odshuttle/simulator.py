@@ -243,6 +243,15 @@ class ScenarioConfig:
         return [pool[i % len(pool)] for i in range(self.fleet_size)]
 
     def trip_type_of(self, request: TripRequest) -> str:
+        """The trip type the record of ``request`` reports.
+
+        A type the demand file declares for the request's id comes first;
+        else :func:`~odshuttle.network.classify_trip` types the request
+        against the region.  A request it rejects (gateway to gateway, or a
+        stop outside the region and its gateways), and every request of a
+        config without a region, is typed ``intra``.  That type is only a
+        label: such a request is still simulated like any other.
+        """
         declared = self.demand_types.get(request.id)
         if declared:
             return declared

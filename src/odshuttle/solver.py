@@ -17,15 +17,16 @@ branched on once, however many there are; a class's chosen plans go to
 its highest-id members, and vehicles never touched take their first
 plan, the empty one, which keeps the tie-break above.
 
-Setup is one pass over the vehicles.  For each distinct plan tuple
-object, however many vehicles share it, that pass checks the input
-contract, masks the plans, keys the vehicle's class by (mask, cost) per
-rank and lowers the per-request shares of the bound.  The class rule
-compares that content, so equal lists held as separate tuples merge too.
-A program with one request skips the search: it is an argmin.  The
+A program with one request is an argmin, decided before any setup in
+one walk over the vehicles that checks each list on the way.  The
 cheapest plan serving the request wins, on a cost tie the highest-id
 vehicle's, then that vehicle's lowest rank; it is selected when its cost
-is at most the request's penalty, else the request is missed.
+is at most the request's penalty, else the request is missed.  Any other
+program is set up, then searched.  Setup is one pass over the vehicles
+that, once per distinct plan tuple object, checks the input contract,
+masks the plans, keys the vehicle's class by (mask, cost) per rank and
+lowers the per-request shares of the bound.  The class rule compares that
+content, so equal lists held as separate tuples merge too.
 
 Input contract, as :func:`odshuttle.enumeration.enumerate_plans` builds
 it: each vehicle's first plan is its only empty plan, at cost 0, and
@@ -99,13 +100,13 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     """Provably optimal plan selection via branch and bound over requests.
 
     Plans breaking the module's input contract raise ``ValueError``,
-    before anything is decided.  A one-request program is then solved as
-    the argmin the module describes; any other is searched.  The search
-    settles the lowest undecided request at each step: missed,
-    or served by a plan (whose lowest request it is) of a vehicle class
-    with a member still free.  Which members serve is decided only at a
-    leaf, by :func:`_selection`; vehicles never touched take their first
-    plan, the empty one.
+    before anything is decided.  A one-request program is the argmin the
+    module describes, found before any setup; any other is set up and
+    searched.  The search settles the lowest undecided request at each
+    step: missed, or served by a plan (whose lowest request it is) of a
+    vehicle class with a member still free.  Which members serve is
+    decided only at a leaf, by :func:`_selection`; vehicles never touched
+    take their first plan, the empty one.
 
     A node is cut when its cost plus a lower bound exceeds the incumbent
     (strictly, so every tie is still reached): each undecided request
@@ -115,10 +116,37 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     missed, then plan-rank tuple in vehicle-id order, as in the
     brute-force oracle of the test suite.
     """
+    per_vehicle = problem.plan_set.per_vehicle
+    if len(problem.requests) == 1:
+        # Each list is checked as setup checks it below.  A plan takes the lead
+        # when cheaper than the lead (at first the penalty), or as cheap and its
+        # vehicle's first to qualify, so a later vehicle wins a cost tie.
+        rid = problem.requests[0].id
+        objective = problem.penalty(rid)
+        selected, winner = {}, None  # winner: (vehicle, plan)
+        for v, plans in per_vehicle.items():
+            if not plans:
+                raise ValueError(f"vehicle {v} has no plans; the program would be infeasible")
+            if plans[0].requests or plans[0].cost:
+                raise ValueError(f"vehicle {v}: its first plan must be the empty plan at cost 0")
+            selected[v] = plans[0]
+            tie = True
+            for plan in plans[1:]:
+                for r in plan.requests:
+                    if r.id != rid:
+                        raise ValueError(f"vehicle {v}: a plan covers {r.id}, not in the problem")
+                if not plan.requests:
+                    raise ValueError(f"vehicle {v}: a plan after its first is empty")
+                if plan.cost < objective or tie and plan.cost == objective:
+                    winner, objective, tie = (v, plan), plan.cost, False
+        if winner is None:
+            return DispatchSolution(selected=selected, missed=frozenset((rid,)), objective=objective)
+        selected[winner[0]] = winner[1]
+        return DispatchSolution(selected=selected, missed=frozenset(), objective=objective)
+
     req_ids = [r.id for r in problem.requests]
     bit_of = {rid: 1 << i for i, rid in enumerate(req_ids)}
     penalties = [problem.penalty(rid) for rid in req_ids]
-    per_vehicle = problem.plan_set.per_vehicle
     n_vehicles = len(per_vehicle)
     n_req = len(req_ids)
     full = (1 << n_req) - 1
@@ -168,24 +196,6 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
             team_of[id(plans)] = team
         team.append(pos)
     members = list(teams.values())
-
-    if n_req == 1:
-        # Every served plan serves the request.  The cheapest wins; on a
-        # cost tie the highest-id vehicle, then its lowest rank, which gives
-        # the smallest rank tuple.  Missing the request wins only when it
-        # costs strictly less, as serving then misses fewer.  A class's
-        # highest-id member stands for it; its ranks come in ascending order.
-        best = None  # (cost, vehicle position, rank)
-        for cost, c, rank, _ in served:
-            if cost <= penalties[0]:
-                pos = members[c][-1]
-                if best is None or cost < best[0] or cost == best[0] and pos > best[1]:
-                    best = (cost, pos, rank)
-        ranks = [0] * n_vehicles
-        if best is None:
-            return _solution(per_vehicle, req_ids, ranks, 1, penalties[0])
-        ranks[best[1]] = best[2]
-        return _solution(per_vehicle, req_ids, ranks, 0, best[0])
 
     # Branches per lowest request bit, best first by cost net of the
     # penalties they save; class -1 is the miss branch.

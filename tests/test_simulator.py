@@ -270,6 +270,26 @@ def test_requests_passed_in_follow_the_config_rule(run):
     assert err.value.fields == (("network", "z"),)
 
 
+def test_requests_classify_trip_rejects_are_typed_intra():
+    # A is the region, B and C its gateways, D outside both.  classify_trip
+    # rejects gateway-to-gateway and outside trips; trip_type_of types them
+    # intra unless the demand declares a type, and the run still serves them.
+    region = Region(member_stops={"A"}, gateway_stations={"B", "C"})
+    requests = (req("out", "A", "B", 0), req("in", "C", "A", 0), req("gw", "B", "C", 0),
+                req("far", "A", "D", 0), req("from-far", "D", "A", 0), req("said", "B", "C", 0))
+    config = line_config(fleet_size=3, horizon=3600, region=region, demand_requests=requests,
+                         demand_types={"said": "outbound"})
+    typed = {r.id: config.trip_type_of(r) for r in requests}
+    assert typed == {"out": "outbound", "in": "inbound", "gw": "intra", "far": "intra",
+                     "from-far": "intra", "said": "outbound"}
+    records = {rec.id: rec for rec in run_scenario(config).records}
+    assert {rid: rec.trip_type for rid, rec in records.items()} == typed
+    assert {rec.status for rec in records.values()} == {"completed"}
+    regionless = replace(config, region=None)
+    assert {r.id: regionless.trip_type_of(r) for r in requests} == {
+        **dict.fromkeys(typed, "intra"), "said": "outbound"}
+
+
 def test_arrival_exactly_at_tick_is_seen_by_that_pass():
     # r1 rides A->B from the tick at 30 and is dropped at B at 90.  Until
     # then max_outstanding keeps r2 off the shuttle; the pass at 90 must

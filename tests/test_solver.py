@@ -62,59 +62,78 @@ def test_zero_penalties_allow_zero_objective():
 EMPTY, SERVE = simple_problem().plan_set.per_vehicle["v00"]
 STRAY = AssignmentPlan(cost=10, requests=SERVE.requests | {
     TripRequest(id="r99", pickup="A", dropoff="B", request_time=0)})
+SECOND = TripRequest(id="r01", pickup="A", dropoff="C", request_time=0)
 
 
 MALFORMED = [
-    pytest.param((SERVE,), id="no-empty-plan"),
-    pytest.param((SERVE, EMPTY), id="empty-plan-last"),
-    pytest.param((replace(EMPTY, cost=5), SERVE), id="empty-plan-at-cost-5"),
-    pytest.param((EMPTY, SERVE, EMPTY), id="two-empty-plans"),
-    pytest.param((EMPTY, SERVE, STRAY), id="request-outside-problem"),
-    pytest.param((), id="no-plans"),
+    pytest.param((SERVE,), "vehicle {}: its first plan must be the empty plan at cost 0",
+                 id="no-empty-plan"),
+    pytest.param((SERVE, EMPTY), "vehicle {}: its first plan must be the empty plan at cost 0",
+                 id="empty-plan-last"),
+    pytest.param((replace(EMPTY, cost=5), SERVE),
+                 "vehicle {}: its first plan must be the empty plan at cost 0",
+                 id="empty-plan-at-cost-5"),
+    pytest.param((EMPTY, SERVE, EMPTY), "vehicle {}: a plan after its first is empty",
+                 id="two-empty-plans"),
+    pytest.param((EMPTY, SERVE, STRAY), "vehicle {}: a plan covers r99, not in the problem",
+                 id="request-outside-problem"),
+    pytest.param((), "vehicle {} has no plans; the program would be infeasible", id="no-plans"),
 ]
 
 
-@pytest.mark.parametrize("plans", MALFORMED)
-def test_malformed_problem_vehicle_without_empty_plan(plans):
+def rejection(per_vehicle) -> list[str]:
+    """The ValueError texts of a program of these plan lists with one request, then two."""
+    texts = []
+    for requests in [simple_problem().requests, simple_problem().requests + (SECOND,)]:
+        with pytest.raises(ValueError) as caught:
+            solve_dispatch(DispatchProblem(requests=requests, plan_set=PlanSet(per_vehicle)))
+        texts.append(str(caught.value))
+    return texts
+
+
+@pytest.mark.parametrize("plans, message", MALFORMED)
+def test_malformed_problem_vehicle_without_empty_plan(plans, message):
     # The solver's input contract: the first plan is the only empty one, at
-    # cost 0, and plans cover only the problem's requests.
-    plan_set = PlanSet({"v00": plans})
-    broken = DispatchProblem(requests=simple_problem().requests, plan_set=plan_set)
-    with pytest.raises(ValueError, match="vehicle v00"):
-        solve_dispatch(broken)
+    # cost 0, and plans cover only the problem's requests.  A one-request
+    # program is decided before setup, so it checks the lists on its own
+    # walk, in the same words as setup.
+    assert rejection({"v00": plans}) == [message.format("v00")] * 2
 
 
-@pytest.mark.parametrize("plans", MALFORMED)
-def test_malformed_plans_rejected_in_one_request_program(plans):
-    # A one-request program is decided without the search, but only after
-    # every vehicle's list is checked: a well-formed vehicle that could
-    # serve the request comes first, and the malformed one still raises.
-    plan_set = PlanSet({"v00": (EMPTY, SERVE), "v01": plans})
-    broken = DispatchProblem(requests=simple_problem().requests, plan_set=plan_set)
-    assert len(broken.requests) == 1
-    with pytest.raises(ValueError, match="vehicle v01"):
-        solve_dispatch(broken)
+@pytest.mark.parametrize("plans, message", MALFORMED)
+def test_malformed_plans_rejected_in_one_request_program(plans, message):
+    # A well-formed vehicle that could serve the request comes first, so a
+    # one-request program has a winner before it reaches the malformed list;
+    # that list still raises, and the error names the lowest-id broken
+    # vehicle, v01, not v02 after it.
+    per_vehicle = {"v00": (EMPTY, SERVE), "v01": plans, "v02": (SERVE,)}
+    assert rejection(per_vehicle) == [message.format("v01")] * 2
 
 
 def random_one_request_problem(rng):
     """A hand-built one-request program with frequent ties.
 
-    Each vehicle gets zero to three plans serving the request, with costs
-    from a short list, or the very tuple of an earlier vehicle.  Every
-    plan is its own object, so equal plans tell their ranks apart by
-    identity.
+    Zero to five vehicles each get zero to three plans serving the
+    request, with costs from a short list, so a later rank is often
+    cheaper than an earlier one.  A vehicle may instead hold the very
+    tuple of an earlier vehicle, or a separate tuple of new plans equal
+    to that one's.  Every plan of a new tuple is its own object, so equal
+    plans tell their vehicles and ranks apart by identity.
     """
     r = TripRequest(id="r00", pickup="A", dropoff="B", request_time=0)
     lists: list[tuple] = []
     per_vehicle = {}
-    for i in range(rng.randint(1, 5)):
-        if lists and rng.random() < 0.3:
+    for i in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if lists and roll < 0.25:
             plans = rng.choice(lists)
+        elif lists and roll < 0.45:
+            plans = tuple(replace(plan) for plan in rng.choice(lists))
         else:
             plans = (AssignmentPlan(requests=frozenset(), cost=0),) + tuple(
                 AssignmentPlan(requests=frozenset({r}), cost=rng.choice([0, 10, 50, 50, 100]))
                 for _ in range(rng.choice([0, 1, 1, 2, 3])))
-            lists.append(plans)
+        lists.append(plans)
         per_vehicle[f"v{i:02d}"] = plans
     return DispatchProblem(requests=(r,), plan_set=PlanSet(per_vehicle),
                            miss_penalty={"r00": rng.choice([0, 10, 50, 100])})
@@ -122,8 +141,9 @@ def random_one_request_problem(rng):
 
 def test_one_request_programs_match_brute_force():
     rng = random.Random(1201)
-    seen = dict.fromkeys(["vehicle-tie", "twins", "two-serving-plans", "cost-equals-penalty",
-                          "penalty-0", "no-serving-plan"], 0)
+    seen = dict.fromkeys(["vehicle-tie", "twins", "equal-lists-apart", "two-serving-plans",
+                          "later-rank-cheaper", "cost-equals-penalty", "penalty-0",
+                          "no-serving-plan", "no-vehicles"], 0)
     for _ in range(600):
         problem = random_one_request_problem(rng)
         fast = solve_dispatch(problem)
@@ -140,10 +160,15 @@ def test_one_request_programs_match_brute_force():
         penalty = problem.penalty("r00")
         seen["vehicle-tie"] += len(costs) > 1 and costs.count(min(costs)) > 1
         seen["twins"] += len({id(plans) for plans in lists}) < len(lists)
+        seen["equal-lists-apart"] += len({id(plans) for plans in lists}) > len(set(lists))
         seen["two-serving-plans"] += any(len(plans) > 2 for plans in lists)
+        seen["later-rank-cheaper"] += any(
+            later.cost < earlier.cost
+            for plans in lists for i, earlier in enumerate(plans[1:], 1) for later in plans[i + 1:])
         seen["cost-equals-penalty"] += bool(costs) and min(costs) == penalty
         seen["penalty-0"] += penalty == 0
         seen["no-serving-plan"] += not costs
+        seen["no-vehicles"] += not lists
     assert all(count >= 20 for count in seen.values()), seen
 
 
