@@ -225,13 +225,8 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
     best_w = math.inf
     best_seq: tuple[int, ...] | None = None
 
-    if not root_pick:
-        best_w, best_seq = 0, _drop_tail(stops, root_drop)
-        stack = []
-    else:
-        # (bound, stop, row, time, pick_mask, drop_mask, waiting, onboard, path)
-        stack = [(0, start, network.row(start), v.arrival_time, root_pick, root_drop, 0,
-                  onboard, ())]
+    # (bound, stop, row, time, pick_mask, drop_mask, waiting, onboard, path)
+    stack = [(0, start, network.row(start), v.arrival_time, root_pick, root_drop, 0, onboard, ())]
     while stack:
         bound, _, row, now, pick_mask, drop_mask, waiting, onboard, path = stack.pop()
         if bound > best_w:

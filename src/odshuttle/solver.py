@@ -18,15 +18,17 @@ its highest-id members, and vehicles never touched take their first
 plan, the empty one, which keeps the tie-break above.
 
 A program with one request is an argmin, decided before any setup in
-one walk over the vehicles that checks each list on the way.  The
-cheapest plan serving the request wins, on a cost tie the highest-id
-vehicle's, then that vehicle's lowest rank; it is selected when its cost
-is at most the request's penalty, else the request is missed.  Any other
-program is set up, then searched.  Setup is one pass over the vehicles
-that, once per distinct plan tuple object, checks the input contract,
-masks the plans, keys the vehicle's class by (mask, cost) per rank and
-lowers the per-request shares of the bound.  The class rule compares that
-content, so equal lists held as separate tuples merge too.
+one walk over the vehicles.  The cheapest plan serving the request wins,
+on a cost tie the highest-id vehicle's, then that vehicle's lowest rank;
+it is selected when its cost is at most the request's penalty, else the
+request is missed.  The walk reads a list only while it is well formed:
+the empty plan at cost 0, then plans of exactly that request.  At the
+first other list, as for any other program, the program is set up, then
+searched.  Setup is one pass over the vehicles that, once per distinct
+plan tuple object, checks the input contract (the only place it is
+checked), masks the plans, keys the vehicle's class by (mask, cost) per
+rank and lowers the per-request shares of the bound.  The class rule
+compares that content, so equal lists held as separate tuples merge too.
 
 Input contract, as :func:`odshuttle.enumeration.enumerate_plans` builds
 it: each vehicle's first plan is its only empty plan, at cost 0, and
@@ -89,24 +91,17 @@ def _selection(path, members, n_vehicles) -> list[int]:
     return chosen
 
 
-def _solution(per_vehicle, req_ids, ranks, missed: int, objective: int) -> DispatchSolution:
-    """Each vehicle's plan of the given rank, in vehicle-id order; ``missed`` is a request bit mask."""
-    selected = {v: plans[rank] for (v, plans), rank in zip(per_vehicle.items(), ranks)}
-    return DispatchSolution(selected=selected, objective=objective,
-                            missed=frozenset(rid for i, rid in enumerate(req_ids) if missed >> i & 1))
-
-
 def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     """Provably optimal plan selection via branch and bound over requests.
 
-    Plans breaking the module's input contract raise ``ValueError``,
-    before anything is decided.  A one-request program is the argmin the
-    module describes, found before any setup; any other is set up and
-    searched.  The search settles the lowest undecided request at each
-    step: missed, or served by a plan (whose lowest request it is) of a
-    vehicle class with a member still free.  Which members serve is
-    decided only at a leaf, by :func:`_selection`; vehicles never touched
-    take their first plan, the empty one.
+    Plans breaking the module's input contract raise ``ValueError`` in
+    setup, before the search.  A one-request program of well-formed lists
+    is the argmin the module describes, found before any setup; any other
+    is set up and searched.  The search settles the lowest undecided
+    request at each step: missed, or served by a plan (whose lowest
+    request it is) of a vehicle class with a member still free.  Which
+    members serve is decided only at a leaf, by :func:`_selection`;
+    vehicles never touched take their first plan, the empty one.
 
     A node is cut when its cost plus a lower bound exceeds the incumbent
     (strictly, so every tie is still reached): each undecided request
@@ -118,31 +113,32 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
     """
     per_vehicle = problem.plan_set.per_vehicle
     if len(problem.requests) == 1:
-        # Each list is checked as setup checks it below.  A plan takes the lead
-        # when cheaper than the lead (at first the penalty), or as cheap and its
-        # vehicle's first to qualify, so a later vehicle wins a cost tie.
+        # The argmin, while each list is well formed.  A plan leads when
+        # cheaper than the lead (at first the penalty), or as cheap and its
+        # vehicle's first to qualify: a later vehicle wins a tie.
         rid = problem.requests[0].id
+        only = frozenset(problem.requests)
         objective = problem.penalty(rid)
         selected, winner = {}, None  # winner: (vehicle, plan)
         for v, plans in per_vehicle.items():
-            if not plans:
-                raise ValueError(f"vehicle {v} has no plans; the program would be infeasible")
-            if plans[0].requests or plans[0].cost:
-                raise ValueError(f"vehicle {v}: its first plan must be the empty plan at cost 0")
+            if not plans or plans[0].requests or plans[0].cost:
+                break
             selected[v] = plans[0]
             tie = True
             for plan in plans[1:]:
-                for r in plan.requests:
-                    if r.id != rid:
-                        raise ValueError(f"vehicle {v}: a plan covers {r.id}, not in the problem")
-                if not plan.requests:
-                    raise ValueError(f"vehicle {v}: a plan after its first is empty")
+                if plan.requests != only:
+                    break
                 if plan.cost < objective or tie and plan.cost == objective:
                     winner, objective, tie = (v, plan), plan.cost, False
-        if winner is None:
-            return DispatchSolution(selected=selected, missed=frozenset((rid,)), objective=objective)
-        selected[winner[0]] = winner[1]
-        return DispatchSolution(selected=selected, missed=frozenset(), objective=objective)
+            else:
+                continue
+            break
+        else:
+            if winner is None:
+                return DispatchSolution(selected=selected, missed=frozenset((rid,)), objective=objective)
+            selected[winner[0]] = winner[1]
+            return DispatchSolution(selected=selected, missed=frozenset(), objective=objective)
+        # A list broke the walk: setup below rejects the program or solves it.
 
     req_ids = [r.id for r in problem.requests]
     bit_of = {rid: 1 << i for i, rid in enumerate(req_ids)}
@@ -173,7 +169,8 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
                 for r in plan.requests:
                     bit = bit_of.get(r.id)
                     if bit is None:
-                        raise ValueError(f"vehicle {v}: a plan covers {r.id}, not in the problem")
+                        stray = min(q.id for q in plan.requests if q.id not in bit_of)
+                        raise ValueError(f"vehicle {v}: a plan covers {stray}, not in the problem")
                     mask |= bit
                 if not mask:
                     raise ValueError(f"vehicle {v}: a plan after its first is empty")
@@ -256,7 +253,9 @@ def solve_dispatch(problem: DispatchProblem) -> DispatchSolution:
 
     if best_sel is None:
         best_sel = _selection(best_path, members, n_vehicles)
-    return _solution(per_vehicle, req_ids, best_sel, best_mask, best_cost)
+    selected = {v: plans[rank] for (v, plans), rank in zip(per_vehicle.items(), best_sel)}
+    missed = frozenset(rid for i, rid in enumerate(req_ids) if best_mask >> i & 1)
+    return DispatchSolution(selected=selected, missed=missed, objective=best_cost)
 
 
 def check_solution(problem: DispatchProblem, solution: DispatchSolution) -> list[str]:
@@ -276,11 +275,11 @@ def check_solution(problem: DispatchProblem, solution: DispatchSolution) -> list
         if plan not in plans:
             violations.append(f"vehicle {v} selected a plan outside its candidate set")
         recomputed += plan.cost
-        for r in plan.requests:
-            if r.id not in coverage:
-                violations.append(f"plan for {v} serves unknown request {r.id}")
+        for rid in sorted(r.id for r in plan.requests):
+            if rid not in coverage:
+                violations.append(f"plan for {v} serves unknown request {rid}")
             else:
-                coverage[r.id] += 1
+                coverage[rid] += 1
     for rid in sorted(request_ids):
         served = coverage[rid]
         missed = rid in solution.missed

@@ -187,12 +187,19 @@ def test_extend_rejects_capacity_overflow(line_network):
 
 
 def test_matches_exhaustive_oracle_on_random_instances():
+    # Some shuttles have riders to drop and no pickup to make, one of them
+    # at the heading stop; the route search's first branch must close on
+    # their drop-off stops in index order, the least optimal route.
     rng = random.Random(2024)
+    rider_only = 0
     for _ in range(400):
         shuttle, new, network = random_costing_instance(rng)
         got = optimal_sequence(shuttle, new, network)
         want = exhaustive_best_sequence(shuttle, new, network)
         assert got == want
+        rider_only += not (new or shuttle.pending_pickups) and any(
+            r.dropoff == shuttle.heading_stop for r in shuttle.pending_dropoffs)
+    assert rider_only >= 5
 
 
 def test_per_passenger_weighting_scales_by_party_size(line_network):

@@ -1,9 +1,14 @@
+import os
 import random
 import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import odshuttle
 from odshuttle.enumeration import PlanSet, enumerate_plans
 from odshuttle.errors import InstanceTooLargeError
 from odshuttle.network import TravelNetwork
@@ -94,9 +99,9 @@ def rejection(per_vehicle) -> list[str]:
 @pytest.mark.parametrize("plans, message", MALFORMED)
 def test_malformed_problem_vehicle_without_empty_plan(plans, message):
     # The solver's input contract: the first plan is the only empty one, at
-    # cost 0, and plans cover only the problem's requests.  A one-request
-    # program is decided before setup, so it checks the lists on its own
-    # walk, in the same words as setup.
+    # cost 0, and plans cover only the problem's requests.  Only setup checks
+    # it: a one-request program's argmin stops at the first list that is not
+    # well formed and falls through to setup, so both programs raise alike.
     assert rejection({"v00": plans}) == [message.format("v00")] * 2
 
 
@@ -104,10 +109,73 @@ def test_malformed_problem_vehicle_without_empty_plan(plans, message):
 def test_malformed_plans_rejected_in_one_request_program(plans, message):
     # A well-formed vehicle that could serve the request comes first, so a
     # one-request program has a winner before it reaches the malformed list;
-    # that list still raises, and the error names the lowest-id broken
-    # vehicle, v01, not v02 after it.
+    # that list still sends it to setup, whose error names the lowest-id
+    # broken vehicle, v01, not v02 after it.
     per_vehicle = {"v00": (EMPTY, SERVE), "v01": plans, "v02": (SERVE,)}
     assert rejection(per_vehicle) == [message.format("v01")] * 2
+
+
+(R00,) = SERVE.requests
+TWIN = AssignmentPlan(requests=frozenset({replace(R00, pickup="A")}), cost=50)  # R00's id, not R00
+
+
+@pytest.mark.parametrize("per_vehicle", [
+    pytest.param({"v00": (EMPTY, SERVE), "v01": (EMPTY, TWIN), "v02": (EMPTY,)}, id="vehicle-tie"),
+    pytest.param({"v00": (EMPTY, replace(TWIN, cost=10)), "v01": (EMPTY, SERVE)}, id="twin-cheaper"),
+    pytest.param({"v00": (EMPTY, SERVE, TWIN)}, id="rank-tie"),
+    pytest.param({"v00": (EMPTY, TWIN, SERVE)}, id="twin-first-rank-tie"),
+    pytest.param({"v00": (EMPTY, replace(TWIN, cost=2000))}, id="missed"),
+])
+def test_plan_of_a_request_with_the_same_id_and_other_fields(per_vehicle):
+    # The argmin reads only plans of the very request, so a plan holding
+    # another request of the same id sends the program to setup, which
+    # matches requests by id and finds the oracle's tie-broken optimum.
+    problem = DispatchProblem(requests=(R00,), plan_set=PlanSet(per_vehicle),
+                              miss_penalty={"r00": 1000})
+    fast = solve_dispatch(problem)
+    brute = brute_force_dispatch(problem)
+    assert (fast.objective, fast.missed) == (brute.objective, brute.missed)
+    assert fast.selected.keys() == brute.selected.keys()
+    assert all(fast.selected[v] is brute.selected[v] for v in fast.selected)
+    assert check_solution(problem, fast) == []
+
+
+HASH_SEED_PROBE = """
+from odshuttle.enumeration import PlanSet
+from odshuttle.solver import DispatchProblem, check_solution, solve_dispatch
+from odshuttle.types import AssignmentPlan, DispatchSolution, TripRequest
+
+def req(rid):
+    return TripRequest(id=rid, pickup="A", dropoff="B", request_time=0)
+
+stray = AssignmentPlan(requests=frozenset({req("r90"), req("r91")}), cost=10)
+for ids in (["r00"], ["r00", "r01"]):
+    plan_set = PlanSet({"v00": (AssignmentPlan(requests=frozenset(), cost=0), stray)})
+    problem = DispatchProblem(requests=tuple(map(req, ids)), plan_set=plan_set)
+    try:
+        solve_dispatch(problem)
+    except ValueError as err:
+        print(err)
+    audited = DispatchSolution(selected={"v00": stray}, missed=frozenset(ids), objective=10)
+    print(*check_solution(problem, audited), sep="\\n")
+"""
+
+
+def test_named_requests_independent_of_hash_seed():
+    # Set iteration order follows PYTHONHASHSEED, which one process cannot
+    # vary.  A plan covering r90 and r91, neither in the program, is named by
+    # its least stray id, and the audit lists unknown requests in id order,
+    # in a one-request and a two-request program alike.
+    src = Path(odshuttle.__file__).resolve().parent.parent
+    want = ["vehicle v00: a plan covers r90, not in the problem",
+            "plan for v00 serves unknown request r90",
+            "plan for v00 serves unknown request r91"] * 2
+    for seed in range(8):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == want, f"PYTHONHASHSEED={seed}"
 
 
 def random_one_request_problem(rng):
