@@ -45,10 +45,11 @@ piece) -- and the load fails at that key's line.  A ``ConfigError``
 carries those keys, and one handler, :func:`_at`, maps them to lines.
 The loader checks only the file's own rules: a ``[demand]`` section takes
 a file or a profile with a ``rate`` line, graph mode takes no ``speed``,
-every stop, shuttle and request an instance or demand-file row names must
-be defined, and an instance's shuttle and request stops must reach each
-other.  Every stop a scenario section names is checked by the object that
-holds the network, ``ScenarioConfig``, as are all rules that join its parts.
+and every shuttle and request an instance row names must be defined.  The
+network states the stop rules (``check_known``, ``check_reachable``), for
+an instance's rows and for ``ScenarioConfig``, which checks every rule
+that joins a config's parts, a demand file's requests among them; a key
+in the demand file fails at that file's row.
 An instance holds no ``ScenarioConfig``, so its loader checks its
 ``[params]`` and ``penalty`` values itself, but against the config's bound
 table (``simulator.LEAST``), and takes a missing param's default from the
@@ -69,7 +70,7 @@ from typing import NamedTuple
 from .demand import DemandProfile
 from .errors import ConfigError, ParseError
 from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork
-from .simulator import LEAST, TRIP_TYPES, FixedRoute, ScenarioConfig, TripRecord
+from .simulator import LEAST, FixedRoute, ScenarioConfig, TripRecord
 from .solver import DispatchProblem
 from .types import DispatchSolution, ShuttleState, Stop, TripRequest
 
@@ -217,8 +218,11 @@ def _all(rows: list[_Row]) -> list:
 
 
 def _at(path: str, err: ConfigError, line_of: dict, default: int) -> ParseError:
-    """``err`` at the line of the first key it names that ``line_of`` maps."""
+    """``err`` at the line of the first key it names that ``line_of`` maps; a
+    ``(path, line)`` value places the key in another file."""
     line = next((line_of[key] for key in err.fields if key in line_of), default)
+    if isinstance(line, tuple):
+        path, line = line
     return ParseError(path, line, str(err))
 
 
@@ -272,44 +276,31 @@ def _routes(rows: list[_Row], path: str) -> list[FixedRoute]:
     return routes
 
 
-def _check_stops(network: TravelNetwork, path: str, line_no: int, *stops) -> None:
-    for stop in stops:
-        if stop not in network.index:
-            raise ParseError(path, line_no, f"unknown stop {stop!r}")
-
-
 # -- demand ---------------------------------------------------------------------
 
 DEMAND_HEADER = ["id", "request_time", "pickup", "dropoff", "passengers", "trip_type"]
 
 
-def parse_demand_csv(text: str, network: TravelNetwork,
-                     path="<demand>") -> tuple[list[TripRequest], dict[str, str]]:
-    """Requests and declared trip types of a demand CSV whose stops lie in ``network``."""
+def parse_demand_csv(text: str, path="<demand>") -> tuple[list[TripRequest], dict, list[int]]:
+    """Requests, declared trip types by id and each request's line of a demand CSV.
+    Only row syntax and ``TripRequest``'s own rules are checked here."""
     reader = csv.DictReader(io.StringIO(text))
-    requests, types, seen = [], {}, set()
+    requests, types, lines = [], {}, []
     for row in reader:
         try:
-            req = TripRequest(
+            requests.append(TripRequest(
                 id=row["id"],
                 pickup=row["pickup"],
                 dropoff=row["dropoff"],
                 request_time=int(row["request_time"]),
                 passengers=int(row.get("passengers") or 1),
-            )
+            ))
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(path, reader.line_num, f"bad demand row: {err}") from None
-        _check_stops(network, path, reader.line_num, req.pickup, req.dropoff)
-        if req.id in seen:
-            raise ParseError(path, reader.line_num, f"duplicate request id {req.id}")
-        seen.add(req.id)
-        requests.append(req)
+        lines.append(reader.line_num)
         if row.get("trip_type"):
-            if row["trip_type"] not in TRIP_TYPES:
-                raise ParseError(path, reader.line_num, f"unknown trip type {row['trip_type']!r}"
-                                 f" (expected one of {', '.join(TRIP_TYPES)})")
-            types[req.id] = row["trip_type"]
-    return requests, types
+            types[row["id"]] = row["trip_type"]
+    return requests, types, lines
 
 
 def write_demand_csv(requests, types: dict[str, str] | None = None) -> str:
@@ -368,8 +359,10 @@ def parse_scenario_text(text: str, path="<scenario>", base_dir: Path | None = No
             demand_text = target.read_text()
         except OSError as err:
             raise ParseError(path, line_no, f"cannot read demand file: {err}") from None
-        reqs, demand_types = parse_demand_csv(demand_text, network, path=str(target))
+        reqs, demand_types, demand_lines = parse_demand_csv(demand_text, path=str(target))
         demand_requests = tuple(reqs)
+        line_of |= {("demand_requests", i): (str(target), n) for i, n in enumerate(demand_lines)}
+        line_of |= {("demand_types", r.id): (str(target), n) for r, n in zip(reqs, demand_lines)}
     elif profile_lines:
         if not demand["rate"]:
             raise ParseError(path, min(profile_lines), "a demand profile needs a rate line")
@@ -422,7 +415,6 @@ def parse_instance_text(text: str, path="<instance>"):
         rid, request_time, pickup, dropoff, passengers = row.args
         if rid in requests:
             raise ParseError(path, row.line, f"duplicate request id {rid}")
-        _check_stops(network, path, row.line, pickup, dropoff)
         try:
             requests[rid] = TripRequest(id=rid, request_time=request_time, pickup=pickup,
                                         dropoff=dropoff, passengers=passengers)
@@ -438,10 +430,9 @@ def parse_instance_text(text: str, path="<instance>"):
 
     shuttle_rows: dict[str, _Row] = {}
     for row in fleet["shuttle"]:
-        sid, heading, _, _ = row.args
+        sid = row.args[0]
         if sid in shuttle_rows:
             raise ParseError(path, row.line, f"duplicate shuttle id {sid}")
-        _check_stops(network, path, row.line, heading)
         shuttle_rows[sid] = row
 
     committed = {"committed_pickup": {}, "committed_dropoff": {}}
@@ -469,12 +460,16 @@ def parse_instance_text(text: str, path="<instance>"):
             ))
         except ValueError as err:
             raise ParseError(path, row.line, str(err)) from None
-    try:  # a stop another cannot reach fails at its own line
-        network.check_reachable([v.heading_stop for v in shuttles]
-                                + [s for r in requests.values() for s in (r.pickup, r.dropoff)])
+    # Each stop a row names, keyed by the row's line, where an unknown one fails.
+    named = [(row.line, s) for row in rows["requests"]["request"] for s in row.args[2:4]]
+    named += [(row.line, row.args[1]) for row in fleet["shuttle"]]
+    try:
+        network.check_known(named)
+        network.check_reachable(s for _, s in named)
     except ConfigError as err:
-        raise _at(path, err, {("network", row.args[0]): row.line
-                              for row in rows["network"]["stop"]}, end) from None
+        line_of = {line: line for line, _ in named}
+        line_of |= {("network", row.args[0]): row.line for row in rows["network"]["stop"]}
+        raise _at(path, err, line_of, end) from None
     open_requests = [r for rid, r in sorted(requests.items()) if rid not in claimed]
     params["penalties"] = penalties
     return open_requests, shuttles, network, params

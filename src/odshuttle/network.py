@@ -165,6 +165,12 @@ class TravelNetwork:
                 return False
         return True
 
+    def check_known(self, named) -> None:
+        """Raise ``ConfigError`` naming ``at`` for the first ``(at, stop)`` off the network."""
+        for at, stop in named:
+            if stop not in self.index:
+                raise ConfigError(f"unknown stop {stop!r}", at)
+
     def check_reachable(self, stops) -> None:
         """Raise ``ConfigError`` naming ``("network", b)`` for the first pair
         of ``stops``, by id, whose stop b cannot be reached from its stop a."""

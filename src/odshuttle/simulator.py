@@ -36,7 +36,8 @@ visit, and a sequence that runs out while requests are still owed stops
 the run.  Idle shuttles hold position and are shown to the dispatcher as
 arriving "now": a copy of the state with only ``arrival_time`` changed
 (``ShuttleState.retimed``).  That copy is the one change that re-runs no
-checks, as none of them reads the time and an idle shuttle owes nothing.
+checks: an idle shuttle owes nothing, and the one check that reads the
+time (it must be >= 0) holds for every tick.
 
 A selected plan is committed to the state it was priced from, owing the
 plan's requests too, and its route (``plan_route``, found for the
@@ -184,7 +185,7 @@ class ScenarioConfig:
                               "within 2**53 s", "walk_speed")
         if not self.network.index:
             raise ConfigError("the network has no stops", "network")
-        self._check_known(chain(
+        self.network.check_known(chain(
             ((("routes", i), s) for i, route in enumerate(self.routes) for s in route.served_stops),
             ((("region", s), s) for s in self._region_stops()),
             ((("fleet_start", i), s) for i, s in enumerate(self.fleet_start))))
@@ -202,12 +203,6 @@ class ScenarioConfig:
         region = self.region
         return sorted(region.member_stops | region.gateway_stations) if region else []
 
-    def _check_known(self, named) -> None:
-        """Raise ``ConfigError`` naming ``at`` for the first ``(at, stop)`` off the network."""
-        for at, stop in named:
-            if stop not in self.network.index:
-                raise ConfigError(f"unknown stop {stop!r}", at)
-
     def _check_requests(self, requests, key: str) -> None:
         """The rules of a request stream, in order.  Raise ``ConfigError`` naming
         ``(key, i)`` if request i has a stop outside the network; ``("network", b)``
@@ -215,8 +210,8 @@ class ScenarioConfig:
         stop, a region stop or a stop of ``requests``); ``(key, i)`` if request i
         repeats the id of an earlier one."""
         index = self.network.index
-        self._check_known(((key, i), s) for i, r in enumerate(requests)  # many: the bad only
-                          for s in (r.pickup, r.dropoff) if s not in index)
+        self.network.check_known(((key, i), s) for i, r in enumerate(requests)  # many: the bad only
+                                 for s in (r.pickup, r.dropoff) if s not in index)
         self.network.check_reachable(chain(self.start_stops(), self._region_stops(),
                                            (s for r in requests for s in (r.pickup, r.dropoff))))
         seen = set()

@@ -92,6 +92,8 @@ class ShuttleState:
             object.__setattr__(self, "pending_dropoffs", frozenset(self.pending_dropoffs))
         if not self.id:
             raise ValueError("shuttle id must be non-empty")
+        if self.arrival_time < 0:
+            raise ValueError(f"shuttle {self.id}: arrival_time must be >= 0")
         if self.capacity < 1:
             raise ValueError(f"shuttle {self.id}: capacity must be >= 1")
         if self.pending_pickups & self.pending_dropoffs:
@@ -109,11 +111,13 @@ class ShuttleState:
     def retimed(self, arrival_time: int) -> ShuttleState:
         """This state arriving at ``arrival_time`` instead, equal to the constructor's.
 
-        None of the constructor's checks reads the arrival time, so the copy
-        skips them.  It sets the fields one by one, in declaration order, as
-        the generated ``__init__`` does: copying ``__dict__`` wholesale would
-        give both states a materialized dict, which makes every attribute
-        read on them (sequencing reads many) about twice as slow.
+        The copy skips the constructor's checks.  The one that reads the
+        arrival time wants it >= 0, and the simulator re-times only to a
+        pass time, which is at least ``dispatch_interval`` >= 1.  The copy
+        sets the fields one by one, in declaration order, as the generated
+        ``__init__`` does: copying ``__dict__`` wholesale would give both
+        states a materialized dict, which makes every attribute read on
+        them (sequencing reads many) about twice as slow.
         """
         copy = object.__new__(type(self))
         put = object.__setattr__
@@ -162,6 +166,5 @@ class DispatchSolution:
     objective: int
 
     def __post_init__(self):
-        object.__setattr__(self, "selected", dict(self.selected))
         if type(self.missed) is not frozenset:
             object.__setattr__(self, "missed", frozenset(self.missed))

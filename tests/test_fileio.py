@@ -2,9 +2,9 @@ import pytest
 
 from odshuttle import fileio
 from odshuttle.errors import ParseError
-from odshuttle.network import Region, TravelNetwork
+from odshuttle.network import Region
 from odshuttle.simulator import ScenarioConfig, TripRecord
-from odshuttle.types import Stop, TripRequest
+from odshuttle.types import TripRequest
 
 GRAPH_INSTANCE_TEXT = """\
 [network]
@@ -76,9 +76,6 @@ request r905 0 C A 1
 penalty r002 50
 """
 
-DEMAND_NETWORK = TravelNetwork.euclidean([Stop("A", 0, 0), Stop("B", 100, 0), Stop("G1", 200, 0)], 10)
-
-
 def _parse_with_line(parse, text, line):
     """Parse ``text`` plus ``line`` appended; return the ParseError and the line's number."""
     full = text + line + "\n"
@@ -143,19 +140,28 @@ def test_demand_round_trip():
     ]
     types = {"r001": "intra", "r002": "outbound"}
     text = fileio.write_demand_csv(requests, types)
-    parsed, parsed_types = fileio.parse_demand_csv(text, DEMAND_NETWORK)
+    parsed, parsed_types, lines = fileio.parse_demand_csv(text)
     assert parsed == requests
     assert parsed_types == types
+    assert lines == [2, 3]
 
 
-def test_demand_rejects_bad_rows():
-    # A bad number, a stop missing from the network, a repeated id, an
-    # undeclared trip type.
-    for row in ["r1,x,A,B,1,", "r1,5,A,Z,1,", "r0,5,B,A,1,", "r1,5,A,B,1,banana"]:
+def test_demand_rejects_bad_rows(tmp_path):
+    # A bad number fails in the reader.  A stop missing from the network, a
+    # repeated id and an undeclared trip type are stream rules: the reader
+    # passes them on, and the config names the demand file's row.
+    (tmp_path / "scenario.cfg").write_text(
+        SCENARIO_TEXT.replace("rate 0 900 40.0\nmix 0.8 0.2 0.0", "file demand.csv"))
+    for row, message in [("r1,x,A,B,1,", "bad demand row"), ("r1,5,A,Z,1,", "unknown stop 'Z'"),
+                         ("r0,5,B,A,1,", "duplicate request id in demand: r0"),
+                         ("r1,5,A,B,1,banana", "unknown trip type 'banana'")]:
         bad = f"id,request_time,pickup,dropoff,passengers,trip_type\nr0,0,A,B,1,\n{row}\n"
+        if message != "bad demand row":
+            assert len(fileio.parse_demand_csv(bad)[0]) == 2
+        (tmp_path / "demand.csv").write_text(bad)
         with pytest.raises(ParseError) as err:
-            fileio.parse_demand_csv(bad, DEMAND_NETWORK, path="demand.csv")
-        assert "demand.csv:3:" in str(err.value)
+            fileio.load_scenario(tmp_path / "scenario.cfg")
+        assert str(err.value).startswith(f"{tmp_path / 'demand.csv'}:3: {message}")
 
 
 def test_scenario_parse_full():
@@ -301,6 +307,8 @@ def test_instance_rejects_bad_reference(line, message):
                  id="miss-penalty"),
     pytest.param("penalty r002 50", "penalty r002 -5", "penalty for r002 must be >= 0",
                  id="request-penalty"),
+    pytest.param("shuttle s001 A 0 4", "shuttle s001 A -50 4",
+                 "shuttle s001: arrival_time must be >= 0", id="shuttle-arrival-time"),
 ])
 def test_instance_value_out_of_range_names_its_line(old, new, message):
     lines = INSTANCE_TEXT.splitlines()
@@ -309,6 +317,8 @@ def test_instance_value_out_of_range_names_its_line(old, new, message):
     with pytest.raises(ParseError) as err:
         fileio.parse_instance_text("\n".join(lines) + "\n", path="bad.txt")
     assert str(err.value) == f"bad.txt:{line_no}: {message}"
+    if old.startswith("shuttle"):  # a shuttle line is never overridden: it cannot repeat
+        return
     # A later line overrides the bad one, which is then never checked.
     lines[line_no - 1] = f"{new}\n{old}"
     overridden = fileio.parse_instance_text("\n".join(lines) + "\n")

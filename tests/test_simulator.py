@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from conftest import make_grid_network
 
-from odshuttle import simulator
+from odshuttle import enumeration, simulator
 from odshuttle.costing import optimal_cost, optimal_sequence
 from odshuttle.demand import DemandProfile
 from odshuttle.enumeration import PlanSet, plan_route
@@ -457,6 +457,25 @@ def test_dispatcher_sees_committed_fleet_state(monkeypatch, name, passes):
     monkeypatch.setattr(simulator, "enumerate_plans", checking_enumerate)
     run_scenario(config)
     assert checked == [config.fleet_size] * passes
+
+
+@pytest.mark.parametrize("name, calls", [("lowridership", 260), ("peakdemand", 723)])
+def test_simulator_pricing_meets_the_time_free_conditions(monkeypatch, name, calls):
+    # optimal_cost skips the route search where no pickup, committed or new,
+    # is dated after the shuttle's arrival and capacity cannot bind (costing's
+    # module docstring).  The search it falls back to is exact, so a simulator
+    # change that broke either condition would only slow pricing down.
+    met = []
+
+    def checking_cost(v, new_requests, *args, **kwargs):
+        pickups = [*v.pending_pickups, *new_requests]
+        met.append(all(r.request_time <= v.arrival_time for r in pickups)
+                   and v.onboard + sum(r.passengers for r in pickups) <= v.capacity)
+        return optimal_cost(v, new_requests, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "optimal_cost", checking_cost)
+    run_scenario(load_scenario(SCENARIOS / f"{name}.cfg"))
+    assert len(met) == calls and all(met)
 
 
 def test_overloading_plan_stops_run_at_that_visit(monkeypatch):

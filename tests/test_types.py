@@ -31,6 +31,8 @@ def test_stop_rejects_non_finite_coordinates():
                  "shuttle id must be non-empty", id="shuttle-id"),
     pytest.param(lambda: ShuttleState(id="v1", heading_stop="A", arrival_time=0, capacity=0),
                  "shuttle v1: capacity must be >= 1", id="shuttle-capacity-0"),
+    pytest.param(lambda: ShuttleState(id="v1", heading_stop="A", arrival_time=-1),
+                 "shuttle v1: arrival_time must be >= 0", id="shuttle-negative-arrival"),
 ])
 def test_value_objects_reject_empty_ids_and_no_seats(build, message):
     with pytest.raises(ValueError) as err:
