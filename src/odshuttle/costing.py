@@ -26,11 +26,12 @@ below holds.  No search here tests a child's waiting: it adds only its
 parent bound's terms for its pickups, so stays within that bound, which
 passed; a child making every pickup closes at it, leaving siblings none.
 
-On a network that is not strongly connected, a call first applies the
-loaders' reach rule (:meth:`TravelNetwork.check_reachable`) to its stops:
-one that another cannot reach raises :class:`UnreachableStopError`
-naming the first such pair by id, even where a route could avoid the
-missing leg.  So no search here meets one.
+Every stop fault is the network's ``ConfigError``.  An unknown stop
+raises :meth:`TravelNetwork.check_known`'s.  On a network that is not
+strongly connected, a call then applies the loaders' reach rule
+(:meth:`TravelNetwork.check_reachable`) to its stops: one that another
+cannot reach raises for the first such pair by id, even where a route
+could avoid the missing leg.  So no search here meets one.
 
 Three behaviors beyond the basic search:
 
@@ -85,7 +86,6 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .errors import ConfigError, UnknownStopError, UnreachableStopError
 from .network import TravelNetwork
 from .types import ShuttleState, StopId
 
@@ -139,11 +139,8 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
         stops = {v.heading_stop, *(r.dropoff for r in v.pending_dropoffs)}
         stops.update(*((r.pickup, r.dropoff) for r in chain(v.pending_pickups, new)))
         if not stops <= index.keys():
-            raise _unknown_stop(v, new, index)
-        try:
-            network.check_reachable(stops)
-        except ConfigError as err:
-            raise UnreachableStopError(str(err)) from None
+            network.check_known(_named_stops(v, new))
+        network.check_reachable(stops)
     if idle and len(new) == 1:
         # One sequence is possible: price it in closed form (module docstring).
         (r,) = new
@@ -151,7 +148,7 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
             leg = network.row(index[v.heading_stop])[index[r.pickup]]
             index[r.dropoff]
         except KeyError:
-            raise _unknown_stop(v, new, index) from None
+            network.check_known(_named_stops(v, new))
         if r.passengers > v.capacity:
             return None
         late = v.arrival_time + leg - r.request_time
@@ -181,7 +178,7 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
                 index[r.dropoff]
                 load += r.passengers
         except KeyError:
-            raise _unknown_stop(v, new, index) from None
+            network.check_known(_named_stops(v, new))
         if not future and load <= v.capacity:
             if len(weights) > 1:
                 return base + _latency(network, start, weights)
@@ -210,7 +207,7 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
             drop_stop.append(index[r.dropoff])
             pax.append(r.passengers)
     except KeyError:
-        raise _unknown_stop(v, new, index) from None
+        network.check_known(_named_stops(v, new))
     capacity = v.capacity
     root_pick = (1 << len(pick_stop)) - 1
     root_drop = (1 << len(drop_stop)) - 1 - root_pick
@@ -293,14 +290,13 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
     return (best_w, tuple(network.ids[s] for s in best_seq)) if route else best_w
 
 
-def _unknown_stop(v: ShuttleState, new, index) -> UnknownStopError:
-    """The first stop ``index`` lacks: the heading stop, then the requests by
-    id, each pickup before its drop-off (a rider's drop-off only)."""
-    named = sorted([(r.id, r.pickup, r.dropoff) for r in chain(v.pending_pickups, new)]
+def _named_stops(v: ShuttleState, new) -> list:
+    """The call's stops, each keyed by itself, for :meth:`TravelNetwork.check_known`
+    (which raises once an index lookup of one missed): the heading stop, then the
+    requests by id, each pickup before its drop-off (a rider's drop-off only)."""
+    trips = sorted([(r.id, r.pickup, r.dropoff) for r in chain(v.pending_pickups, new)]
                    + [(r.id, r.dropoff) for r in v.pending_dropoffs])
-    for stop in chain((v.heading_stop,), *(stops[1:] for stops in named)):
-        if stop not in index:
-            return UnknownStopError(stop)
+    return [(stop, stop) for stop in chain((v.heading_stop,), *(trip[1:] for trip in trips))]
 
 
 def _latency(network: TravelNetwork, start: int, weights: dict[int, int]) -> int:

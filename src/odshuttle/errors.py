@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A bad value is a :class:`ConfigError`,
+and so is a stop that is unknown or out of reach, at load or at run time, as
+:class:`~odshuttle.network.TravelNetwork` states both."""
 
 
 class OdshuttleError(Exception):
@@ -21,15 +23,6 @@ class ConfigError(OdshuttleError, ValueError):
     def __init__(self, message, *fields):
         self.fields = fields
         super().__init__(message)
-
-
-class UnknownStopError(OdshuttleError, KeyError):
-    """A stop id does not resolve in the travel network at run time (a link
-    to an unknown stop is a :class:`ConfigError` when the network is built)."""
-
-
-class UnreachableStopError(OdshuttleError):
-    """No path exists between two stops in graph mode."""
 
 
 class InstanceTooLargeError(OdshuttleError):

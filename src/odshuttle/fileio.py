@@ -236,8 +236,6 @@ def _network(rows: dict, path: str, end: int) -> TravelNetwork:
     """
     if not rows["mode"]:
         raise ParseError(path, end, "network section never declared a mode")
-    if not rows["stop"]:
-        raise ParseError(path, end, "network has no stops")
     mode_row = rows["mode"][-1]
     mode = mode_row.args[0]
     if mode == GRAPH:

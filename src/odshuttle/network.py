@@ -13,12 +13,14 @@ only in their links:
 * ``graph`` -- the links given, with unlinked pairs possibly unreachable.
 
 Every fault in building a network raises
-:class:`~odshuttle.errors.ConfigError` naming its key: ``("stops", i)``
-for a repeated stop id at position i, ``("links", i)`` for a link to an
-unknown stop or with a time that is not a finite number of seconds >= 0,
-``("stops", j)`` for a metric leg whose distance overflows (j the later
-of its two stops), and ``"speed"`` for a speed that is not > 0 or so
-small that a leg overflows.
+:class:`~odshuttle.errors.ConfigError` naming its key: ``"stops"`` for
+a network with no stops, ``("stops", i)`` for a repeated stop id at
+position i, ``("links", i)`` for a link to an unknown stop or with a
+time that is not a finite number of seconds >= 0, ``("stops", j)`` for a
+metric leg whose distance overflows (j the later of its two stops), and
+``"speed"`` for a speed that is not > 0 or so small that a leg
+overflows.  So does a stop fault met later, at load or at run time, as
+``check_known`` and ``check_reachable`` state it.
 
 Stops are numbered by sorted id (``index``/``ids``), so comparing index
 sequences orders them as the id sequences would.  Travel times live in
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import ConfigError, UnknownStopError, UnreachableStopError
+from .errors import ConfigError
 from .types import Stop, StopId, TripRequest
 
 EUCLIDEAN = "euclidean"
@@ -71,6 +73,8 @@ class TravelNetwork:
             if stop.id in self.stops:
                 raise ConfigError(f"duplicate stop id {stop.id}", ("stops", i))
             self.stops[stop.id] = stop
+        if not self.stops:
+            raise ConfigError("network has no stops", "stops")
         self.ids: tuple[StopId, ...] = tuple(sorted(self.stops))
         self.index: dict[StopId, int] = {stop: i for i, stop in enumerate(self.ids)}
         self._rows: list[list[int | None] | None] = [None] * len(self.ids)
@@ -119,14 +123,14 @@ class TravelNetwork:
         return list(self.ids)
 
     def travel_time(self, a: StopId, b: StopId) -> int:
-        """Seconds to travel from ``a`` to ``b`` (0 when a == b)."""
-        if a not in self.index:
-            raise UnknownStopError(a)
-        if b not in self.index:
-            raise UnknownStopError(b)
-        seconds = self.row(self.index[a])[self.index[b]]
+        """Seconds to travel from ``a`` to ``b`` (0 when a == b).  A stop fault raises as
+        :meth:`check_known` (``a`` first, keyed by the stop) or :meth:`check_reachable` does."""
+        try:
+            seconds = self.row(self.index[a])[self.index[b]]
+        except KeyError:  # only an index lookup misses
+            self.check_known((stop, stop) for stop in (a, b))
         if seconds is None:
-            raise UnreachableStopError(f"no path from {a} to {b}")
+            raise _unreached(a, b)
         return seconds
 
     def row(self, source: int) -> list[int | None]:
@@ -155,7 +159,7 @@ class TravelNetwork:
                 reverse[b].append(a)
         for adjacent in (forward, reverse):
             seen = [i == 0 for i in range(len(self.ids))]
-            todo = [0] if self.ids else []
+            todo = [0]
             while todo:
                 for b in adjacent[todo.pop()]:
                     if not seen[b]:
@@ -166,20 +170,22 @@ class TravelNetwork:
         return True
 
     def check_known(self, named) -> None:
-        """Raise ``ConfigError`` naming ``at`` for the first ``(at, stop)`` off the network."""
+        """Raise ``ConfigError`` naming ``at`` for the first ``(at, stop)`` off the
+        network, without the context of a failed index lookup a caller handles."""
         for at, stop in named:
             if stop not in self.index:
-                raise ConfigError(f"unknown stop {stop!r}", at)
+                raise ConfigError(f"unknown stop {stop!r}", at) from None
 
     def check_reachable(self, stops) -> None:
-        """Raise ``ConfigError`` naming ``("network", b)`` for the first pair
-        of ``stops``, by id, whose stop b cannot be reached from its stop a."""
+        """Raise ``ConfigError`` naming ``("network", b)`` for the first pair of ``stops``,
+        by id, whose stop b cannot be reached from its stop a.  The stops must be
+        known: a caller with unchecked stops runs :meth:`check_known` first."""
         stops = [] if self.strongly_connected else sorted(set(stops))
         for a in stops:
             row = self.row(self.index[a])
             for b in stops:
                 if row[self.index[b]] is None:
-                    raise ConfigError(f"stop {b} cannot be reached from stop {a}", ("network", b))
+                    raise _unreached(a, b)
 
     def _shortest_paths(self, source: int) -> list[int | None]:
         dist: list[int | None] = [None] * len(self.ids)
@@ -195,6 +201,11 @@ class TravelNetwork:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
         return dist
+
+
+def _unreached(a: StopId, b: StopId) -> ConfigError:
+    """The fault of a stop ``b`` that stop ``a`` cannot reach."""
+    return ConfigError(f"stop {b} cannot be reached from stop {a}", ("network", b))
 
 
 @dataclass(frozen=True)

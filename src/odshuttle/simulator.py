@@ -178,13 +178,10 @@ class ScenarioConfig:
         if self.max_outstanding is not None and self.max_outstanding < 1:
             raise ConfigError("max_outstanding must be >= 1", "max_outstanding")
         stops = self.network.stops.values()
-        longest_walk = max((math.hypot(a.x - b.x, a.y - b.y) for a in stops for b in stops),
-                           default=0.0)
+        longest_walk = max(math.hypot(a.x - b.x, a.y - b.y) for a in stops for b in stops)
         if not (self.walk_speed > 0 and longest_walk / self.walk_speed <= MAX_SECONDS):
             raise ConfigError("walk_speed must be positive and time every walk between stops "
                               "within 2**53 s", "walk_speed")
-        if not self.network.index:
-            raise ConfigError("the network has no stops", "network")
         self.network.check_known(chain(
             ((("routes", i), s) for i, route in enumerate(self.routes) for s in route.served_stops),
             ((("region", s), s) for s in self._region_stops()),

@@ -68,7 +68,8 @@ class DispatchProblem:
                 raise ValueError(f"request {r.id}: miss penalty must be >= 0")
 
     def penalty(self, request_id: str) -> int:
-        return self.miss_penalty.get(request_id, DEFAULT_MISS_PENALTY)
+        """A request's miss penalty; ``__post_init__`` filled in every default."""
+        return self.miss_penalty[request_id]
 
 
 def _selection(path, members, n_vehicles) -> list[int]:

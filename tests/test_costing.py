@@ -4,10 +4,10 @@ from itertools import product
 
 import pytest
 
-from odshuttle import costing
+from odshuttle import costing, fileio
 from odshuttle.costing import optimal_sequence
 from odshuttle.enumeration import enumerate_plans, plan_route
-from odshuttle.errors import OdshuttleError, UnknownStopError, UnreachableStopError
+from odshuttle.errors import ConfigError, OdshuttleError, ParseError
 from odshuttle.network import TravelNetwork
 from odshuttle.types import ShuttleState, Stop, TripRequest
 
@@ -345,7 +345,7 @@ def _idle_one_request(rng):
 def _priced(sequencer, shuttle, r, network, per_passenger):
     try:
         return sequencer(shuttle, {r}, network, per_passenger)
-    except UnreachableStopError as err:
+    except ConfigError as err:
         return "unreachable", str(err)
 
 
@@ -355,7 +355,7 @@ def _unreached(network, stops):
     for a, b in product(sorted(set(stops)), repeat=2):
         try:
             network.travel_time(a, b)
-        except UnreachableStopError:
+        except ConfigError:
             return f"stop {b} cannot be reached from stop {a}"
     return None
 
@@ -401,29 +401,50 @@ def _spokes():
     return TravelNetwork.graph(stops, [("A", "B", 5), ("A", "C", 7)])
 
 
+def _spokes_instance(shuttle_at, requests, aboard) -> str:
+    """A ``solve`` instance of the call on :func:`_spokes`' network."""
+    return "\n".join(["[network]", "mode graph", "stop A 0 0", "stop B 1 0", "stop C 2 0",
+                      "link A B 5", "link A C 7", "[fleet]", f"shuttle v1 {shuttle_at} 0 4",
+                      *(f"committed_dropoff v1 {rid}" for rid, _, _ in aboard), "[requests]",
+                      *(f"request {rid} 0 {p} {d} 1" for rid, p, d in requests + aboard)])
+
+
 # The call's stops meet the loaders' reach rule before any search, so the
-# message names the first pair by id that does not connect.
-@pytest.mark.parametrize("shuttle_at, requests, aboard, message", [
+# message names the first pair by id that does not connect.  The network's
+# travel time for that pair reads the same, and so does the solve loader,
+# after the file and the line of the stop not reached.  The loader checks
+# every stop its rows name, so a rider's pickup stop too.
+@pytest.mark.parametrize("shuttle_at, requests, aboard, message, loaded", [
     pytest.param("B", [("r1", "A", "B")], [], "stop A cannot be reached from stop B",
-                 id="pickup-unreachable-from-shuttle"),
+                 "stop A cannot be reached from stop B", id="pickup-unreachable-from-shuttle"),
     pytest.param("A", [("r1", "B", "A"), ("r2", "C", "A")], [],
-                 "stop A cannot be reached from stop B", id="pickups-unreachable-between"),
+                 "stop A cannot be reached from stop B", "stop A cannot be reached from stop B",
+                 id="pickups-unreachable-between"),
     pytest.param("A", [("r1", "B", "C")], [], "stop A cannot be reached from stop B",
-                 id="dropoff-unreachable-from-pickup"),
+                 "stop A cannot be reached from stop B", id="dropoff-unreachable-from-pickup"),
     pytest.param("B", [], [("o1", "A", "C")], "stop C cannot be reached from stop B",
-                 id="dropoff-unreachable-from-shuttle"),
+                 "stop A cannot be reached from stop B", id="dropoff-unreachable-from-shuttle"),
 ])
-def test_unreachable_stop_raises(shuttle_at, requests, aboard, message):
+def test_unreachable_stop_raises(shuttle_at, requests, aboard, message, loaded):
     net = _spokes()
     rs = {req(rid, pickup, dropoff) for rid, pickup, dropoff in requests}
     riders = {req(rid, pickup, dropoff) for rid, pickup, dropoff in aboard}
     shuttle = idle(stop=shuttle_at, pending_dropoffs=riders)
-    with pytest.raises(UnreachableStopError):
+    with pytest.raises(ConfigError):
         exhaustive_best_sequence(shuttle, rs, net)
-    for price in (optimal_sequence, costing.optimal_cost):
-        with pytest.raises(UnreachableStopError) as got:
+    _, b, *_, a = message.split()
+
+    def travel(*_):
+        net.travel_time(a, b)
+
+    for price in (optimal_sequence, costing.optimal_cost, travel):
+        with pytest.raises(ConfigError) as got:
             price(shuttle, rs, net)
         assert str(got.value) == message, price.__name__
+        assert got.value.fields == (("network", b),), price.__name__
+    with pytest.raises(ParseError) as got:
+        fileio.parse_instance_text(_spokes_instance(shuttle_at, requests, aboard), "bad.txt")
+    assert str(got.value) == f"bad.txt:{3 + 'ABC'.index(loaded.split()[1])}: {loaded}"
 
 
 @pytest.mark.parametrize("shuttle_at, pickup, dropoff, named", [
@@ -433,10 +454,16 @@ def test_unreachable_stop_raises(shuttle_at, requests, aboard, message):
 ])
 def test_unknown_stop_wins_over_a_missing_path(shuttle_at, pickup, dropoff, named):
     # B and C do not connect, and that pair sorts before the unknown stop.
+    # The solve loader names it alike, at the row naming it.
     for price in (optimal_sequence, costing.optimal_cost):
-        with pytest.raises(UnknownStopError) as err:
+        with pytest.raises(ConfigError) as err:
             price(idle(stop=shuttle_at), {req("r1", pickup, dropoff)}, _spokes())
-        assert err.value.args == (named,), price.__name__
+        assert str(err.value) == f"unknown stop {named!r}", price.__name__
+    text = _spokes_instance(shuttle_at, [("r1", pickup, dropoff)], [])
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if f" {named} " in row)
+    with pytest.raises(ParseError) as err:
+        fileio.parse_instance_text(text, "bad.txt")
+    assert str(err.value) == f"bad.txt:{line}: unknown stop {named!r}"
 
 
 def test_pickup_orders_priced_on_a_graph_that_is_not_strongly_connected(monkeypatch):
@@ -459,7 +486,8 @@ def test_pickup_orders_priced_on_a_graph_that_is_not_strongly_connected(monkeypa
 
 
 # Stops resolve heading first, then pickup, then drop-off: the first
-# unknown one is named.
+# unknown one is named, as the network's travel times along the route and
+# its check of the three stops name it.
 @pytest.mark.parametrize("shuttle_at, pickup, dropoff, named", [
     pytest.param("Z", "B", "C", "Z", id="Z-B-C"),
     pytest.param("A", "Z", "C", "Z", id="A-Z-C"),
@@ -468,9 +496,17 @@ def test_pickup_orders_priced_on_a_graph_that_is_not_strongly_connected(monkeypa
     pytest.param("A", "Y", "X", "Y", id="A-Y-X"),
 ])
 def test_unknown_stop_raises(line_network, shuttle_at, pickup, dropoff, named):
-    with pytest.raises(UnknownStopError) as err:
-        optimal_sequence(idle(stop=shuttle_at), {req("r1", pickup, dropoff)}, line_network)
-    assert err.value.args == (named,)
+    def travel(*_):
+        line_network.travel_time(shuttle_at, pickup)
+        line_network.travel_time(pickup, dropoff)
+
+    def check(*_):
+        line_network.check_known((s, s) for s in (shuttle_at, pickup, dropoff))
+
+    for price in (optimal_sequence, costing.optimal_cost, travel, check):
+        with pytest.raises(ConfigError) as err:
+            price(idle(stop=shuttle_at), {req("r1", pickup, dropoff)}, line_network)
+        assert str(err.value) == f"unknown stop {named!r}", price.__name__
 
 
 def test_unknown_stop_named_in_request_id_order(line_network):
@@ -485,12 +521,12 @@ def test_unknown_stop_named_in_request_id_order(line_network):
                              (idle(pending_pickups={first}), {second}),
                              (idle(pending_dropoffs={rider}), {second, first})]:
             for price in (optimal_sequence, costing.optimal_cost):
-                with pytest.raises(UnknownStopError) as err:
+                with pytest.raises(ConfigError) as err:
                     price(shuttle, new, line_network)
-                assert err.value.args == ("Y",), (prefix, price.__name__)
-        with pytest.raises(UnknownStopError) as err:
+                assert str(err.value) == "unknown stop 'Y'", (prefix, price.__name__)
+        with pytest.raises(ConfigError) as err:
             optimal_sequence(idle(pending_dropoffs={rider}), {second}, line_network)
-        assert err.value.args == ("X",)
+        assert str(err.value) == "unknown stop 'X'"
 
 
 # -- optimal_cost --------------------------------------------------------------------
@@ -593,7 +629,7 @@ def test_optimal_cost_equals_route_search_cost(monkeypatch):
         want = _route_cost(shuttle, new, network, per_passenger)
         assert got == want, f"instance {i}"
         if type(want) is tuple:
-            seen["missing leg" if want[0] is UnreachableStopError else "already committed"] += 1
+            seen["missing leg" if want[0] is ConfigError else "already committed"] += 1
         elif fast:
             seen["pickup orders"] += 1
         elif want is None:
@@ -639,7 +675,7 @@ def test_renaming_requests_leaves_outcome_unchanged():
                 assert got == (ValueError, want[1].replace(": ", ": Z")), f"instance {i}"
             else:
                 assert got == want, f"instance {i}"
-            missing += type(want) is tuple and want[0] is UnreachableStopError
+            missing += type(want) is tuple and want[0] is ConfigError
     assert missing >= 1000  # about 515 draws miss a leg, each priced twice
 
 

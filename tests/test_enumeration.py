@@ -6,7 +6,7 @@ import pytest
 from odshuttle import enumeration
 from odshuttle.costing import optimal_cost, optimal_sequence
 from odshuttle.enumeration import enumerate_plans, plan_count_bound, plan_route
-from odshuttle.errors import InstanceTooLargeError, UnreachableStopError
+from odshuttle.errors import ConfigError, InstanceTooLargeError
 from odshuttle.fileio import write_plans_text
 from odshuttle.network import TravelNetwork
 from odshuttle.types import AssignmentPlan, ShuttleState, Stop, TripRequest
@@ -95,7 +95,7 @@ def test_every_subset_is_priced_past_an_over_capacity_one(monkeypatch):
     big = TripRequest(id="a_big", pickup="P", dropoff="Q", request_time=0, passengers=5)
     small = TripRequest(id="b_t", pickup="T", dropoff="U", request_time=0)
     # T has no path back to H, so pricing b_t meets the loaders' reach rule.
-    with pytest.raises(UnreachableStopError, match="^stop H cannot be reached from stop T$"):
+    with pytest.raises(ConfigError, match="^stop H cannot be reached from stop T$"):
         enumerate_plans([v], [big, small], 1, TravelNetwork.graph(stops, links))
     # With U -> H the call's stops reach each other, though nothing reaches X.
     net = TravelNetwork.graph(stops, links + [("U", "H", 10), ("X", "H", 10)])

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from odshuttle import fileio
-from odshuttle.errors import ConfigError, UnknownStopError, UnreachableStopError
+from odshuttle.errors import ConfigError
 from odshuttle.network import Region, TravelNetwork, TripType, classify_trip
 from odshuttle.types import Stop, TripRequest
 
@@ -35,10 +35,12 @@ def test_travel_time_manhattan():
 
 
 def test_travel_time_unknown_stop(line_network):
-    with pytest.raises(UnknownStopError):
-        line_network.travel_time("A", "Z")
-    with pytest.raises(UnknownStopError):
-        line_network.travel_time("Z", "A")
+    # check_known's fault, keyed by the stop, the first stop first.
+    for a, b, named in [("A", "Z", "Z"), ("Z", "A", "Z"), ("Y", "Z", "Y")]:
+        with pytest.raises(ConfigError) as err:
+            line_network.travel_time(a, b)
+        assert str(err.value) == f"unknown stop {named!r}"
+        assert err.value.fields == (named,)
 
 
 def test_graph_three_node_line():
@@ -54,8 +56,11 @@ def test_graph_unreachable_pair():
     stops = [Stop("A", 0, 0), Stop("B", 1, 0)]
     net = TravelNetwork.graph(stops, [("A", "B", 5)])
     assert net.travel_time("A", "B") == 5
-    with pytest.raises(UnreachableStopError):
+    # check_reachable's fault, with its key.
+    with pytest.raises(ConfigError) as err:
         net.travel_time("B", "A")
+    assert str(err.value) == "stop A cannot be reached from stop B"
+    assert err.value.fields == (("network", "A"),)
 
 
 def _random_strongly_connected_graph(rng, n):
@@ -109,7 +114,7 @@ def test_all_pairs_symmetric_in_metric_mode(line_network):
 def test_all_pairs_disconnected_graph_raises():
     stops = [Stop("A", 0, 0), Stop("B", 1, 0)]
     net = TravelNetwork.graph(stops, [("A", "B", 5)])
-    with pytest.raises(UnreachableStopError):
+    with pytest.raises(ConfigError, match="^stop A cannot be reached from stop B$"):
         _all_pairs(net, net.stop_ids())
 
 
@@ -287,6 +292,17 @@ def test_region_rejects_overlap():
     with pytest.raises(ValueError) as err:
         Region(member_stops={"A", "B", "C"}, gateway_stations={"C", "A"})
     assert err.value.fields == ("A", "C")
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: TravelNetwork.euclidean([], 10), id="euclidean"),
+    pytest.param(lambda: TravelNetwork.manhattan([], 10), id="manhattan"),
+    pytest.param(lambda: TravelNetwork.graph([], []), id="graph"),
+])
+def test_network_rejects_no_stops(make):
+    with pytest.raises(ConfigError, match="^network has no stops$") as err:
+        make()
+    assert err.value.fields == ("stops",)
 
 
 def test_network_rejects_duplicate_stop_ids():

@@ -240,8 +240,6 @@ MEMBERS = Region(member_stops={"A", "B"}, gateway_stations={"D"})
                  (("network", "a"),), id="region-stop-out-of-reach"),
     pytest.param({"network": LINKED, "fleet_start": ("a", "z"), "fleet_size": 2},
                  (("network", "z"),), id="start-stop-out-of-reach"),
-    pytest.param({"network": TravelNetwork.euclidean([], 10), "fleet_start": ()},
-                 ("network",), id="network-without-stops"),
 ])
 def test_config_rejects_parts_that_do_not_join(overrides, fields):
     with pytest.raises(ConfigError) as err:
