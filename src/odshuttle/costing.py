@@ -26,12 +26,14 @@ below holds.  No search here tests a child's waiting: it adds only its
 parent bound's terms for its pickups, so stays within that bound, which
 passed; a child making every pickup closes at it, leaving siblings none.
 
-Every stop fault is the network's ``ConfigError``.  An unknown stop
-raises :meth:`TravelNetwork.check_known`'s.  On a network that is not
-strongly connected, a call then applies the loaders' reach rule
+Every stop fault is the network's ``ConfigError``.  On a network that
+is not strongly connected, a call first applies the loaders' reach rule
 (:meth:`TravelNetwork.check_reachable`) to its stops: one that another
 cannot reach raises for the first such pair by id, even where a route
-could avoid the missing leg.  So no search here meets one.
+could avoid the missing leg, so no search here meets one.  An unknown
+stop misses an index lookup (the reach rule's own, which comes before
+any leg); one handler around every lookup then raises
+:meth:`TravelNetwork.check_known`'s fault for the call's stops.
 
 Three behaviors beyond the basic search:
 
@@ -134,37 +136,31 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
                                    if r in v.pending_pickups or r in v.pending_dropoffs))
         raise ValueError(f"requests already committed to shuttle {v.id}: {overlap}")
     index = network.index
-    if not network.strongly_connected:
-        # The loaders' reach rule, applied to the call's stops (module docstring).
-        stops = {v.heading_stop, *(r.dropoff for r in v.pending_dropoffs)}
-        stops.update(*((r.pickup, r.dropoff) for r in chain(v.pending_pickups, new)))
-        if not stops <= index.keys():
-            network.check_known(_named_stops(v, new))
-        network.check_reachable(stops)
-    if idle and len(new) == 1:
-        # One sequence is possible: price it in closed form (module docstring).
-        (r,) = new
-        try:
+    try:  # every stop lookup; the search below reads only the indices packed here
+        if not network.strongly_connected:
+            # The loaders' reach rule, applied to the call's stops (module docstring).
+            network.check_reachable(chain(
+                (v.heading_stop,), (r.dropoff for r in v.pending_dropoffs),
+                *((r.pickup, r.dropoff) for r in chain(v.pending_pickups, new))))
+        if idle and len(new) == 1:
+            # One sequence is possible: price it in closed form (module docstring).
+            (r,) = new
             leg = network.row(index[v.heading_stop])[index[r.pickup]]
             index[r.dropoff]
-        except KeyError:
-            network.check_known(_named_stops(v, new))
-        if r.passengers > v.capacity:
-            return None
-        late = v.arrival_time + leg - r.request_time
-        cost = (late if late > 0 else 0) * (r.passengers if per_passenger else 1)
-        return (cost, (r.pickup, r.dropoff)) if route else cost
-    if not route:
-        # One walk over the pickups and riders: the summed waiting weight per
-        # pickup stop, the constant term, the load and whether some pickup is
-        # due after the shuttle's arrival time (module docstring).  An
-        # unknown stop raises what the packing below raises.
-        now = v.arrival_time
-        weights: dict[int, int] = {}
-        base = load = 0
-        future = False
-        try:
-            start = index[v.heading_stop]
+            if r.passengers > v.capacity:
+                return None
+            late = v.arrival_time + leg - r.request_time
+            cost = (late if late > 0 else 0) * (r.passengers if per_passenger else 1)
+            return (cost, (r.pickup, r.dropoff)) if route else cost
+        start = index[v.heading_stop]
+        if not route:
+            # One walk over the pickups and riders: the summed waiting weight per
+            # pickup stop, the constant term, the load and whether some pickup is
+            # due after the shuttle's arrival time (module docstring).
+            now = v.arrival_time
+            weights: dict[int, int] = {}
+            base = load = 0
+            future = False
             for pickups in (v.pending_pickups, new):
                 for r in pickups:
                     s = index[r.pickup]
@@ -177,25 +173,21 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
             for r in v.pending_dropoffs:
                 index[r.dropoff]
                 load += r.passengers
-        except KeyError:
-            network.check_known(_named_stops(v, new))
-        if not future and load <= v.capacity:
-            if len(weights) > 1:
-                return base + _latency(network, start, weights)
-            if weights:  # one pickup stop: no order to choose
-                ((s, w),) = weights.items()
-                return base + network.row(start)[s] * w
-            return 0
-    # Per request bit j: pickup and drop-off stop, request time, party size
-    # and waiting weight.  Pickups take the low bits; riders aboard only
-    # need a drop-off stop and pax.
-    pick_stop: list[int] = []
-    drop_stop: list[int] = []
-    due: list[int] = []
-    pax: list[int] = []
-    weight: list[int] = []
-    try:
-        start = index[v.heading_stop]
+            if not future and load <= v.capacity:
+                if len(weights) > 1:
+                    return base + _latency(network, start, weights)
+                if weights:  # one pickup stop: no order to choose
+                    ((s, w),) = weights.items()
+                    return base + network.row(start)[s] * w
+                return 0
+        # Per request bit j: pickup and drop-off stop, request time, party size
+        # and waiting weight.  Pickups take the low bits; riders aboard only
+        # need a drop-off stop and pax.
+        pick_stop: list[int] = []
+        drop_stop: list[int] = []
+        due: list[int] = []
+        pax: list[int] = []
+        weight: list[int] = []
         for pickups in (v.pending_pickups, new):
             for r in pickups:
                 pick_stop.append(index[r.pickup])
@@ -208,6 +200,7 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
             pax.append(r.passengers)
     except KeyError:
         network.check_known(_named_stops(v, new))
+        raise
     capacity = v.capacity
     root_pick = (1 << len(pick_stop)) - 1
     root_drop = (1 << len(drop_stop)) - 1 - root_pick

@@ -458,9 +458,11 @@ def parse_instance_text(text: str, path="<instance>"):
             ))
         except ValueError as err:
             raise ParseError(path, row.line, str(err)) from None
-    # Each stop a row names, keyed by the row's line, where an unknown one fails.
+    # Each stop a row names, keyed by the row's line, where an unknown one fails;
+    # in file order (a stable sort keeps a pickup before its drop-off).
     named = [(row.line, s) for row in rows["requests"]["request"] for s in row.args[2:4]]
     named += [(row.line, row.args[1]) for row in fleet["shuttle"]]
+    named.sort(key=lambda pair: pair[0])
     try:
         network.check_known(named)
         network.check_reachable(s for _, s in named)

@@ -20,7 +20,8 @@ time that is not a finite number of seconds >= 0, ``("stops", j)`` for a
 metric leg whose distance overflows (j the later of its two stops), and
 ``"speed"`` for a speed that is not > 0 or so small that a leg
 overflows.  So does a stop fault met later, at load or at run time, as
-``check_known`` and ``check_reachable`` state it.
+``check_known`` and ``check_reachable`` state it; the latter resolves
+every stop before it reads any row, so an unknown one raises ``KeyError``.
 
 Stops are numbered by sorted id (``index``/``ids``), so comparing index
 sequences orders them as the id sequences would.  Travel times live in
@@ -178,14 +179,15 @@ class TravelNetwork:
 
     def check_reachable(self, stops) -> None:
         """Raise ``ConfigError`` naming ``("network", b)`` for the first pair of ``stops``,
-        by id, whose stop b cannot be reached from its stop a.  The stops must be
-        known: a caller with unchecked stops runs :meth:`check_known` first."""
-        stops = [] if self.strongly_connected else sorted(set(stops))
-        for a in stops:
-            row = self.row(self.index[a])
-            for b in stops:
-                if row[self.index[b]] is None:
-                    raise _unreached(a, b)
+        by id, whose stop b cannot be reached from its stop a.  Every stop is resolved
+        first, on every network, so an unknown one raises ``KeyError`` before any row
+        is read and before any missing leg."""
+        indices = sorted({self.index[stop] for stop in stops})  # index order is id order
+        for a in [] if self.strongly_connected else indices:
+            row = self.row(a)
+            for b in indices:
+                if row[b] is None:
+                    raise _unreached(self.ids[a], self.ids[b])
 
     def _shortest_paths(self, source: int) -> list[int | None]:
         dist: list[int | None] = [None] * len(self.ids)

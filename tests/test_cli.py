@@ -72,12 +72,11 @@ def test_simulate_bytes_independent_of_hash_seed(scenario, tmp_path):
     # Set iteration order follows PYTHONHASHSEED, which one process cannot
     # vary; the written files must not depend on it.
     src = Path(odshuttle.__file__).resolve().parent.parent
-    script = "import sys; from odshuttle.cli import main; sys.exit(main(sys.argv[1:]))"
     outputs = []
     for seed in ("0", "1"):
         out = tmp_path / seed
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
-        done = subprocess.run([sys.executable, "-c", script, "simulate",
+        done = subprocess.run([sys.executable, "-m", "odshuttle.cli", "simulate",
                                str(SCENARIOS / scenario), "--out-dir", str(out)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr

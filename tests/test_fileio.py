@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from odshuttle import fileio
@@ -5,6 +7,8 @@ from odshuttle.errors import ParseError
 from odshuttle.network import Region
 from odshuttle.simulator import ScenarioConfig, TripRecord
 from odshuttle.types import TripRequest
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GRAPH_INSTANCE_TEXT = """\
 [network]
@@ -298,6 +302,21 @@ def test_instance_rejects_bad_reference(line, message):
     text, line_no = _parse_with_line(fileio.parse_instance_text, INSTANCE_TEXT, line)
     assert f"bad.txt:{line_no}: " in text
     assert message in text
+
+
+@pytest.mark.parametrize("edits, message", [
+    pytest.param({19: "shuttle s001 Y 0 8", 27: "request r004 15 F Z 1"},
+                 "x:19: unknown stop 'Y'", id="shuttle-row-first"),
+    pytest.param({27: "request r004 15 Z Y 1"}, "x:27: unknown stop 'Z'",
+                 id="pickup-before-dropoff"),
+])
+def test_instance_names_first_unknown_stop_in_file_order(edits, message):
+    lines = (SCENARIOS / "instance_small.txt").read_text().splitlines()
+    for line_no, line in edits.items():
+        lines[line_no - 1] = line
+    with pytest.raises(ParseError) as err:
+        fileio.parse_instance_text("\n".join(lines) + "\n", path="x")
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("old, new, message", [

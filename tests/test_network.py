@@ -63,6 +63,19 @@ def test_graph_unreachable_pair():
     assert err.value.fields == (("network", "A"),)
 
 
+@pytest.mark.parametrize("links", [
+    pytest.param([("B", "A", 5)], id="missing-leg-sorts-first"),
+    pytest.param([("A", "B", 5), ("B", "A", 5)], id="strongly-connected"),
+])
+def test_check_reachable_resolves_every_stop_first(links):
+    # A->B is missing in the first graph and sorts before Z, yet the unknown
+    # stop raises: every stop is resolved before any row is read.
+    net = TravelNetwork.graph([Stop("A", 0, 0), Stop("B", 1, 0)], links)
+    with pytest.raises(KeyError) as err:
+        net.check_reachable(["A", "B", "Z"])
+    assert err.value.args == ("Z",)
+
+
 def _random_strongly_connected_graph(rng, n):
     stops = [Stop(f"g{i}", i, 0) for i in range(n)]
     ids = [s.id for s in stops]
