@@ -70,7 +70,7 @@ from typing import NamedTuple
 from .demand import DemandProfile
 from .errors import ConfigError, ParseError
 from .network import EUCLIDEAN, GRAPH, MANHATTAN, Region, TravelNetwork
-from .simulator import LEAST, FixedRoute, ScenarioConfig, TripRecord
+from .simulator import LEAST, TRIP_TYPES, FixedRoute, ScenarioConfig, TripRecord
 from .solver import DispatchProblem
 from .types import DispatchSolution, ShuttleState, Stop, TripRequest
 
@@ -506,9 +506,11 @@ def write_trips_csv(records: list[TripRecord]) -> str:
 
 
 def parse_trips_csv(text: str, path="<trips>") -> list[TripRecord]:
-    """Read back the records of a ``trips.csv`` written by :func:`write_trips_csv`."""
+    """Read back the records of a ``trips.csv`` written by :func:`write_trips_csv`,
+    failing at the first row no run writes."""
     reader = csv.DictReader(io.StringIO(text))
     records = []
+    seen = set()
     for row in reader:
         try:
             record = TripRecord(
@@ -525,6 +527,16 @@ def parse_trips_csv(text: str, path="<trips>") -> list[TripRecord]:
             raise ParseError(path, reader.line_num, f"unknown trip status {record.status!r}")
         if record.status == "completed" and None in (record.pickup_time, record.dropoff_time):
             raise ParseError(path, reader.line_num, "a completed trip needs both times")
+        if record.trip_type not in TRIP_TYPES:
+            raise ParseError(path, reader.line_num, f"unknown trip type {record.trip_type!r}")
+        if record.id in seen:
+            raise ParseError(path, reader.line_num, f"duplicate trip id {record.id!r}")
+        seen.add(record.id)
+        times = [t for t in (record.request_time, record.pickup_time, record.dropoff_time)
+                 if t is not None]
+        if record.request_time < 0 or times != sorted(times):
+            raise ParseError(path, reader.line_num, "trip times must run 0 <= request <= "
+                             "pickup <= drop-off")
         records.append(record)
     return records
 

@@ -45,10 +45,15 @@ committed plans only) replaces the shuttle's remaining stops: a moving
 shuttle finishes its current leg first, and an idle one stands at its
 stop at ``now``, where its next ``advance`` starts.
 
-The baseline models the fixed-route alternative analytically: walk to
-the nearest served stop, wait for the next scheduled departure
-(schedule anchored at t = 0), ride between stops at the route's uniform
-inter-stop time, walk to the destination.
+The baseline models the fixed-route alternative analytically.  On each
+route a request walks to the served stop nearest its pickup (least walk,
+then least stop id), waits for the next departure (schedule anchored at
+t = 0), rides at the route's uniform inter-stop time to the served stop
+nearest its drop-off, found the same way, and walks from there; boarding
+and alighting at the same stop makes the trip the direct walk.  A route
+with no stops is skipped, and the least (total, walk in, wait, ride,
+walk out) over the routes wins.  Each run finds the nearest served stops
+once per route, for the stops the demand names.
 """
 
 from __future__ import annotations
@@ -395,54 +400,45 @@ def run_scenario(config: ScenarioConfig, requests=None) -> ScenarioResult:
     )
 
 
-def _walk_seconds(network: TravelNetwork, a: StopId, b: StopId, speed: float) -> int:
-    sa, sb = network.stops[a], network.stops[b]
-    return int(math.ceil(math.hypot(sa.x - sb.x, sa.y - sb.y) / speed))
-
-
-def _route_trip(route: FixedRoute, network, request, walk_speed):
-    """(total, walk_to_stop, wait, ride, walk_from_stop) for one route, or None."""
-    if not route.served_stops:
-        return None
-    walk_in, board = min((_walk_seconds(network, request.pickup, s, walk_speed), s)
-                         for s in route.served_stops)
-    walk_out, alight = min((_walk_seconds(network, request.dropoff, s, walk_speed), s)
-                           for s in route.served_stops)
-    if board == alight:
-        # Riding gains nothing; the trip is just the direct walk.
-        direct = _walk_seconds(network, request.pickup, request.dropoff, walk_speed)
-        return (direct, 0, 0, 0, direct)
-    headway = int(round(route.headway_minutes * 60))
-    at_stop = request.request_time + walk_in
-    wait = (headway - at_stop % headway) % headway
-    n = len(route.served_stops)
-    i = route.served_stops.index(board)
-    j = route.served_stops.index(alight)
-    one_way = route.one_way_minutes * 60.0
-    if route.shape == "circular":
-        segments = (j - i) % n
-        ride = int(math.ceil(segments * one_way / n))
-    else:
-        segments = abs(j - i)
-        ride = int(math.ceil(segments * one_way / (n - 1)))
-    total = walk_in + wait + ride + walk_out
-    return (total, walk_in, wait, ride, walk_out)
-
-
 def run_baseline(config: ScenarioConfig, requests=None) -> ScenarioResult:
     """Fixed-route alternative for the same demand, computed analytically."""
     demand, records = _demand(config, requests)
+    place = config.network.stops
+
+    def walk(a: StopId, b: StopId) -> int:
+        pa, pb = place[a], place[b]
+        return int(math.ceil(math.hypot(pa.x - pb.x, pa.y - pb.y) / config.walk_speed))
+
+    # Per route with stops: each stop the demand names -> (walk, stop, position)
+    # of its nearest served stop, least walk then least id.
+    named = {s for r in demand for s in (r.pickup, r.dropoff)}
+    tables = [(route, {s: min((walk(s, b), b, i) for i, b in enumerate(route.served_stops))
+                       for s in named})
+              for route in config.routes if route.served_stops]
     for r in demand:
         rec = records[r.id]
-        options = []
-        for route in config.routes:
-            found = _route_trip(route, config.network, r, config.walk_speed)
-            if found is not None:
-                options.append(found)
+        options = []  # (total, walk in, wait, ride, walk out) per route
+        for route, nearest in tables:
+            walk_in, board, i = nearest[r.pickup]
+            walk_out, alight, j = nearest[r.dropoff]
+            if board == alight:
+                # Riding gains nothing; the trip is just the direct walk.
+                direct = walk(r.pickup, r.dropoff)
+                options.append((direct, 0, 0, 0, direct))
+                continue
+            headway = int(round(route.headway_minutes * 60))
+            wait = (headway - (r.request_time + walk_in) % headway) % headway
+            n = len(route.served_stops)
+            one_way = route.one_way_minutes * 60.0
+            if route.shape == "circular":
+                ride = int(math.ceil((j - i) % n * one_way / n))
+            else:
+                ride = int(math.ceil(abs(j - i) * one_way / (n - 1)))
+            options.append((walk_in + wait + ride + walk_out, walk_in, wait, ride, walk_out))
         if not options:
             rec.status = "abandoned"  # no reachable service
         else:
-            total, walk_in, wait, ride, walk_out = min(options)
+            _, walk_in, wait, ride, walk_out = min(options)
             rec.pickup_time = r.request_time + walk_in + wait
             rec.dropoff_time = rec.pickup_time + ride + walk_out
             rec.status = "completed"

@@ -5,12 +5,14 @@ sequencing oracle is a plain exhaustive recursion over every
 precedence-feasible stop ordering, with no pruning, no bound, and no
 shortcutting of drop-off tails, and the dispatch oracle tries every
 one-plan-per-vehicle selection, sharing no code with the solver: it
-indexes the requests and builds its solution itself.  Slow but
-unarguable.
+indexes the requests and builds its solution itself.  The fixed-route
+oracle scans every served stop of every route for each request.  Slow
+but unarguable.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from odshuttle.errors import InstanceTooLargeError
@@ -149,3 +151,54 @@ def brute_force_dispatch(problem: DispatchProblem, guard: int = 10**6) -> Dispat
         missed=frozenset(req_ids[r] for r in missed),
         objective=best_key[0],
     )
+
+
+def walk_seconds(config, a, b):
+    """Whole seconds, rounded up, to walk straight from stop ``a`` to stop ``b``."""
+    sa, sb = config.network.stops[a], config.network.stops[b]
+    return int(math.ceil(math.hypot(sa.x - sb.x, sa.y - sb.y) / config.walk_speed))
+
+
+def reference_baseline(config, requests):
+    """Fixed-route outcome of each request placed before the horizon, by id:
+    ``(status, pickup_time, dropoff_time)``.
+
+    Per route with served stops, walk to the served stop nearest the
+    pickup and from the one nearest the drop-off (least walk, then least
+    id), wait for the next departure of the schedule anchored at t = 0 and
+    ride the segments between them; boarding where one would alight is
+    the direct walk.  The least (total, walk in, wait, ride, walk out)
+    over the routes wins; a request with no route is abandoned.
+    """
+    out = {}
+    for r in requests:
+        if r.request_time >= config.horizon:
+            continue
+        options = []
+        for route in config.routes:
+            stops = route.served_stops
+            if not stops:
+                continue
+            walk_in, board = min((walk_seconds(config, r.pickup, s), s) for s in stops)
+            walk_out, alight = min((walk_seconds(config, r.dropoff, s), s) for s in stops)
+            if board == alight:
+                direct = walk_seconds(config, r.pickup, r.dropoff)
+                options.append((direct, 0, 0, 0, direct))
+                continue
+            headway = int(round(route.headway_minutes * 60))
+            wait = -(r.request_time + walk_in) % headway
+            n = len(stops)
+            i, j = stops.index(board), stops.index(alight)
+            one_way = route.one_way_minutes * 60.0
+            if route.shape == "circular":
+                ride = int(math.ceil((j - i) % n * one_way / n))
+            else:
+                ride = int(math.ceil(abs(j - i) * one_way / (n - 1)))
+            options.append((walk_in + wait + ride + walk_out, walk_in, wait, ride, walk_out))
+        if options:
+            _, walk_in, wait, ride, walk_out = min(options)
+            pickup = r.request_time + walk_in + wait
+            out[r.id] = ("completed", pickup, pickup + ride + walk_out)
+        else:
+            out[r.id] = ("abandoned", None, None)
+    return out

@@ -70,17 +70,20 @@ def test_simulate_deterministic_bytes(small_cfg, tmp_path):
 @pytest.mark.parametrize("scenario", ["peakdemand.cfg", "lowridership.cfg"])
 def test_simulate_bytes_independent_of_hash_seed(scenario, tmp_path):
     # Set iteration order follows PYTHONHASHSEED, which one process cannot
-    # vary; the written files must not depend on it.
+    # vary; the written files must not depend on it (the baseline, too,
+    # builds its nearest-stop tables from a set of stops).
     src = Path(odshuttle.__file__).resolve().parent.parent
     outputs = []
     for seed in ("0", "1"):
         out = tmp_path / seed
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
-        done = subprocess.run([sys.executable, "-m", "odshuttle.cli", "simulate",
-                               str(SCENARIOS / scenario), "--out-dir", str(out)],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        outputs.append([(out / name).read_bytes() for name in ("trips.csv", "summary.csv")])
+        for command in ("simulate", "baseline"):
+            done = subprocess.run([sys.executable, "-m", "odshuttle.cli", command,
+                                   str(SCENARIOS / scenario), "--out-dir", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes() for name in
+                        ("trips.csv", "summary.csv", "baseline_trips.csv", "baseline_summary.csv")])
     assert outputs[0] == outputs[1]
 
 
@@ -97,19 +100,30 @@ def test_baseline_and_comparison(small_cfg, tmp_path):
     assert (base_out / "comparison.txt").read_text().startswith("Trip time comparison")
 
 
-@pytest.mark.parametrize("field, value, message", [
-    pytest.param(2, "", "a completed trip needs both times", id="completed-without-pickup"),
-    pytest.param(6, "bogus", "unknown trip status 'bogus'", id="unknown-status"),
+TIMES_RULE = "trip times must run 0 <= request <= pickup <= drop-off"
+
+
+@pytest.mark.parametrize("edits, message", [
+    pytest.param({2: ""}, "a completed trip needs both times", id="completed-without-pickup"),
+    pytest.param({6: "bogus"}, "unknown trip status 'bogus'", id="unknown-status"),
+    pytest.param({7: "bogus"}, "unknown trip type 'bogus'", id="unknown-trip-type"),
+    pytest.param({0: "{above}"}, "duplicate trip id '{above}'", id="repeated-id"),
+    pytest.param({1: "100", 2: "50", 3: "40"}, TIMES_RULE, id="times-run-backwards"),
+    pytest.param({1: "-5"}, TIMES_RULE, id="negative-request-time"),
 ])
-def test_bad_comparison_trips_reported_in_one_line(small_cfg, tmp_path, capsys, field, value,
-                                                   message):
+def test_bad_comparison_trips_reported_in_one_line(small_cfg, tmp_path, capsys, edits, message):
+    # Each edit goes into the first completed row after the first row;
+    # "{above}" stands for the id of the row above it.
     sim_out = tmp_path / "sim"
     main(["simulate", str(small_cfg), "--out-dir", str(sim_out)])
     lines = (sim_out / "trips.csv").read_text().splitlines()
-    line_no = next(i for i, line in enumerate(lines) if ",completed," in line)
+    line_no = next(i for i, line in enumerate(lines) if i > 1 and ",completed," in line)
+    above = lines[line_no - 1].split(",")[0]
     row = lines[line_no].split(",")
-    row[field] = value
+    for field, value in edits.items():
+        row[field] = value.format(above=above)
     lines[line_no] = ",".join(row)
+    message = message.format(above=above)
     trips = tmp_path / "trips.csv"
     trips.write_text("\n".join(lines) + "\n")
     capsys.readouterr()

@@ -525,16 +525,21 @@ def test_trips_csv_shape():
         TripRecord(id="r1", request_time=5, trip_type="intra", pickup_time=30,
                    dropoff_time=90, status="completed"),
         TripRecord(id="r2", request_time=8, trip_type="outbound", status="pending"),
+        # Picked up, not yet dropped off at the horizon.
+        TripRecord(id="r3", request_time=9, trip_type="inbound", pickup_time=40,
+                   status="pending"),
+        TripRecord(id="r4", request_time=9, status="abandoned"),
     ]
     text = fileio.write_trips_csv(records)
     lines = text.splitlines()
     assert lines[0] == "id,request_time,pickup_time,dropoff_time,waiting,trip_time,status,trip_type"
     assert lines[1] == "r1,5,30,90,25,85,completed,intra"
     assert lines[2] == "r2,8,,,,,pending,outbound"
+    assert lines[3] == "r3,9,40,,31,,pending,inbound"
     assert fileio.parse_trips_csv(text) == records
     with pytest.raises(ParseError) as err:
-        fileio.parse_trips_csv(text + "r3,soon,,,,,pending,intra\n", path="trips.csv")
-    assert "trips.csv:4:" in str(err.value)
+        fileio.parse_trips_csv(text + "r5,soon,,,,,pending,intra\n", path="trips.csv")
+    assert "trips.csv:6:" in str(err.value)
 
 
 def test_routes_file():

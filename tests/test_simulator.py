@@ -5,13 +5,20 @@ from pathlib import Path
 
 import pytest
 from conftest import make_grid_network
+from oracles import reference_baseline, walk_seconds
 
 from odshuttle import enumeration, simulator
 from odshuttle.costing import optimal_cost, optimal_sequence
 from odshuttle.demand import DemandProfile
 from odshuttle.enumeration import PlanSet, plan_route
 from odshuttle.errors import ConfigError
-from odshuttle.fileio import load_scenario, parse_scenario_text, write_summary_csv, write_trips_csv
+from odshuttle.fileio import (
+    load_scenario,
+    parse_scenario_text,
+    parse_trips_csv,
+    write_summary_csv,
+    write_trips_csv,
+)
 from odshuttle.network import Region, TravelNetwork
 from odshuttle.simulator import (
     FixedRoute,
@@ -373,6 +380,7 @@ def test_bundled_scenario_outputs_match_golden_hashes(name):
     result = run_scenario(load_scenario(SCENARIOS / f"{name}.cfg"))
     trips, summary = GOLDEN[name]
     assert _sha256(write_trips_csv(result.records)) == trips
+    assert parse_trips_csv(write_trips_csv(result.records)) == result.records
     assert _sha256(write_summary_csv(result.summary)) == summary
 
 
@@ -381,6 +389,7 @@ def test_bundled_baseline_outputs_match_golden_hashes(name):
     result = run_baseline(load_scenario(SCENARIOS / f"{name}.cfg"))
     trips, summary = BASELINE_GOLDEN[name]
     assert _sha256(write_trips_csv(result.records)) == trips
+    assert parse_trips_csv(write_trips_csv(result.records)) == result.records
     assert _sha256(write_summary_csv(result.summary)) == summary
 
 
@@ -742,6 +751,96 @@ def test_baseline_same_boarding_and_alighting_walks():
     rec = run_baseline(config).records[0]
     assert rec.waiting == 0
     assert rec.trip_time == 600  # direct 600 m walk at 1 m/s
+
+
+def test_baseline_walk_tie_boards_at_lower_id():
+    # E is 300 m from both B and C; B, the lower id, sits later on the route
+    # D-C-B-A, so boarding there rides one 400 s segment to A, not two.
+    net = TravelNetwork.euclidean(
+        [Stop("A", 0, 0), Stop("B", 600, 0), Stop("C", 1200, 0),
+         Stop("D", 1800, 0), Stop("E", 900, 0)], 10
+    )
+    route = FixedRoute("r1", 20, 10, "two_way", ("D", "C", "B", "A"))
+    config = ScenarioConfig(horizon=3600, fleet_size=1, network=net, routes=(route,),
+                            walk_speed=1.0, demand_requests=(req("r1", "E", "A", 0),))
+    rec = run_baseline(config).records[0]
+    assert rec.pickup_time == 300 + 300  # walk in, then wait for the t=600 bus
+    assert rec.dropoff_time == rec.pickup_time + 400
+
+
+def test_baseline_skips_a_route_without_stops():
+    demand = (req("r1", "A", "D", 0), req("r2", "C", "B", 150), req("r3", "B", "A", 700))
+    config = baseline_config(demand_requests=demand)
+    empty = FixedRoute("empty", 5, 1, "circular", ())
+
+    def outcomes(routes):
+        return [(rec.status, rec.pickup_time, rec.dropoff_time)
+                for rec in run_baseline(replace(config, routes=routes)).records]
+
+    alone = outcomes(config.routes)
+    assert {status for status, _, _ in alone} == {"completed"}
+    assert outcomes((empty,) + config.routes) == outcomes(config.routes + (empty,)) == alone
+
+
+def _baseline_kinds(config, r):
+    """The fixed-route cases request ``r`` meets, per route and trip end."""
+    kinds = []
+    for route in config.routes:
+        stops = route.served_stops
+        if not stops:
+            kinds.append("stopless route")
+            continue
+        if len(stops) == 1:
+            kinds.append("single-stop route")
+        ends = []
+        for s in (r.pickup, r.dropoff):
+            walks = [walk_seconds(config, s, b) for b in stops]
+            tied = [b for b, w in zip(stops, walks) if w == min(walks)]
+            if min(tied) != tied[0]:
+                kinds.append("tie, lower id later")
+            ends.append(stops.index(min(tied)))
+        if ends[0] == ends[1]:
+            kinds.append("boards where it alights")
+        elif route.shape == "circular" and ends[1] < ends[0]:
+            kinds.append("circular ride wraps")
+    return kinds
+
+
+def test_baseline_matches_the_served_stop_scan():
+    # Stops on a 100 m grid make equal walks common; routes serve 0-5 stops
+    # in shuffled order, and half the trip ends sit at a served stop.
+    rng = random.Random(3205)
+    grid = [(x, y) for x in range(0, 400, 100) for y in range(0, 400, 100)]
+    seen = dict.fromkeys(["tie, lower id later", "single-stop route", "stopless route",
+                          "boards where it alights", "circular ride wraps"], 0)
+    for _ in range(1000):
+        net = TravelNetwork.euclidean(
+            [Stop(f"s{k}", x, y) for k, (x, y) in enumerate(rng.sample(grid, 8))], 10)
+        ids = net.stop_ids()
+        routes = tuple(
+            FixedRoute(f"r{k}", rng.uniform(0.5, 40), rng.uniform(0.5, 15),
+                       rng.choice(["two_way", "circular"]), rng.sample(ids, rng.randint(0, 5)))
+            for k in range(rng.randint(1, 3)))
+        served = [s for route in routes for s in route.served_stops]
+
+        def trip_ends():
+            while True:
+                a, b = (rng.choice(served if served and rng.random() < 0.5 else ids)
+                        for _ in range(2))
+                if a != b:
+                    return a, b
+
+        requests = tuple(req(f"q{k}", *trip_ends(), rng.randint(0, 8000)) for k in range(6))
+        config = ScenarioConfig(horizon=7200, fleet_size=1, network=net, routes=routes,
+                                walk_speed=rng.choice([0.9, 1.0, 1.3]),
+                                demand_requests=requests)
+        got = {rec.id: (rec.status, rec.pickup_time, rec.dropoff_time)
+               for rec in run_baseline(config).records}
+        assert got == reference_baseline(config, requests)
+        for r in requests:
+            for kind in _baseline_kinds(config, r):
+                seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # -- sweep -------------------------------------------------------------------------
