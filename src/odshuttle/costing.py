@@ -6,8 +6,8 @@ request being placed and its pickup) and the stop route that realizes
 it.  :func:`optimal_cost` returns the waiting alone, which is all the
 dispatch program reads of a plan; :func:`optimal_sequence` also returns
 the route, which only a plan that is committed or printed needs
-(:func:`odshuttle.enumeration.plan_route`).  Both pack the search state
-straight from the :class:`ShuttleState`: stops are network indices, the
+(:func:`odshuttle.enumeration.plan_route`).  The route search packs its
+state straight from the :class:`ShuttleState`: stops are network indices, the
 outstanding pickups and drop-offs are bitmasks over the requests, and
 travel times are read from the network's per-stop rows, which keeps
 per-node cost low enough for the simulator's per-tick fan-out.
@@ -76,11 +76,28 @@ the heading stop and the ``(s, W_s)`` pairs, so it is searched once per
 network and kept in ``TravelNetwork.latencies``; the search uses the
 route search's bound without request times and cuts on ``>=``.  The
 simulator always meets (b): a request is queued once placed, and a
-shuttle reaches its heading stop no earlier than now.  A call that
-fails any condition, such as a ``solve`` instance with a pickup dated
-after t0, runs the route search.  So :func:`optimal_cost` returns
-exactly ``optimal_sequence(...)[0]`` (or ``None``) and raises exactly
-what that raises.
+shuttle reaches its heading stop no earlier than now.
+
+That price is the sum of two packs, so a dispatch pass that prices every
+shuttle state against the same request subsets reads each subset's
+requests once, not once per state (:mod:`odshuttle.enumeration`).
+:func:`pack_pickups` packs requests as pickups: ``W_s`` per pickup stop,
+``sum(request_time_j * w_j)``, ``sum(w_j)``, the party sizes and the
+latest request time.  :func:`pack_state` packs a shuttle: its heading
+stop, the same for its committed pickups, and their parties plus the
+riders as its load.  :func:`packed_cost`, the only time-free pricing,
+adds them: the constant is ``t0 * sum(w_j) - sum(request_time_j * w_j)``,
+the latency one row read for one pickup stop and the memo for more, and
+(a) and (b) are read off the load and the latest request time.
+:func:`optimal_cost` packs its own arguments and calls it.  A call that
+fails either condition, such as a ``solve`` instance with a pickup dated
+after t0, goes to the route search (an idle shuttle with one request to
+its closed form), and so does a call with a pack that met a stop off
+the network, where the route search's handler names that stop.  Each
+call checks an overlap with the committed requests, then the reach rule,
+before it prices.  So :func:`optimal_cost` returns exactly
+``optimal_sequence(...)[0]`` (or ``None``) and raises exactly what that
+raises.
 """
 
 from __future__ import annotations
@@ -90,6 +107,9 @@ from itertools import chain
 
 from .network import TravelNetwork
 from .types import ShuttleState, StopId
+
+_NO_REQUESTS: frozenset = frozenset()
+_NO_PICKUPS = ((), 0, 0, 0, 0)  # the pack of no requests
 
 
 def optimal_sequence(
@@ -114,34 +134,141 @@ def optimal_cost(
 ) -> int | None:
     """``optimal_sequence(...)[0]``, or ``None``, without the tie-broken route.
 
-    Raises what :func:`optimal_sequence` raises.  Where capacity cannot
-    bind and no pickup is due after the shuttle's arrival time, the
-    waiting is a constant plus a time-free latency over the orders of the
-    distinct pickup stops, memoized on the network (module docstring).  A
-    pickup dated after the arrival time takes the route search.
+    Raises what :func:`optimal_sequence` raises.  It packs its arguments
+    and prices them with :func:`packed_cost` (module docstring).
     """
-    return _optimum(v, new_requests, network, per_passenger, False)
+    new = frozenset(new_requests)
+    return packed_cost(v, pack_state(v, network, per_passenger), new,
+                       pack_pickups(new, network, per_passenger), network, per_passenger)
+
+
+def pack_pickups(requests, network: TravelNetwork, per_passenger: bool = False):
+    """The time-free pack of ``requests`` as pickups, or ``None`` when a stop of
+    theirs is off the network: ``(weights, sum_tw, sum_w, passengers, latest)``.
+
+    ``weights`` is ``((s1, W1), (s2, W2), ...)``: each pickup stop's index,
+    ascending, with the summed waiting weight ``W_s`` of the requests picked
+    up there.  ``sum_tw`` sums ``request_time * w`` and ``sum_w`` sums ``w``
+    over the requests, ``passengers`` their party sizes, and ``latest`` is
+    their latest request time (0 for none).
+    """
+    if not requests:
+        return _NO_PICKUPS
+    index = network.index
+    weights: dict[int, int] = {}
+    sum_tw = sum_w = passengers = latest = 0
+    try:
+        for r in requests:
+            s = index[r.pickup]
+            index[r.dropoff]
+            w = r.passengers if per_passenger else 1
+            weights[s] = weights.get(s, 0) + w
+            sum_tw += r.request_time * w
+            sum_w += w
+            passengers += r.passengers
+            if r.request_time > latest:
+                latest = r.request_time
+    except KeyError:
+        return None
+    return tuple(sorted(weights.items())), sum_tw, sum_w, passengers, latest
+
+
+def pack_state(v: ShuttleState, network: TravelNetwork, per_passenger: bool = False):
+    """``v``'s pack for :func:`packed_cost`, or ``None`` when a stop of ``v`` is off
+    the network: ``(start, committed, weights, sum_tw, sum_w, load, latest)``.
+
+    ``start`` is the heading stop's index and ``committed`` the requests owed
+    (pickups and riders).  ``weights``, ``sum_tw``, ``sum_w`` and ``latest`` are
+    :func:`pack_pickups`' of the committed pickups, and ``load`` is their party
+    sizes plus the riders aboard.
+    """
+    index = network.index
+    if v.heading_stop not in index:
+        return None
+    if not (v.pending_pickups or v.pending_dropoffs):
+        return index[v.heading_stop], _NO_REQUESTS, (), 0, 0, 0, 0
+    pickups = pack_pickups(v.pending_pickups, network, per_passenger)
+    if pickups is None:
+        return None
+    weights, sum_tw, sum_w, load, latest = pickups
+    for r in v.pending_dropoffs:
+        if r.dropoff not in index:
+            return None
+        load += r.passengers
+    return (index[v.heading_stop], v.pending_pickups | v.pending_dropoffs, weights, sum_tw,
+            sum_w, load, latest)
+
+
+def packed_cost(v: ShuttleState, state, new: frozenset, pickups, network: TravelNetwork,
+                per_passenger: bool = False) -> int | None:
+    """``optimal_cost(v, new, network, per_passenger)`` from ``state``, ``v``'s
+    :func:`pack_state`, and ``pickups``, ``new``'s :func:`pack_pickups`.
+
+    Where capacity cannot bind and no pickup is due after the shuttle's
+    arrival time, the two packs give the waiting: ``now * sum_w - sum_tw``
+    plus the time-free latency of the merged pickup stops (module
+    docstring).  Anything else, a missing pack included, goes to the route
+    search, which raises each fault as :func:`optimal_sequence` does.
+    """
+    if state is None or pickups is None:
+        return _optimum(v, new, network, per_passenger, False)
+    start, committed, weights, sum_tw, sum_w, load, latest = state
+    if committed:
+        if not new.isdisjoint(committed):
+            raise _committed(v, new)
+    elif not new:
+        return 0
+    if not network.strongly_connected:
+        # The loaders' reach rule, applied to the call's stops (module docstring).
+        network.check_reachable(_reach_stops(v, new))
+    new_weights, new_tw, new_w, passengers, new_latest = pickups
+    now = v.arrival_time
+    if latest > now or new_latest > now or load + passengers > v.capacity:
+        return _optimum(v, new, network, per_passenger, False)
+    if weights:  # merge the committed pickups' stops in
+        merged = dict(weights)
+        for s, w in new_weights:
+            merged[s] = merged.get(s, 0) + w
+        new_weights = tuple(sorted(merged.items()))
+    base = now * (sum_w + new_w) - sum_tw - new_tw
+    if len(new_weights) > 1:
+        return base + _latency(network, start, new_weights)
+    if new_weights:  # one pickup stop: no order to choose
+        ((s, w),) = new_weights
+        return base + network.row(start)[s] * w
+    return 0
+
+
+def _committed(v: ShuttleState, new: frozenset) -> ValueError:
+    """The error for new requests already committed to ``v``."""
+    overlap = ", ".join(sorted(r.id for r in new
+                               if r in v.pending_pickups or r in v.pending_dropoffs))
+    return ValueError(f"requests already committed to shuttle {v.id}: {overlap}")
+
+
+def _reach_stops(v: ShuttleState, new: frozenset):
+    """The call's stops: the heading stop, the riders' drop-offs and both stops of
+    every pickup, committed or new."""
+    return chain((v.heading_stop,), (r.dropoff for r in v.pending_dropoffs),
+                 *((r.pickup, r.dropoff) for r in chain(v.pending_pickups, new)))
 
 
 def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenger: bool,
              route: bool):
-    """The least waiting, with its route when ``route`` is set, or ``None``."""
+    """The least waiting by the route search, with its route when ``route`` is set,
+    or ``None``; an idle shuttle with one new request takes the closed form."""
     new = frozenset(new_requests)
     idle = not (v.pending_pickups or v.pending_dropoffs)
     if idle:
         if not new:
             return (0, ()) if route else 0
     elif not (new.isdisjoint(v.pending_pickups) and new.isdisjoint(v.pending_dropoffs)):
-        overlap = ", ".join(sorted(r.id for r in new
-                                   if r in v.pending_pickups or r in v.pending_dropoffs))
-        raise ValueError(f"requests already committed to shuttle {v.id}: {overlap}")
+        raise _committed(v, new)
     index = network.index
     try:  # every stop lookup; the search below reads only the indices packed here
         if not network.strongly_connected:
             # The loaders' reach rule, applied to the call's stops (module docstring).
-            network.check_reachable(chain(
-                (v.heading_stop,), (r.dropoff for r in v.pending_dropoffs),
-                *((r.pickup, r.dropoff) for r in chain(v.pending_pickups, new))))
+            network.check_reachable(_reach_stops(v, new))
         if idle and len(new) == 1:
             # One sequence is possible: price it in closed form (module docstring).
             (r,) = new
@@ -153,33 +280,6 @@ def _optimum(v: ShuttleState, new_requests, network: TravelNetwork, per_passenge
             cost = (late if late > 0 else 0) * (r.passengers if per_passenger else 1)
             return (cost, (r.pickup, r.dropoff)) if route else cost
         start = index[v.heading_stop]
-        if not route:
-            # One walk over the pickups and riders: the summed waiting weight per
-            # pickup stop, the constant term, the load and whether some pickup is
-            # due after the shuttle's arrival time (module docstring).
-            now = v.arrival_time
-            weights: dict[int, int] = {}
-            base = load = 0
-            future = False
-            for pickups in (v.pending_pickups, new):
-                for r in pickups:
-                    s = index[r.pickup]
-                    index[r.dropoff]
-                    w = r.passengers if per_passenger else 1
-                    weights[s] = weights.get(s, 0) + w
-                    base += (now - r.request_time) * w
-                    load += r.passengers
-                    future = future or r.request_time > now
-            for r in v.pending_dropoffs:
-                index[r.dropoff]
-                load += r.passengers
-            if not future and load <= v.capacity:
-                if len(weights) > 1:
-                    return base + _latency(network, start, weights)
-                if weights:  # one pickup stop: no order to choose
-                    ((s, w),) = weights.items()
-                    return base + network.row(start)[s] * w
-                return 0
         # Per request bit j: pickup and drop-off stop, request time, party size
         # and waiting weight.  Pickups take the low bits; riders aboard only
         # need a drop-off stop and pax.
@@ -292,21 +392,20 @@ def _named_stops(v: ShuttleState, new) -> list:
     return [(stop, stop) for stop in chain((v.heading_stop,), *(trip[1:] for trip in trips))]
 
 
-def _latency(network: TravelNetwork, start: int, weights: dict[int, int]) -> int:
+def _latency(network: TravelNetwork, start: int, weights: tuple) -> int:
     """Least ``sum(W_s * d_s)`` over the orders of the pickup stops.
 
-    ``weights`` maps each distinct pickup stop to its summed waiting
-    weight ``W_s``; ``d_s`` is the seconds the order takes from ``start``
-    to ``s``.  The result depends on nothing else, so it is kept in
-    ``network.latencies`` under the flat key ``(start, s1, W1, s2, W2,
-    ...)``, stops ascending.
+    ``weights`` holds each distinct pickup stop, ascending, with its summed
+    waiting weight ``W_s``; ``d_s`` is the seconds the order takes from
+    ``start`` to ``s``.  The result depends on nothing else, so it is kept
+    in ``network.latencies`` under the key ``(start, weights)``.
     """
-    key = (start, *chain.from_iterable(sorted(weights.items())))
+    key = (start, weights)
     latency = network.latencies.get(key)
     if latency is None:
         row = network.row
         latency = network.latencies[key] = _least_latency(
-            row(start), [(s, row(s), w) for s, w in weights.items()])
+            row(start), [(s, row(s), w) for s, w in weights])
     return latency
 
 

@@ -22,22 +22,29 @@ of equal state are priced once and share one plan tuple object.
 Plan order is canonical: vehicles by id, subsets by size then
 lexicographic request ids.
 
-Most dispatch passes price subsets of zero or one request, so beyond its
-:func:`~odshuttle.costing.optimal_cost` calls a pass builds little.
+A pass prices distinct shuttle states times request subsets.  It builds
+each subset once, as its frozenset and its
+:func:`~odshuttle.costing.pack_pickups`, and each state's
+:func:`~odshuttle.costing.pack_state` once; every (state, subset) price
+is one :func:`~odshuttle.costing.packed_cost` of the two packs, which
+runs the route search only where capacity could bind or a pickup is
+dated after the shuttle's arrival time.  So the price equals
+``optimal_cost`` of the vehicle and subset, and raises what that raises.
 One pass over the vehicles in id order prices each state when its
-lowest-id vehicle is met and fills ``per_vehicle`` in that order.
+lowest-id vehicle is met, empty subset first, and fills ``per_vehicle``
+in that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
-from .costing import optimal_cost, optimal_sequence
+from .costing import optimal_sequence, pack_pickups, pack_state, packed_cost
 from .errors import InstanceTooLargeError
 from .network import TravelNetwork
-from .types import AssignmentPlan, ShuttleState, StopId, TripRequest
+from .types import AssignmentPlan, ShuttleState, StopId
 
 MAX_PLANS = 100_000
 
@@ -101,7 +108,16 @@ def enumerate_plans(
             f"{max_new_requests} yields up to {bound} plans (guard {MAX_PLANS})"
         )
 
-    cap = min(max_new_requests, len(requests))
+    # Every subset of up to the cap, the empty one first, then by size and
+    # ids, with its pickup pack: built once per pass, priced against each
+    # state.  ends[k] counts the subsets of up to k requests.
+    subsets = [(_NO_REQUESTS, pack_pickups(_NO_REQUESTS, network, per_passenger))]
+    ends = [1]
+    for k in range(1, min(max_new_requests, len(requests)) + 1):
+        for subset in combinations(requests, k):
+            group = frozenset(subset)
+            subsets.append((group, pack_pickups(group, network, per_passenger)))
+        ends.append(len(subsets))
     # A group of equal states is priced when its lowest-id member is met,
     # so an error names the vehicle it would name were every vehicle
     # priced on its own.
@@ -111,7 +127,7 @@ def enumerate_plans(
         key = (v.heading_stop, v.arrival_time, v.pending_pickups, v.pending_dropoffs, v.capacity)
         shared = plans_of.get(key)
         if shared is None:
-            shared = plans_of[key] = _vehicle_plans(v, requests, cap, network, max_outstanding,
+            shared = plans_of[key] = _vehicle_plans(v, subsets, ends, network, max_outstanding,
                                                     per_passenger)
         per_vehicle[v.id] = shared
     return PlanSet(per_vehicle)
@@ -119,27 +135,28 @@ def enumerate_plans(
 
 def _vehicle_plans(
     v: ShuttleState,
-    requests: list[TripRequest],
-    cap: int,
+    subsets: list[tuple[frozenset, tuple | None]],
+    ends: list[int],
     network: TravelNetwork,
     max_outstanding: int | None,
     per_passenger: bool,
 ) -> tuple[AssignmentPlan, ...]:
-    """``v``'s plans, empty plan first, for subsets of up to ``cap`` requests."""
-    base_cost = optimal_cost(v, _NO_REQUESTS, network, per_passenger)
+    """``v``'s plans, empty plan first, for the ``subsets`` it may take."""
+    state = pack_state(v, network, per_passenger)
+    empty, no_pickups = subsets[0]
+    base_cost = packed_cost(v, state, empty, no_pickups, network, per_passenger)
     # With no feasible sequence for its committed work alone, a vehicle gets
     # its empty plan only.
     if base_cost is None:
         return (_EMPTY_PLAN,)
     plans = [_EMPTY_PLAN]
+    cap = len(ends) - 1
     if max_outstanding is not None:
-        cap = min(cap, max_outstanding - len(v.pending_pickups) - len(v.pending_dropoffs))
-    for k in range(1, cap + 1):
-        for subset in combinations(requests, k):
-            group = frozenset(subset)
-            cost = optimal_cost(v, group, network, per_passenger)
-            if cost is not None:
-                plans.append(AssignmentPlan(group, cost - base_cost))
+        cap = max(0, min(cap, max_outstanding - len(v.pending_pickups) - len(v.pending_dropoffs)))
+    for group, pickups in islice(subsets, 1, ends[cap]):
+        cost = packed_cost(v, state, group, pickups, network, per_passenger)
+        if cost is not None:
+            plans.append(AssignmentPlan(group, cost - base_cost))
     return tuple(plans)
 
 

@@ -521,12 +521,18 @@ def parse_trips_csv(text: str, path="<trips>") -> list[TripRecord]:
                 dropoff_time=int(row["dropoff_time"]) if row["dropoff_time"] else None,
                 status=row["status"],
             )
+            derived = (row["waiting"], row["trip_time"])
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(path, reader.line_num, f"bad trips row: {err}") from None
         if record.status not in ("completed", "abandoned", "pending"):
             raise ParseError(path, reader.line_num, f"unknown trip status {record.status!r}")
         if record.status == "completed" and None in (record.pickup_time, record.dropoff_time):
             raise ParseError(path, reader.line_num, "a completed trip needs both times")
+        if record.status == "abandoned" and (record.pickup_time, record.dropoff_time) != (
+                None, None):
+            raise ParseError(path, reader.line_num, "an abandoned trip has no times")
+        if record.pickup_time is None and record.dropoff_time is not None:
+            raise ParseError(path, reader.line_num, "a drop-off needs a pickup")
         if record.trip_type not in TRIP_TYPES:
             raise ParseError(path, reader.line_num, f"unknown trip type {record.trip_type!r}")
         if record.id in seen:
@@ -537,6 +543,12 @@ def parse_trips_csv(text: str, path="<trips>") -> list[TripRecord]:
         if record.request_time < 0 or times != sorted(times):
             raise ParseError(path, reader.line_num, "trip times must run 0 <= request <= "
                              "pickup <= drop-off")
+        for column, value, written, rule in (
+                ("waiting", record.waiting, derived[0], "pickup - request"),
+                ("trip_time", record.trip_time, derived[1], "drop-off - request")):
+            if written != ("" if value is None else str(value)):
+                raise ParseError(path, reader.line_num, f"{column} must be {rule}, "
+                                 "or empty without that time")
         records.append(record)
     return records
 

@@ -80,7 +80,7 @@ class TravelNetwork:
         self.index: dict[StopId, int] = {stop: i for i, stop in enumerate(self.ids)}
         self._rows: list[list[int | None] | None] = [None] * len(self.ids)
         # Time-free pickup-order latencies, filled on first use by costing.
-        self.latencies: dict[tuple[int, ...], int] = {}
+        self.latencies: dict[tuple, int] = {}
         self._adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
         for i, (a, b, seconds) in enumerate(links):
             for stop in (a, b):

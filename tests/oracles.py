@@ -5,16 +5,19 @@ sequencing oracle is a plain exhaustive recursion over every
 precedence-feasible stop ordering, with no pruning, no bound, and no
 shortcutting of drop-off tails, and the dispatch oracle tries every
 one-plan-per-vehicle selection, sharing no code with the solver: it
-indexes the requests and builds its solution itself.  The fixed-route
-oracle scans every served stop of every route for each request.  Slow
-but unarguable.
+indexes the requests and builds its solution itself.  The plan oracle
+prices every subset of every shuttle on its own with the route search,
+sharing no packing and no grouping of equal states with enumeration.
+The fixed-route oracle scans every served stop of every route for each
+request.  Slow but unarguable.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, product
 
+from odshuttle.costing import optimal_sequence
 from odshuttle.errors import InstanceTooLargeError
 from odshuttle.solver import DispatchProblem
 from odshuttle.types import DispatchSolution
@@ -79,6 +82,35 @@ def exhaustive_best_sequence(v, new_requests, network, per_passenger=False):
         (),
     )
     return best[0]
+
+
+def reference_plans(shuttles, requests, cap, network, max_outstanding=None,
+                    per_passenger=False):
+    """Each shuttle's ``(requests, cost)`` plans by id, as enumeration should build them.
+
+    Every shuttle is priced on its own, in id order: the empty plan, then
+    every subset of up to ``cap`` requests (fewer where ``max_outstanding``
+    binds), by size then ids, each at :func:`optimal_sequence`'s waiting
+    with it minus the waiting without it.  A subset with no feasible
+    sequence is left out, and a shuttle whose committed work alone has
+    none gets the empty plan only.
+    """
+    requests = sorted(requests, key=lambda r: r.id)
+    plans = {}
+    for v in sorted(shuttles, key=lambda v: v.id):
+        plans[v.id] = [(frozenset(), 0)]
+        base = optimal_sequence(v, frozenset(), network, per_passenger)
+        if base is None:
+            continue
+        room = cap
+        if max_outstanding is not None:
+            room = min(cap, max_outstanding - len(v.pending_pickups) - len(v.pending_dropoffs))
+        for k in range(1, room + 1):
+            for subset in combinations(requests, k):
+                found = optimal_sequence(v, subset, network, per_passenger)
+                if found is not None:
+                    plans[v.id].append((frozenset(subset), found[0] - base[0]))
+    return plans
 
 
 def shortest_path_by_enumeration(stops, links, a, b, max_hops=None):

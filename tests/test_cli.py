@@ -110,6 +110,17 @@ TIMES_RULE = "trip times must run 0 <= request <= pickup <= drop-off"
     pytest.param({0: "{above}"}, "duplicate trip id '{above}'", id="repeated-id"),
     pytest.param({1: "100", 2: "50", 3: "40"}, TIMES_RULE, id="times-run-backwards"),
     pytest.param({1: "-5"}, TIMES_RULE, id="negative-request-time"),
+    pytest.param({4: "", 5: "", 6: "abandoned"}, "an abandoned trip has no times",
+                 id="abandoned-with-times"),
+    pytest.param({2: "", 4: "", 6: "pending"}, "a drop-off needs a pickup",
+                 id="dropoff-without-pickup"),
+    pytest.param({4: "1"}, "waiting must be pickup - request, or empty without that time",
+                 id="waiting-not-derived"),
+    pytest.param({5: "2"}, "trip_time must be drop-off - request, or empty without that time",
+                 id="trip-time-not-derived"),
+    pytest.param({3: "", 6: "pending"},
+                 "trip_time must be drop-off - request, or empty without that time",
+                 id="trip-time-without-dropoff"),
 ])
 def test_bad_comparison_trips_reported_in_one_line(small_cfg, tmp_path, capsys, edits, message):
     # Each edit goes into the first completed row after the first row;

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from odshuttle import enumeration
-from odshuttle.costing import optimal_cost, optimal_sequence
+from odshuttle.costing import optimal_sequence, packed_cost
 from odshuttle.enumeration import enumerate_plans, plan_count_bound, plan_route
 from odshuttle.errors import ConfigError, InstanceTooLargeError
 from odshuttle.fileio import write_plans_text
@@ -12,7 +12,7 @@ from odshuttle.network import TravelNetwork
 from odshuttle.types import AssignmentPlan, ShuttleState, Stop, TripRequest
 
 from conftest import idle_fleet_instance, make_grid_network
-from oracles import exhaustive_best_sequence
+from oracles import exhaustive_best_sequence, reference_plans
 
 
 def shuttles_at(net, n, capacity=8):
@@ -101,11 +101,11 @@ def test_every_subset_is_priced_past_an_over_capacity_one(monkeypatch):
     net = TravelNetwork.graph(stops, links + [("U", "H", 10), ("X", "H", 10)])
     priced = []
 
-    def counted(v, group, *args):
+    def counted(v, state, group, *args):
         priced.append(tuple(sorted(r.id for r in group)))
-        return optimal_cost(v, group, *args)
+        return packed_cost(v, state, group, *args)
 
-    monkeypatch.setattr(enumeration, "optimal_cost", counted)
+    monkeypatch.setattr(enumeration, "packed_cost", counted)
     assert [p.request_ids for p in enumerate_plans([v], [big, small], 2, net).per_vehicle["v00"]] \
         == [(), ("b_t",)]
     assert priced == [(), ("a_big",), ("b_t",), ("a_big", "b_t")]
@@ -272,10 +272,10 @@ def test_fleet_plans_match_each_shuttle_alone():
 
 
 def test_subset_priced_below_its_base_is_rejected(monkeypatch, line_network):
-    def cheaper_with_requests(v, new_requests, network, per_passenger=False):
+    def cheaper_with_requests(v, state, new_requests, *args):
         return 10 if not new_requests else 3
 
-    monkeypatch.setattr(enumeration, "optimal_cost", cheaper_with_requests)
+    monkeypatch.setattr(enumeration, "packed_cost", cheaper_with_requests)
     with pytest.raises(ValueError, match="plan cost must be >= 0"):
         enumerate_plans(shuttles_at(line_network, 1), requests_on(line_network, 1), 1,
                         line_network)
@@ -303,9 +303,9 @@ def test_identical_shuttles_sequence_once(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return optimal_cost(*args)
+        return packed_cost(*args)
 
-    monkeypatch.setattr(enumeration, "optimal_cost", counted)
+    monkeypatch.setattr(enumeration, "packed_cost", counted)
     network, requests, shuttles = idle_fleet_instance(1000)
     enumerate_plans(shuttles[:1], requests, 3, network)
     assert len(calls) == 93  # the empty subset and every subset of 1 to 3 of 8 requests
@@ -313,3 +313,117 @@ def test_identical_shuttles_sequence_once(monkeypatch):
     plans = enumerate_plans(shuttles, requests, 3, network)
     assert len(calls) == 93
     assert sum(map(len, plans.per_vehicle.values())) == 93_000
+
+
+def differential_fleet(rng):
+    """A network, a fleet and open requests, drawn to reach every pricing path.
+
+    Shuttles carry riders and committed pickups; parties up to 3 against 1 to
+    8 seats make capacity bind; request times run past the shuttles'
+    arrival times; some networks are street graphs with a stop that nothing
+    reaches (so not strongly connected), and a few fleets name a stop that
+    no other reaches or none knows, or owe a request the pass offers.
+    """
+    n = rng.randint(3, 6)
+    stops = [Stop(f"s{i}", rng.uniform(0, 900), rng.uniform(0, 900)) for i in range(n)]
+    ids = [s.id for s in stops]
+    shape = rng.choice(("euclidean", "ring", "ring and a stop it cannot reach"))
+    if shape == "euclidean":
+        net = TravelNetwork.euclidean(stops, speed=rng.choice((1.0, 5.0)))
+    else:
+        links = [(ids[i], ids[(i + 1) % n], rng.randint(1, 300)) for i in range(n)]
+        links += [(*rng.sample(ids, 2), rng.randint(1, 300)) for _ in range(rng.randint(0, n))]
+        if shape != "ring":
+            stops.append(Stop("x", 0, 0))
+            links.append(("x", rng.choice(ids), rng.randint(1, 300)))
+        net = TravelNetwork.graph(stops, links)
+    count = [0]
+
+    def request(prefix):
+        count[0] += 1
+        a, b = rng.sample(ids, 2)
+        return TripRequest(id=f"{prefix}{count[0]:02d}", pickup=a, dropoff=b,
+                           request_time=rng.choice((rng.randint(0, 200), rng.randint(0, 600))),
+                           passengers=rng.choice((1, 1, 1, 2, 3)))
+
+    requests = [request("r") for _ in range(rng.randint(0, 4))]
+    shuttles = []
+    for i in range(rng.randint(1, 5)):
+        vid = f"v{i}"
+        if shuttles and rng.random() < 0.3:
+            shuttles.append(replace(rng.choice(shuttles), id=vid))
+            continue
+        pickups = [request("c") for _ in range(rng.choice((0, 0, 1, 2)))]
+        riders = [request("o") for _ in range(rng.choice((0, 0, 1, 2)))]
+        shuttles.append(ShuttleState(
+            id=vid, heading_stop=rng.choice(ids), arrival_time=rng.randint(100, 400),
+            pending_pickups=pickups, pending_dropoffs=riders,
+            capacity=max(sum(r.passengers for r in riders), rng.choice((1, 2, 3, 4, 8)))))
+    fault = rng.random()
+    if fault < 0.1:
+        # A stop that nothing reaches, or one off the network, in a request or
+        # in a shuttle's committed work.
+        bad = "x" if shape == "ring and a stop it cannot reach" and fault < 0.08 else "zz"
+        owner = rng.randrange(len(shuttles) + 1)
+        if owner == len(shuttles) and requests:
+            requests[0] = replace(requests[0], pickup=bad)
+        else:
+            v = shuttles[owner % len(shuttles)]
+            owed = request("c")
+            shuttles[owner % len(shuttles)] = replace(
+                v, pending_pickups=v.pending_pickups | {replace(owed, dropoff=bad)})
+    elif fault < 0.14 and requests:
+        # A request the pass offers is already committed to a shuttle.
+        v = rng.choice(shuttles)
+        shuttles[shuttles.index(v)] = replace(v, pending_pickups=v.pending_pickups | {requests[0]})
+    return net, shuttles, requests
+
+
+def _plans_or_fault(build):
+    try:
+        return build()
+    except (ConfigError, ValueError) as err:  # the type and message must agree
+        return type(err), str(err)
+
+
+def test_plans_match_route_search_reference():
+    # Every plan of every shuttle, priced by the packs, equals the route
+    # search's price of that shuttle and subset alone, and a fault is the
+    # one the route search raises first.
+    rng = random.Random(3301)
+    seen = dict.fromkeys(("plans", "route search", "not strongly connected", "per passenger",
+                          "max_outstanding binds", "unknown stop", "unreached stop",
+                          "already committed"), 0)
+    for i in range(800):
+        net, shuttles, requests = differential_fleet(rng)
+        cap = rng.randint(1, 3)
+        options = {"max_outstanding": rng.choice((None, 2, 3, 4)),
+                   "per_passenger": rng.random() < 0.5}
+
+        def packed():
+            plan_set = enumerate_plans(shuttles, requests, cap, net, **options)
+            return {vid: [(p.requests, p.cost) for p in plans]
+                    for vid, plans in plan_set.per_vehicle.items()}
+
+        want = _plans_or_fault(lambda: reference_plans(shuttles, requests, cap, net, **options))
+        assert _plans_or_fault(packed) == want, f"instance {i}"
+        if type(want) is tuple:
+            message = want[1]
+            seen["unknown stop" if "unknown stop" in message
+                 else "unreached stop" if "cannot be reached" in message
+                 else "already committed"] += 1
+            continue
+        seen["plans"] += 1
+        for v in shuttles:
+            pickups = [*v.pending_pickups, *requests]
+            if any(r.request_time > v.arrival_time for r in pickups) \
+                    or v.onboard + sum(r.passengers for r in pickups) > v.capacity:
+                seen["route search"] += 1
+                break
+        seen["not strongly connected"] += not net.strongly_connected
+        seen["per passenger"] += options["per_passenger"] and any(
+            r.passengers > 1 for r in requests)
+        outstanding = max(len(v.pending_pickups) + len(v.pending_dropoffs) for v in shuttles)
+        seen["max_outstanding binds"] += options["max_outstanding"] is not None \
+            and options["max_outstanding"] - outstanding < min(cap, len(requests))
+    assert all(count >= 10 for count in seen.values()), sorted(seen.items())
