@@ -225,16 +225,18 @@ def packed_cost(v: ShuttleState, state, new: frozenset, pickups, network: Travel
     now = v.arrival_time
     if latest > now or new_latest > now or load + passengers > v.capacity:
         return _optimum(v, new, network, per_passenger, False)
-    if weights:  # merge the committed pickups' stops in
+    if weights:  # merge the new pickups' stops into the committed ones
         merged = dict(weights)
         for s, w in new_weights:
             merged[s] = merged.get(s, 0) + w
-        new_weights = tuple(sorted(merged.items()))
+        weights = tuple(sorted(merged.items()))
+    else:
+        weights = new_weights
     base = now * (sum_w + new_w) - sum_tw - new_tw
-    if len(new_weights) > 1:
-        return base + _latency(network, start, new_weights)
-    if new_weights:  # one pickup stop: no order to choose
-        ((s, w),) = new_weights
+    if len(weights) > 1:
+        return base + _latency(network, start, weights)
+    if weights:  # one pickup stop: no order to choose
+        ((s, w),) = weights
         return base + network.row(start)[s] * w
     return 0
 

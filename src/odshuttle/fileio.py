@@ -521,7 +521,6 @@ def parse_trips_csv(text: str, path="<trips>") -> list[TripRecord]:
                 dropoff_time=int(row["dropoff_time"]) if row["dropoff_time"] else None,
                 status=row["status"],
             )
-            derived = (row["waiting"], row["trip_time"])
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(path, reader.line_num, f"bad trips row: {err}") from None
         if record.status not in ("completed", "abandoned", "pending"):
@@ -543,10 +542,9 @@ def parse_trips_csv(text: str, path="<trips>") -> list[TripRecord]:
         if record.request_time < 0 or times != sorted(times):
             raise ParseError(path, reader.line_num, "trip times must run 0 <= request <= "
                              "pickup <= drop-off")
-        for column, value, written, rule in (
-                ("waiting", record.waiting, derived[0], "pickup - request"),
-                ("trip_time", record.trip_time, derived[1], "drop-off - request")):
-            if written != ("" if value is None else str(value)):
+        for column, value, rule in (("waiting", record.waiting, "pickup - request"),
+                                    ("trip_time", record.trip_time, "drop-off - request")):
+            if row.get(column) != ("" if value is None else str(value)):
                 raise ParseError(path, reader.line_num, f"{column} must be {rule}, "
                                  "or empty without that time")
         records.append(record)
